@@ -197,7 +197,9 @@ def glued_h0(z, m):
     dim = len(left) + len(right) - lattice.rank(rows)
     if lh == ns and rh == ns:
         # both restrictions surjective: fiber-product dimension count
-        assert dim == len(left) + len(right) - ns
+        if dim != len(left) + len(right) - ns:
+            raise AssertionError("glued h0 disagrees with the fiber-product "
+                                 "dimension count")
     return dim
 
 

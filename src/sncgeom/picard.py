@@ -97,30 +97,26 @@ def triangle_surface():
     return CycleSurface(blowup_count=0, cycle=(h, h, h), canonical=(-3,))
 
 
-def _extend(c):
-    return tuple(c) + (0,)
+def _blowup(s, j, corner):
+    if not 0 <= j < s.length:
+        raise IndexError("invalid cycle position")
+    k = s.blowup_count + 1
+    e = tuple([0] * k + [1])
+    cycle = [tuple(c) + (0,) for c in s.cycle]
+    # from lists: tuple(generator) resizes, and the freed tuples fill
+    # CPython's free lists instead of being reused
+    for i in ((j, (j + 1) % s.length) if corner else (j,)):
+        cycle[i] = tuple([a - b for a, b in zip(cycle[i], e)])
+    if corner:
+        cycle.insert(j + 1, e)  # between C_j and C_{j+1}, last if j = m - 1
+    canonical = tuple([a + b for a, b in zip(tuple(s.canonical) + (0,), e)])
+    return CycleSurface(k, tuple(cycle), canonical)
 
 
 def blowup_corner(s, j):
     """Blow up the corner C_j ∩ C_{j+1}; the exceptional curve joins the
     cycle between them and both neighbours drop by E."""
-    m = s.length
-    if not 0 <= j < m:
-        raise IndexError("invalid cycle position")
-    jn = (j + 1) % m
-    k = s.blowup_count + 1
-    e = tuple([0] * k + [1])
-    cycle = [_extend(c) for c in s.cycle]
-    cycle[j] = tuple(a - b for a, b in zip(cycle[j], e))
-    cycle[jn] = tuple(a - b for a, b in zip(cycle[jn], e))
-    if jn == 0:
-        new_cycle = cycle + [e]
-    else:
-        new_cycle = cycle[:j + 1] + [e] + cycle[j + 1:]
-    canonical = _extend(s.canonical)
-    canonical = tuple(a + b for a, b in zip(canonical, e))
-    return CycleSurface(blowup_count=k, cycle=tuple(new_cycle),
-                        canonical=canonical)
+    return _blowup(s, j, corner=True)
 
 
 def blowup_on_curve(s, j):
@@ -129,17 +125,7 @@ def blowup_on_curve(s, j):
     The cycle length is unchanged: C_j becomes C_j - E while -K also drops
     by E, so the anticanonical identity sum C_j = -K survives exactly.
     """
-    m = s.length
-    if not 0 <= j < m:
-        raise IndexError("invalid cycle position")
-    k = s.blowup_count + 1
-    e = tuple([0] * k + [1])
-    cycle = [_extend(c) for c in s.cycle]
-    cycle[j] = tuple(a - b for a, b in zip(cycle[j], e))
-    canonical = _extend(s.canonical)
-    canonical = tuple(a + b for a, b in zip(canonical, e))
-    return CycleSurface(blowup_count=k, cycle=tuple(cycle),
-                        canonical=canonical)
+    return _blowup(s, j, corner=False)
 
 
 def standard_schedule():
@@ -180,21 +166,34 @@ def cycle_surface(m):
     return s
 
 
-def cycle_gram(s, exclude=None):
-    idx = [i for i in range(s.length) if i != exclude]
-    return [[dot(s.cycle[i], s.cycle[j]) for j in idx] for i in idx], idx
+def _path_sweep(sq, j, deg):
+    """Exact Thomas sweep on the Gram matrix of the path C_{j+1}, ...,
+    C_{j-1}: diagonal sq[i] = C_i^2, off-diagonal 1 on a validated cycle.
+    The pivots are continuant ratios D_k/D_{k-1}: None if one is >= 0 (not
+    negative definite), else the path and a with Gram.a = -deg[path]."""
+    m = len(sq)
+    path = [(j + k) % m for k in range(1, m)]
+    piv, y = [], []
+    for i in path:
+        p, r = Fraction(sq[i]), Fraction(-deg[i])
+        if piv:
+            p, r = p - 1 / piv[-1], r - y[-1] / piv[-1]
+        if p >= 0:
+            return None
+        piv.append(p)
+        y.append(r)
+    a = [y[-1] / piv[-1]]
+    for k in range(m - 3, -1, -1):
+        a.append((y[k] - a[-1]) / piv[k])
+    return path, a[::-1]
 
 
 def is_negative_definite(s, exclude):
     """True iff the Gram matrix of {C_i : i != exclude} is negative
-    definite (all leading principal minors of the negated matrix > 0)."""
-    gram, _ = cycle_gram(s, exclude)
-    n = len(gram)
-    for t in range(1, n + 1):
-        minor = [[-gram[i][j] for j in range(t)] for i in range(t)]
-        if lattice.det_int(minor) <= 0:
-            return False
-    return True
+    definite (Sylvester's criterion on the path's continuants)."""
+    s.validate()
+    return _path_sweep(s.self_intersections(), exclude,
+                       [0] * s.length) is not None
 
 
 def _positive_direction(vectors):
@@ -248,7 +247,8 @@ def uniform_degree_seed(s):
         sol = [a + t * b for a, b in zip(sol, x)]
     mult = lcm(*[f.denominator for f in sol])
     seed = tuple(int(f * mult) for f in sol)
-    assert dot(seed, seed) > 0
+    if dot(seed, seed) <= 0:
+        raise InvariantError("uniform-degree seed has non-positive square")
     return seed
 
 
@@ -259,30 +259,30 @@ def degree_one_polarization(s, seed_ample):
     sublattice spanned by the other curves so that it meets only C_j, then
     the corrected classes are averaged with weights 1/(H'_j.C_j).
     """
-    m = s.length
-    if any(c2 > -2 for c2 in s.self_intersections()):
+    s.validate()  # the cycle pattern is what makes each Gram a path
+    m, sq = s.length, s.self_intersections()
+    if any(c2 > -2 for c2 in sq):
         raise NegativeDefiniteViolation(
             "all cycle self-intersections must be <= -2")
     degs = [dot(seed_ample, c) for c in s.cycle]
     if any(d <= 0 for d in degs) or dot(seed_ample, seed_ample) <= 0:
         raise NoAmpleSeed("seed must have positive degree on every C_j "
                           "and positive self-intersection")
-    h = [Fraction(0)] * s.dim
+    weight, coef = Fraction(0), [Fraction(0)] * m  # of the seed, of each C_i
     for j in range(m):
-        if not is_negative_definite(s, j):
+        swept = _path_sweep(sq, j, degs)
+        if swept is None:
             raise NegativeDefiniteViolation(
                 f"curves other than C_{j} are not negative definite")
-        gram, idx = cycle_gram(s, j)
-        rhs = [-Fraction(dot(seed_ample, s.cycle[i])) for i in idx]
-        coeffs = lattice.solve(gram, rhs)
-        assert coeffs is not None  # negative definite => invertible
-        hj = [Fraction(x) for x in seed_ample]
-        for a, i in zip(coeffs, idx):
-            hj = [x + a * y for x, y in zip(hj, s.cycle[i])]
-        dj = dot(hj, s.cycle[j])
+        path, a = swept  # only the path's ends meet C_j, once each
+        dj = degs[j] + a[0] + a[-1]
         if dj <= 0:
             raise NoAmpleSeed(f"corrected class has degree {dj} on C_{j}")
-        h = [x + y / dj for x, y in zip(h, hj)]
+        weight += 1 / dj
+        for i, ai in zip(path, a):
+            coef[i] += ai / dj
+    h = [weight * x + sum(ci * c[t] for ci, c in zip(coef, s.cycle))
+         for t, x in enumerate(seed_ample)]
     for j in range(m):
         if dot(h, s.cycle[j]) != 1:
             raise InvariantError("polarization degree is not 1 on the cycle")

@@ -452,7 +452,8 @@ def _det_bareiss(m):
             for j in range(c + 1, n):
                 num = a[i][j] * a[c][c] - a[i][c] * a[c][j]
                 q = divide_exact(num, prev)
-                assert q is not None, "Bareiss division must be exact"
+                if q is None:
+                    raise AssertionError("Bareiss division must be exact")
                 a[i][j] = q
             a[i][c] = a[i][c] * 0
         prev = a[c][c]

@@ -95,9 +95,24 @@ class Triangulation:
 
     @classmethod
     def from_json(cls, text):
+        """Parse {"vertices": n, "triangles": [[a, b, c], ...]}; ValueError
+        unless n is an int >= 0 and each triangle is three distinct ints in
+        range(n)."""
         d = json.loads(text)
-        return cls(vertex_count=d["vertices"],
-                   triangles=tuple(tuple(t) for t in d["triangles"]))
+        if not isinstance(d, dict) or not {"vertices", "triangles"} <= set(d):
+            raise ValueError('expected keys "vertices" and "triangles"')
+        n, tris = d["vertices"], d["triangles"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertices must be an integer >= 0, got {n!r}")
+        if not isinstance(tris, list):
+            raise ValueError("triangles must be a list")
+        for tri in tris:
+            if (not isinstance(tri, list) or len(tri) != 3
+                    or any(type(v) is not int or not 0 <= v < n for v in tri)
+                    or len(set(tri)) != 3):
+                raise ValueError(f"triangle {tri!r} needs three distinct "
+                                 f"integer vertex ids below {n}")
+        return cls(vertex_count=n, triangles=tuple(tuple(t) for t in tris))
 
 
 @dataclass
@@ -354,17 +369,18 @@ def assemble(d, component_factory=None, refinement=3, node_markings=None):
     cache = {}
     for v, sides in d.polygons.items():
         want = refinement * len(sides)
-        if want not in cache:
-            cache[want] = factory(want)
-        surf, h = cache[want]
-        if surf.length != want:
-            raise CycleLengthMismatch(
-                f"factory returned cycle length {surf.length}, wanted {want}")
-        for c in surf.cycle:
-            if picard.dot(h, c) != 1:
-                raise PolarizationDegreeMismatch(
-                    "polarization does not have degree 1 on the cycle")
-        components[v] = (surf, h)
+        if want not in cache:  # check each factory result once
+            surf, h = factory(want)
+            if surf.length != want:
+                raise CycleLengthMismatch(
+                    f"factory returned cycle length {surf.length}, "
+                    f"wanted {want}")
+            for c in surf.cycle:
+                if picard.dot(h, c) != 1:
+                    raise PolarizationDegreeMismatch(
+                        "polarization does not have degree 1 on the cycle")
+            cache[want] = (surf, h)
+        components[v] = cache[want]
     identifications = {}
     for edge, (u, w) in d.side_gluing.items():
         pos = {}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sncgeom
 from sncgeom import cli, snc
 
 
@@ -38,6 +43,50 @@ def test_glue_rejects_nonmanifold(tmp_path, capsys):
         {"vertices": 3, "triangles": [[0, 1, 2]]}))
     code = cli.main(["glue", "--triangulation", str(path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("blob", [
+    {"vertices": 4},
+    {"triangles": [[0, 1, 2]]},
+    [[0, 1, 2]],
+    {"vertices": -1, "triangles": []},
+    {"vertices": "4", "triangles": [[0, 1, 2]]},
+    {"vertices": True, "triangles": []},
+    {"vertices": 4, "triangles": {"0": [0, 1, 2]}},
+    {"vertices": 4, "triangles": [[0, 1]]},
+    {"vertices": 4, "triangles": [[0, 1, 1]]},
+    {"vertices": 4, "triangles": [[0, 1, 4]]},
+    {"vertices": 4, "triangles": [[0, 1, -1]]},
+    {"vertices": 4, "triangles": [[0, 1, "2"]]},
+    {"vertices": 4, "triangles": [[0, 1, 2.0]]},
+    {"vertices": 4, "triangles": [7]},
+])
+def test_glue_rejects_malformed_json(tmp_path, capsys, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError):
+        snc.Triangulation.from_json(path.read_text())
+    assert cli.main(["glue", "--triangulation", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad triangulation: ") and len(err.splitlines()) == 1
+
+
+def test_surface_report_survives_python_O():
+    src = str(Path(sncgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    reports = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "sncgeom.cli", "--json",
+             "surface", "--schedule", "standard"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        report.pop("seconds")
+        reports.append(report)
+    assert "polarization" in reports[0]
+    assert reports[0] == reports[1]
 
 
 def test_fano_zr(capsys):

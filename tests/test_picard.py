@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sncgeom import picard
+from sncgeom import lattice, picard
 
 
 def test_triangle_surface():
@@ -103,6 +103,124 @@ def test_polarization_requires_minus_two_curves():
     with pytest.raises(picard.NegativeDefiniteViolation):
         picard.degree_one_polarization(picard.triangle_surface(),
                                        (1, ))
+
+
+# -- the general route, kept as the oracle for the path sweep --------------
+
+
+def _oracle_gram(s, exclude):
+    """Gram matrix of {C_i : i != exclude} in ascending index order, which
+    is not tridiagonal when 0 < exclude < m - 1."""
+    idx = [i for i in range(s.length) if i != exclude]
+    return [[picard.dot(s.cycle[i], s.cycle[j]) for j in idx]
+            for i in idx], idx
+
+
+def _oracle_is_negative_definite(s, exclude):
+    """Sylvester's criterion with det_int on every leading minor."""
+    gram, _ = _oracle_gram(s, exclude)
+    return all(lattice.det_int([[-gram[i][j] for j in range(t)]
+                                for i in range(t)]) > 0
+               for t in range(1, len(gram) + 1))
+
+
+def _oracle_polarization(s, seed):
+    """One dense lattice.solve per excluded curve, then the average of the
+    corrected seeds with weights 1/(H'_j.C_j)."""
+    h = [Fraction(0)] * s.dim
+    for j in range(s.length):
+        assert _oracle_is_negative_definite(s, j)
+        gram, idx = _oracle_gram(s, j)
+        coeffs = lattice.solve(
+            gram, [-Fraction(picard.dot(seed, s.cycle[i])) for i in idx])
+        hj = [Fraction(x) for x in seed]
+        for a, i in zip(coeffs, idx):
+            hj = [x + a * y for x, y in zip(hj, s.cycle[i])]
+        dj = picard.dot(hj, s.cycle[j])
+        h = [x + y / dj for x, y in zip(h, hj)]
+    return tuple(h)
+
+
+def _assert_matches_oracle(s, seed):
+    assert picard.degree_one_polarization(s, seed) == \
+        _oracle_polarization(s, seed)
+    assert all(picard.is_negative_definite(s, j) for j in range(s.length))
+
+
+@pytest.mark.parametrize("m", [3, *range(6, 25)])
+def test_polarization_matches_dense_oracle(m):
+    s = picard.cycle_surface(m)
+    _assert_matches_oracle(s, picard.uniform_degree_seed(s))
+
+
+def test_polarization_matches_dense_oracle_on_a_two_cycle():
+    # C_0 = H - E_1..E_4 and C_1 = 2H - E_5..E_10 meet twice; removing one
+    # leaves a single curve that meets the other at both path ends
+    c0 = (1, -1, -1, -1, -1) + (0,) * 6
+    c1 = (2,) + (0,) * 4 + (-1,) * 6
+    s = picard.CycleSurface(10, (c0, c1), (-3,) + (1,) * 10)
+    s.validate()
+    _assert_matches_oracle(s, (10, -1, -1, -1, -1) + (-2,) * 6)
+
+
+def _random_surface(rng, steps):
+    s = picard.triangle_surface()
+    for _ in range(steps):
+        j = rng.randrange(s.length)
+        if rng.random() < 0.7:
+            s = picard.blowup_corner(s, j)
+        else:
+            s = picard.blowup_on_curve(s, j)
+    return s
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 14))
+def test_definiteness_matches_dense_oracle(seed, steps):
+    s = _random_surface(random.Random(seed), steps)
+    for j in range(s.length):
+        assert picard.is_negative_definite(s, j) == \
+            _oracle_is_negative_definite(s, j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10))
+def test_polarization_matches_dense_oracle_on_random_schedules(seed, steps):
+    s = _random_surface(random.Random(seed), steps)
+    for j, c2 in enumerate(s.self_intersections()):
+        for _ in range(c2 + 2):  # interior blow-ups down to C^2 = -2
+            s = picard.blowup_on_curve(s, j)
+    assert all(c2 <= -2 for c2 in s.self_intersections())
+    try:
+        seed = picard.uniform_degree_seed(s)
+    except picard.NoAmpleSeed:
+        assume(False)
+    _assert_matches_oracle(s, seed)
+
+
+def test_definiteness_negative_cases_match_oracle():
+    tri = picard.triangle_surface()
+    minus_one = picard.blowup_corner(tri, 0)  # E_1 is a -1 curve
+    for s in (tri, minus_one):
+        for j in range(s.length):
+            assert picard.is_negative_definite(s, j) == \
+                _oracle_is_negative_definite(s, j)
+    assert not picard.is_negative_definite(tri, 0)
+    s = picard.cycle_surface(6)
+    s = picard.blowup_corner(s, 0)  # the new curve has C^2 = -1
+    assert -1 in s.self_intersections()
+    with pytest.raises(picard.NegativeDefiniteViolation):
+        picard.degree_one_polarization(s, picard.uniform_degree_seed(s))
+
+
+def test_definiteness_rejects_a_broken_cycle():
+    s = picard.standard_schedule()
+    broken = picard.CycleSurface(
+        s.blowup_count, (s.cycle[1], s.cycle[0]) + s.cycle[2:], s.canonical)
+    with pytest.raises(picard.InvariantError):
+        picard.is_negative_definite(broken, 0)
+    with pytest.raises(picard.InvariantError):
+        picard.degree_one_polarization(broken, picard.uniform_degree_seed(s))
 
 
 def test_clear_denominators():
