@@ -2,8 +2,8 @@
 
 Submodules:
 
-- ``lattice``: exact integer/rational linear algebra (rank, kernels,
-  Smith normal form, modular rank certificates);
+- ``lattice``: exact integer/rational linear algebra (rank, sparse rank,
+  kernels, Smith normal form, modular rank certificates);
 - ``poly``: sparse multivariate polynomials over Z/Q/F_p, determinants,
   adjugates, blow-up charts and determinantal-locus estimates;
 - ``picard``: rational surfaces carrying an anticanonical cycle of

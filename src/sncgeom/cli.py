@@ -1,8 +1,9 @@
 """Command-line front end: reproducible reports over the library kernels.
 
 Every command prints a human-readable report (or JSON with --json) and
-exits 0 exactly when all embedded assertions passed.  Randomized suites
-take --seed (default 0); the environment variable SNC_SEED overrides it.
+exits 0 exactly when all embedded assertions passed; rejected input ends in
+one line on stderr and exit 1.  Randomized suites take --seed (default 0);
+the environment variable SNC_SEED overrides it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ def _seed(args):
     if env is not None:
         return int(env)
     return args.seed
+
+
+def _fail(message):
+    print(message, file=sys.stderr)
+    return 1
 
 
 def _emit(args, report, ok):
@@ -47,6 +53,8 @@ def _pretty(report, indent=0):
 
 def cmd_surface(args):
     t0 = time.perf_counter()
+    if args.corners is not None and args.corners < 0:
+        return _fail("--corners must be >= 0")
     if args.schedule:
         s = picard.standard_schedule()
         source = "schedule standard"
@@ -83,14 +91,12 @@ def cmd_surface(args):
 
 def cmd_glue(args):
     t0 = time.perf_counter()
-    with open(args.triangulation) as fh:
-        text = fh.read()
     try:
-        tri = snc.Triangulation.from_json(text)
+        with open(args.triangulation) as fh:
+            tri = snc.Triangulation.from_json(fh.read())
         tri.validate()
-    except (snc.NonManifold, snc.Boundary, ValueError) as exc:
-        print(f"bad triangulation: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, snc.NonManifold, snc.Boundary, ValueError) as exc:
+        return _fail(f"bad triangulation: {exc}")
     report = snc.glue_report(tri)
     ok = all(report[k] for k in ("cohomology_crosscheck",
                                  "abelianization_crosscheck"))
@@ -102,6 +108,10 @@ def cmd_glue(args):
 
 def cmd_fano(args):
     t0 = time.perf_counter()
+    if args.r < 0 or (args.s is not None and args.s < 0):
+        return _fail("--r and --s must be >= 0")
+    if args.mmax < 1:
+        return _fail("--mmax must be >= 1")
     if args.kind == "zr":
         z = fano.ZR(args.r)
         # ends ordered so that the P^2-bundle side carries the surjective
@@ -112,8 +122,7 @@ def cmd_fano(args):
                        "outside this series")
     else:
         if args.s is None:
-            print("zrs needs --s", file=sys.stderr)
-            return 1
+            return _fail("zrs needs --s")
         z = fano.ZRS(args.r, args.s)
         h2_ends = (2, 2)
         series_note = None
@@ -140,18 +149,18 @@ def cmd_fano(args):
 
 def cmd_resolve(args):
     t0 = time.perf_counter()
+    if args.m < 1:
+        return _fail("--m must be >= 1")
     try:
         h2 = [int(x) for x in args.h2.split(",")]
-        if len(h2) != 4:
+        if len(h2) != 4 or min(h2) < 0:
             raise ValueError
     except ValueError:
-        print("--h2 expects four integers z1,s,c,z2", file=sys.stderr)
-        return 1
+        return _fail("--h2 expects four nonnegative integers z1,s,c,z2")
     try:
         chain = resolution.build_chain(args.m, *h2, seed=_seed(args))
     except resolution.AssumptionViolated as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"assumption violated: {exc}")
     trace = resolution.local_model_trace(args.m, args.variant)
     report = {
         "command": f"resolve m={args.m} variant={args.variant}",
@@ -198,8 +207,16 @@ def cmd_verify(args):
     return _emit(args, report, ok)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other rejected input: one line on
+    stderr and exit 1."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sncgeom",
         description="Exact invariants of normal crossing surface gluings, "
                     "anticanonical-cycle lattices, and glued Fano sections.")

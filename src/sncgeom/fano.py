@@ -4,14 +4,15 @@ P(r) denotes the P^2-bundle over P^1 with splitting O + O + O(r).
 Sections of O(a, b) are modeled by monomials p^i q^j w^k u^al v^be with
 i + j + k = a and al + be = b + k r; the divisor S = (w = 0) is P^1 x P^1.
 The glued 3-folds identify S across two components and their sections are
-pairs agreeing on S, computed by exact linear algebra.
+pairs agreeing on S. The joint restriction matrix has at most one nonzero
+per column, so its rank and kernel come from bucketing columns by their
+restriction; products of sections go through an exact sparse rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import lattice
 
@@ -164,56 +165,67 @@ def ZRS(r, s, swap=False):
     return GluedFano(kind="zrs", r=r, s=s, swap=swap)
 
 
-def _glued_system(z, m):
-    """Joint restriction matrix: rows = S monomials of bidegree (m, m),
-    cols = left basis then right basis; kernel = glued sections."""
+def _buckets(z, m):
+    """Restriction buckets of the glued system in degree m.
+
+    A column is a (side, monomial) pair, side 0 for the left basis and 1
+    for the right one. Each S-monomial of bidegree (m, m) that gets hit maps
+    to the signed columns restricting to it (+1 left, -1 right); columns
+    that vanish on S are listed separately. Every column has at most one
+    nonzero, so the rank of the system is the number of buckets.
+    """
     left = z.left_basis(m)
     right = z.right_basis(m)
-    srows = {sm: i for i, sm in enumerate(s_basis(m, m))}
-    rows = [[0] * (len(left) + len(right)) for _ in srows]
-    left_hits = set()
-    for c, mono in enumerate(left):
-        sm = pr_restrict(mono)
-        if sm is not None:
-            rows[srows[sm]][c] = 1
-            left_hits.add(sm)
-    right_hits = set()
-    for c, mono in enumerate(right):
-        sm = z.right_restrict(mono)
-        if sm is None:
-            continue
-        if z.swap:
-            sm = swap_factors(sm)
-        rows[srows[sm]][len(left) + c] -= 1
-        right_hits.add(sm)
-    return rows, left, right, len(srows), len(left_hits), len(right_hits)
+    buckets = {}
+    vanishing = []
+    for side, basis, restrict, sign in ((0, left, pr_restrict, 1),
+                                        (1, right, z.right_restrict, -1)):
+        for mono in basis:
+            sm = restrict(mono)
+            if sm is None:
+                vanishing.append((side, mono))
+                continue
+            if side and z.swap:
+                sm = swap_factors(sm)
+            buckets.setdefault(sm, []).append(((side, mono), sign))
+    return left, right, buckets, vanishing
 
 
 def glued_h0(z, m):
     """dim H^0 of the m-th power of the polarization on the glued 3-fold."""
     if m < 1:
         raise ValueError("power must be >= 1")
-    rows, left, right, ns, lh, rh = _glued_system(z, m)
-    dim = len(left) + len(right) - lattice.rank(rows)
-    if lh == ns and rh == ns:
+    left, right, buckets, _ = _buckets(z, m)
+    dim = len(left) + len(right) - len(buckets)
+    # P^3 restricts onto every O(m, m) of the quadric (H^1(O(m - 2)) = 0)
+    if z.kind == "zr":
+        h0_right, right_onto = comb(m + 3, 3), True
+    else:
+        h0_right = h0_P(z.s, m, m)
+        right_onto = restriction_surjective(z.s, m, m)
+    if right_onto and restriction_surjective(z.r, m, m):
         # both restrictions surjective: fiber-product dimension count
-        if dim != len(left) + len(right) - ns:
+        if dim != h0_P(z.r, m, m) + h0_right - (m + 1) ** 2:
             raise AssertionError("glued h0 disagrees with the fiber-product "
                                  "dimension count")
     return dim
 
 
 def glued_basis(z, m):
-    """Integral basis of glued sections, each a pair of monomial dicts."""
-    rows, left, right, _, _, _ = _glued_system(z, m)
-    kernel = lattice.kernel_basis(rows)
+    """Integral basis of glued sections, each a pair of monomial dicts: one
+    unit section per column that vanishes on S, then the signed consecutive
+    differences inside each restriction bucket."""
+    _, _, buckets, vanishing = _buckets(z, m)
+    vectors = [[(col, 1)] for col in vanishing]
+    for cols in buckets.values():
+        for (c1, s1), (c2, s2) in zip(cols, cols[1:]):
+            vectors.append([(c1, s1), (c2, -s2)])
     out = []
-    for vec in kernel:
-        mult = lcm(*[Fraction(x).denominator for x in vec])
-        ints = [int(Fraction(x) * mult) for x in vec]
-        lpoly = {mono: c for mono, c in zip(left, ints[:len(left)]) if c}
-        rpoly = {mono: c for mono, c in zip(right, ints[len(left):]) if c}
-        out.append((lpoly, rpoly))
+    for vec in vectors:
+        section = ({}, {})
+        for (side, mono), c in vec:
+            section[side][mono] = c
+        out.append(section)
     return out
 
 
@@ -221,36 +233,26 @@ def _mul_monomial_dicts(f, g):
     out = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple([a + b for a, b in zip(e1, e2)])
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
-def _product_vectors(z, pairs, m_target):
-    left_idx = {mono: i for i, mono in enumerate(z.left_basis(m_target))}
-    right_idx = {mono: i for i, mono in enumerate(z.right_basis(m_target))}
-    width = len(left_idx) + len(right_idx)
-    vectors = []
+def _product_rank(pairs, bound):
+    """Exact rank of the products of pairs of glued sections, each a sparse
+    {(side, monomial): int} vector; exact duplicates are dropped. A rank
+    above `bound`, the glued h0 of the target degree, means the products
+    left the glued section space."""
+    vectors = {}
     for (l1, r1), (l2, r2) in pairs:
-        lp = _mul_monomial_dicts(l1, l2)
-        rp = _mul_monomial_dicts(r1, r2)
-        vec = [0] * width
-        for mono, c in lp.items():
-            vec[left_idx[mono]] = c
-        for mono, c in rp.items():
-            vec[len(left_idx) + right_idx[mono]] = c
-        vectors.append(vec)
-    return vectors
-
-
-def _exact_rank_with_certificate(vectors, upper_bound):
-    """Exact rational rank; fast modular path certifies full rank."""
-    if not vectors:
-        return 0
-    r = lattice.rank_mod_p(vectors)
-    if r == upper_bound:
-        return r
-    return lattice.rank(vectors)
+        vec = {(0, e): c for e, c in _mul_monomial_dicts(l1, l2).items()}
+        for e, c in _mul_monomial_dicts(r1, r2).items():
+            vec[(1, e)] = c
+        vectors[frozenset(vec.items())] = vec
+    rank = lattice.sparse_rank(vectors.values())
+    if rank > bound:
+        raise AssertionError("products leave the glued section space")
+    return rank
 
 
 def degree_one_generation(z, m_max):
@@ -262,8 +264,7 @@ def degree_one_generation(z, m_max):
     for m in range(1, m_max):
         target = glued_h0(z, m + 1)
         pairs = [(s1, s2) for s1 in b1 for s2 in bm]
-        vectors = _product_vectors(z, pairs, m + 1)
-        if _exact_rank_with_certificate(vectors, target) != target:
+        if _product_rank(pairs, target) != target:
             return False
         bm = glued_basis(z, m + 1)
     return True
@@ -279,9 +280,7 @@ def quadric_kernel_dim(z):
     b1 = glued_basis(z, 1)
     n = len(b1)
     pairs = [(b1[i], b1[j]) for i in range(n) for j in range(i, n)]
-    vectors = _product_vectors(z, pairs, 2)
-    rank = _exact_rank_with_certificate(vectors, glued_h0(z, 2))
-    return comb(n + 1, 2) - rank
+    return comb(n + 1, 2) - _product_rank(pairs, glued_h0(z, 2))
 
 
 def restriction_surjective(r, a, b):

@@ -15,6 +15,9 @@ def _integerize_rows(rows):
     """Scale each row by the lcm of its denominators; returns int rows."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         fr = [Fraction(x) for x in row]
         mult = lcm(*[f.denominator for f in fr]) if fr else 1
         out.append([int(f * mult) for f in fr])
@@ -44,6 +47,37 @@ def rank(rows):
         prev = a[r][c]
         r += 1
     return r
+
+
+def sparse_rank(vectors):
+    """Rank over the rationals of sparse integer vectors, {column: int} dicts.
+
+    Fraction-free echelon on comparable column keys: each kept row is stored
+    at its smallest column. A vector is reduced by the row stored at its
+    smallest column (a * v - b * row cancels that column) and divided by the
+    gcd of its entries, until its smallest column is free or it vanishes.
+    """
+    rows = {}
+    for vec in vectors:
+        v = {c: x for c, x in vec.items() if x}
+        while v:
+            c = min(v)
+            row = rows.get(c)
+            if row is None:
+                rows[c] = v
+                break
+            a, b = row[c], v[c]
+            v = {k: a * x for k, x in v.items()}
+            for k, y in row.items():
+                x = v.get(k, 0) - b * y
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
+            g = gcd(*v.values())
+            if g > 1:
+                v = {k: x // g for k, x in v.items()}
+    return len(rows)
 
 
 def det_int(rows):

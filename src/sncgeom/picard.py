@@ -49,7 +49,7 @@ class CycleSurface:
         return self.blowup_count + 1
 
     def self_intersections(self):
-        return tuple(dot(c, c) for c in self.cycle)
+        return tuple([dot(c, c) for c in self.cycle])
 
     def validate(self):
         k = self.blowup_count
@@ -58,7 +58,7 @@ class CycleSurface:
         if self.canonical != want_k:
             raise InvariantError("canonical class is not -3H + sum E_i")
         total = [sum(c[i] for c in self.cycle) for i in range(k + 1)]
-        if tuple(total) != tuple(-x for x in self.canonical):
+        if tuple(total) != tuple([-x for x in self.canonical]):
             raise InvariantError("cycle does not sum to -K")
         for i, ci in enumerate(self.cycle):
             if len(ci) != k + 1:

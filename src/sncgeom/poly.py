@@ -135,6 +135,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative exponent")
         out = MultiPoly.const(self.domain, self.variables, 1)
         for _ in range(n):
             out = out * self
@@ -142,7 +144,10 @@ class MultiPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
-            other = self._compat(other)
+            try:
+                other = self._compat(other)
+            except (TypeError, ValueError):  # not a constant of this ring
+                return NotImplemented
         return (self.domain == other.domain
                 and self.variables == other.variables
                 and self.terms == other.terms)

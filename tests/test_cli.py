@@ -71,21 +71,68 @@ def test_glue_rejects_malformed_json(tmp_path, capsys, blob):
     assert err.startswith("bad triangulation: ") and len(err.splitlines()) == 1
 
 
-def test_surface_report_survives_python_O():
+@pytest.mark.parametrize("path", ["missing.json", "."])
+def test_glue_rejects_unreadable_path(tmp_path, capsys, path):
+    code = cli.main(["glue", "--triangulation", str(tmp_path / path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("bad triangulation: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--m", "0", "--h2", "1,2,1,2"],
+    ["resolve", "--m", "3", "--h2", "-1,2,1,2"],
+    ["resolve", "--m", "3", "--h2=-1,2,1,2"],
+    ["resolve", "--m", "3"],
+    ["fano", "--kind", "zr", "--r", "-1"],
+    ["fano", "--kind", "zrs", "--r", "1", "--s", "-2"],
+    ["fano", "--kind", "zr", "--r", "0", "--mmax", "0"],
+    ["surface", "--corners", "-3"],
+])
+def test_out_of_range_arguments_fail_in_one_line(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a usage error, raised by argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def json_reports(*argv):
+    """The --json report of `argv`, run as a module with and without -O,
+    with the wall-clock `seconds` field removed."""
     src = str(Path(sncgeom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     reports = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "sncgeom.cli", "--json",
-             "surface", "--schedule", "standard"],
+            [sys.executable, *flags, "-m", "sncgeom.cli", "--json", *argv],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         report.pop("seconds")
         reports.append(report)
+    return reports
+
+
+def test_surface_report_survives_python_O():
+    reports = json_reports("surface", "--schedule", "standard")
     assert "polarization" in reports[0]
+    assert reports[0] == reports[1]
+
+
+def test_verify_and_glue_reports_survive_python_O(tmp_path):
+    reports = json_reports("verify", "--suite", "adjugate")
+    assert reports[0]["verdict"] == "pass"
+    assert reports[0] == reports[1]
+    path = tmp_path / "rp2.json"
+    path.write_text(snc.rp2_6().to_json())
+    reports = json_reports("glue", "--triangulation", str(path))
+    assert reports[0]["crosschecks"] == "ok"
     assert reports[0] == reports[1]
 
 

@@ -1,6 +1,8 @@
+from math import comb, lcm
+
 import pytest
 
-from sncgeom import fano
+from sncgeom import fano, lattice
 
 
 def test_sym_split():
@@ -125,3 +127,162 @@ def test_glued_fano_validation():
         fano.ZR(-1)
     with pytest.raises(ValueError):
         fano.ZRS(0, None)
+
+
+# -- dense oracle: the general linear-algebra route on the joint restriction
+# matrix, kept here to check the restriction buckets and the sparse rank
+
+def dense_system(z, m):
+    """Rows = S monomials of bidegree (m, m), cols = left basis then right
+    basis; the kernel is the space of glued sections."""
+    left, right = z.left_basis(m), z.right_basis(m)
+    srows = {sm: i for i, sm in enumerate(fano.s_basis(m, m))}
+    rows = [[0] * (len(left) + len(right)) for _ in srows]
+    for c, mono in enumerate(left):
+        sm = fano.pr_restrict(mono)
+        if sm is not None:
+            rows[srows[sm]][c] = 1
+    for c, mono in enumerate(right):
+        sm = z.right_restrict(mono)
+        if sm is None:
+            continue
+        if z.swap:
+            sm = fano.swap_factors(sm)
+        rows[srows[sm]][len(left) + c] -= 1
+    return rows, left, right
+
+
+def column_index(left, right):
+    index = {(0, mono): i for i, mono in enumerate(left)}
+    index.update({(1, mono): len(left) + i for i, mono in enumerate(right)})
+    return index
+
+
+def dense_vector(section, index):
+    vec = [0] * len(index)
+    for side, poly in enumerate(section):
+        for mono, c in poly.items():
+            vec[index[side, mono]] += c
+    return vec
+
+
+def dense_basis(z, m):
+    """Glued sections from the Fraction kernel, scaled to integers."""
+    rows, left, right = dense_system(z, m)
+    out = []
+    for vec in lattice.kernel_basis(rows):
+        mult = lcm(*[x.denominator for x in vec])
+        ints = [int(x * mult) for x in vec]
+        out.append(({mono: c for mono, c in zip(left, ints) if c},
+                    {mono: c for mono, c in zip(right, ints[len(left):])
+                     if c}))
+    return out
+
+
+def dense_product_rank(z, pairs, m):
+    index = column_index(z.left_basis(m), z.right_basis(m))
+    vectors = []
+    for (l1, r1), (l2, r2) in pairs:
+        lp, rp = {}, {}
+        for f, g, out in ((l1, l2, lp), (r1, r2, rp)):
+            for e1, c1 in f.items():
+                for e2, c2 in g.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+        vectors.append(dense_vector((lp, rp), index))
+    return lattice.rank(vectors)
+
+
+def oracle_configs(bound):
+    for swap in (False, True):
+        for r in range(bound + 1):
+            yield fano.ZR(r, swap=swap)
+            for s in range(bound + 1):
+                yield fano.ZRS(r, s, swap=swap)
+
+
+def test_glued_h0_and_basis_match_dense_route():
+    for z in oracle_configs(10):
+        for m in (1, 2, 3):
+            rows, left, right = dense_system(z, m)
+            h0 = fano.glued_h0(z, m)
+            assert h0 == len(left) + len(right) - lattice.rank(rows)
+            basis = fano.glued_basis(z, m)
+            assert len(basis) == h0
+            index = column_index(left, right)
+            columns = list(zip(*rows))
+            vectors = []
+            for lpoly, rpoly in basis:
+                image = [0] * len(rows)
+                for side, poly in enumerate((lpoly, rpoly)):
+                    for mono, c in poly.items():
+                        assert type(c) is int
+                        col = columns[index[side, mono]]
+                        image = [y + c * x for y, x in zip(image, col)]
+                assert not any(image)
+                vectors.append(dense_vector((lpoly, rpoly), index))
+            # independent, hence a basis of the dense kernel
+            sparse = [{i: x for i, x in enumerate(vec) if x}
+                      for vec in vectors]
+            assert lattice.sparse_rank(sparse) == h0
+
+
+def test_glued_basis_spans_dense_kernel():
+    for z in oracle_configs(3):
+        for m in (1, 2):
+            _, left, right = dense_system(z, m)
+            index = column_index(left, right)
+            kernel = [dense_vector(b, index) for b in dense_basis(z, m)]
+            ours = [dense_vector(b, index) for b in fano.glued_basis(z, m)]
+            assert lattice.rank(kernel + ours) == len(kernel) == len(ours)
+
+
+def small_configs():
+    for r in range(4):
+        yield fano.ZR(r)
+        for s in range(4 - r):
+            yield fano.ZRS(r, s)
+
+
+def test_generation_and_quadrics_match_dense_route():
+    for z in small_configs():
+        bases = {m: dense_basis(z, m) for m in (1, 2, 3)}
+        b1 = bases[1]
+        n = len(b1)
+        quad = [(b1[i], b1[j]) for i in range(n) for j in range(i, n)]
+        assert fano.quadric_kernel_dim(z) == (
+            comb(n + 1, 2) - dense_product_rank(z, quad, 2))
+        generated = all(
+            dense_product_rank(z, [(s1, s2) for s1 in b1 for s2 in bases[m]],
+                               m + 1) == len(bases[m + 1])
+            for m in (1, 2))
+        assert fano.degree_one_generation(z, 3) == generated
+
+
+def test_product_rank_drops_only_exact_duplicates():
+    # s1 * s1 and s1 * s2 share their support but not their coefficients
+    s1, s2 = ({(1, 0): 1}, {(0, 1): 1}), ({(1, 0): 1}, {(0, 1): -1})
+    assert fano._product_rank([(s1, s1), (s1, s2), (s1, s1)], 2) == 2
+
+
+def test_glued_h0_guard_fires(monkeypatch):
+    monkeypatch.setattr(fano, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(AssertionError, match="fiber-product"):
+        fano.glued_h0(fano.ZR(0), 1)
+    monkeypatch.undo()
+    # one monomial lost from the enumeration, one vanishing on S so the
+    # surjectivity check still holds
+    pr_basis = fano.pr_basis
+    monkeypatch.setattr(fano, "pr_basis",
+                        lambda r, a, b: pr_basis(r, a, b)[:-1])
+    with pytest.raises(AssertionError, match="fiber-product"):
+        fano.glued_h0(fano.ZRS(1, 2), 2)
+
+
+def test_product_rank_guard_fires(monkeypatch):
+    glued_h0 = fano.glued_h0
+    monkeypatch.setattr(fano, "glued_h0", lambda z, m: glued_h0(z, m) - 1)
+    with pytest.raises(AssertionError, match="leave the glued section"):
+        fano.degree_one_generation(fano.ZR(0), 2)
+    with pytest.raises(AssertionError, match="leave the glued section"):
+        fano.quadric_kernel_dim(fano.ZRS(0, 1))

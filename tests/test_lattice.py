@@ -133,6 +133,34 @@ def test_rank_mod_p_detects_char_drop():
     assert lattice.rank([[p]]) == 1
 
 
+def test_sparse_rank_simple():
+    assert lattice.sparse_rank([]) == 0
+    assert lattice.sparse_rank([{}, {3: 0}]) == 0
+    assert lattice.sparse_rank([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 5}]) == 2
+    # any comparable column keys; the order of the vectors does not matter
+    vecs = [{(1, "b"): 2, (0, "a"): -1}, {(0, "a"): 3, (2, "c"): 1},
+            {(1, "b"): 6, (2, "c"): 1}]
+    assert lattice.sparse_rank(vecs) == lattice.sparse_rank(vecs[::-1]) == 2
+
+
+SPARSE_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 7, 46337])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(
+           st.lists(SPARSE_ENTRIES, min_size=m, max_size=m), max_size=9)),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                          st.integers(-3, 3)), max_size=4))
+def test_sparse_rank_matches_dense_rank(rows, combos):
+    rows = list(rows)
+    for i, j, k in combos:  # dependent rows: combinations of drawn ones
+        if rows:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append([x + k * y for x, y in zip(a, b)])
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    assert lattice.sparse_rank(sparse) == lattice.rank(rows)
+
+
 def test_mat_mul_identity():
     m = [[1, 2], [3, 4]]
     assert lattice.mat_mul(m, lattice.identity(2)) == m

@@ -32,6 +32,22 @@ def test_parse_rejects_garbage():
         P("y1")
 
 
+def test_pow_rejects_negative_exponent():
+    f = P("x1 + 1")
+    assert f ** 0 == 1 and f ** 2 == f * f
+    with pytest.raises(ValueError):
+        f ** -2
+
+
+def test_eq_with_foreign_objects_is_false():
+    f, one = P("x1 + 1"), P("1")
+    assert (f == "foo") is False and (f != "foo") is True
+    assert f != None  # noqa: E711
+    assert one != Fraction(1, 2)  # not a constant over Z
+    assert one == 1 and one == Fraction(2, 2)
+    assert P("x1", domain=QQ) != P("x1")  # another ring
+
+
 def test_ring_axioms_spot():
     f, g, h = P("x1 + 1"), P("x2^2 - x3"), P("2*x1*x3")
     assert f * (g + h) == f * g + f * h
