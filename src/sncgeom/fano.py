@@ -305,7 +305,7 @@ def mult_surjective(r, d1, d2):
     prods = set()
     for m1 in pr_basis(r, a1, b1):
         for m2 in pr_basis(r, a2, b2):
-            prods.add(tuple(x + y for x, y in zip(m1, m2)))
+            prods.add(tuple([x + y for x, y in zip(m1, m2)]))
     return prods == set(pr_basis(r, a1 + a2, b1 + b2))
 
 

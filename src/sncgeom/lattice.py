@@ -295,7 +295,9 @@ def rank_mod_p(rows, p=46337):
     """Rank of an integer matrix over F_p (numpy, vectorized).
 
     Always a lower bound for the rational rank; equality holds whenever the
-    result matches an a-priori upper bound, which is how callers use it.
+    result matches an a-priori upper bound such as the row count. No
+    computation of the library depends on it: the exact ranks are `rank`
+    and `sparse_rank`. numpy is imported on the first call only.
     """
     import numpy as np
 

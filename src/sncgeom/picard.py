@@ -246,7 +246,7 @@ def uniform_degree_seed(s):
             t *= 2
         sol = [a + t * b for a, b in zip(sol, x)]
     mult = lcm(*[f.denominator for f in sol])
-    seed = tuple(int(f * mult) for f in sol)
+    seed = tuple([int(f * mult) for f in sol])
     if dot(seed, seed) <= 0:
         raise InvariantError("uniform-degree seed has non-positive square")
     return seed
@@ -297,4 +297,4 @@ def clear_denominators(h):
     Returns (integral class, scale factor)."""
     fr = [Fraction(x) for x in h]
     mult = lcm(*[f.denominator for f in fr])
-    return tuple(int(f * mult) for f in fr), mult
+    return tuple([int(f * mult) for f in fr]), mult

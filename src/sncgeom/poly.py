@@ -34,14 +34,24 @@ class CoeffDomain:
             raise ValueError("p only allowed for prime fields")
 
     def coerce(self, c):
+        """Exact coefficient of this domain for c; floats are refused, since
+        a binary fraction is never the coefficient that was meant."""
+        if isinstance(c, float):
+            raise TypeError("floating-point coefficient; use int or Fraction")
+        if type(c) is int:
+            if self.tag == INT:
+                return c
+            if self.tag == PRIME_FIELD:
+                return c % self.p
+        f = Fraction(c)
+        if self.tag == RAT:
+            return f
         if self.tag == INT:
-            f = Fraction(c)
             if f.denominator != 1:
                 raise ValueError("non-integral coefficient over Z")
             return int(f)
-        if self.tag == RAT:
-            return Fraction(c)
-        return int(c) % self.p
+        # pow raises ValueError when p divides the denominator
+        return f.numerator * pow(f.denominator, -1, self.p) % self.p
 
 
 def _is_prime(n):
@@ -78,6 +88,22 @@ class MultiPoly:
                 clean[tuple(exps)] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, domain, variables, terms):
+        """Wrap terms whose exponents are tuples of the right length and
+        whose coefficients are already of the domain (ints for Z and F_p,
+        Fractions for Q): zero coefficients are dropped and F_p ones
+        reduced, nothing is checked or coerced. `variables` is a tuple."""
+        self = object.__new__(cls)
+        self.domain = domain
+        self.variables = variables
+        p = domain.p
+        if p is None:
+            self.terms = {e: c for e, c in terms.items() if c}
+        else:
+            self.terms = {e: r for e, c in terms.items() if (r := c % p)}
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -109,13 +135,13 @@ class MultiPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return MultiPoly(self.domain, self.variables, terms)
+        return MultiPoly._trusted(self.domain, self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.domain, self.variables,
-                         {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.domain, self.variables,
+                                  {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._compat(other))
@@ -128,9 +154,9 @@ class MultiPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple([a + b for a, b in zip(e1, e2)])
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly(self.domain, self.variables, terms)
+        return MultiPoly._trusted(self.domain, self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -337,7 +363,7 @@ def divide_exact(f, g):
     lt_e, lt_c = max(g.terms.items(), key=lambda t: t[0])
     while not rem.is_zero():
         re_, rc = max(rem.terms.items(), key=lambda t: t[0])
-        diff = tuple(a - b for a, b in zip(re_, lt_e))
+        diff = tuple([a - b for a, b in zip(re_, lt_e)])
         if any(d < 0 for d in diff):
             return None
         if f.domain.tag == INT:
@@ -349,8 +375,8 @@ def divide_exact(f, g):
         else:
             qc = rc * pow(lt_c, -1, f.domain.p)
         q_terms[diff] = q_terms.get(diff, 0) + qc
-        rem = rem - MultiPoly(f.domain, f.variables, {diff: qc}) * g
-    return MultiPoly(f.domain, f.variables, q_terms)
+        rem = rem - MultiPoly._trusted(f.domain, f.variables, {diff: qc}) * g
+    return MultiPoly._trusted(f.domain, f.variables, q_terms)
 
 
 # -- polynomial matrices ---------------------------------------------------
@@ -606,7 +632,7 @@ def _strip(self, name, keep):
     for e, c in self.terms.items():
         if e[idx] != 0:
             raise ValueError(f"variable {name} still present")
-        terms[tuple(x for i, x in enumerate(e) if i != idx)] = c
+        terms[tuple([x for i, x in enumerate(e) if i != idx])] = c
     return MultiPoly(self.domain, keep, terms)
 
 
@@ -644,11 +670,12 @@ def singular_locus_check(f, expected_locus, trials=10000, p=101, seed=0):
             else:
                 poly_conds.append(cond)
     grads = jacobian(f)
+    to_field = GF(p).coerce  # reduces Fraction coefficients exactly
 
     def eval_mod(poly, pt):
         total = 0
         for e, c in poly.terms.items():
-            v = int(c) % p
+            v = to_field(c)
             for x, k in zip(pt, e):
                 if k:
                     v = v * pow(x, k, p) % p
@@ -694,34 +721,29 @@ class Indeterminate(Exception):
     """Raised when no sampled fiber met the rank condition."""
 
 
-def _solve_count_mod_p(rows, p, ncols):
-    """Number of solutions of an affine system (rows include the constant
-    column last); returns p**(ncols - rank) or 0 when inconsistent."""
+def _echelon_mod_p(rows, p, ncols):
+    """Row echelon form over F_p of a copy of rows, eliminating on the
+    first ncols columns; entries must lie in range(p). Returns (rank, rows):
+    the rows past the rank vanish on those columns."""
     a = [row[:] for row in rows]
     n = len(a)
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, n):
-            if a[i][c] % p:
-                piv = i
-                break
+        piv = next((i for i in range(r, n) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] % p:
-                fct = a[i][c]
-                a[i] = [(x - fct * y) % p for x, y in zip(a[i], a[r])]
+        top = a[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, n):
+            f = a[i][c]
+            if f:
+                f = f * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
         r += 1
         if r == n:
             break
-    for i in range(r, n):
-        if a[i][ncols] % p:
-            return 0
-    return p ** (ncols - r)
+    return r, a
 
 
 def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
@@ -759,25 +781,8 @@ def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
         while True:
             vs = [[rng.randrange(p) for _ in range(ncols_m)]
                   for _ in range(kdim)]
-            if rank_of_small(vs) == kdim:
+            if _echelon_mod_p(vs, p, ncols_m)[0] == kdim:
                 return vs
-
-    def rank_of_small(vs):
-        a = [row[:] for row in vs]
-        r = 0
-        for c in range(ncols_m):
-            piv = next((i for i in range(r, len(a)) if a[i][c] % p), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = pow(a[r][c], -1, p)
-            a[r] = [x * inv % p for x in a[r]]
-            for i in range(len(a)):
-                if i != r and a[i][c] % p:
-                    fct = a[i][c]
-                    a[i] = [(x - fct * y) % p for x, y in zip(a[i], a[r])]
-            r += 1
-        return r
 
     total = 0
     for _ in range(trials):
@@ -794,7 +799,11 @@ def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
                             row[k] = (row[k] + vc * fc[k]) % p
                 row[ambient_dim] = (-row[ambient_dim]) % p  # move const to rhs
                 rows.append(row)
-        total += _solve_count_mod_p(rows, p, ambient_dim)
+        # the affine system (constant column last) has p**(ambient_dim -
+        # rank) solutions, or none when a reduced row leaves a constant
+        r, reduced = _echelon_mod_p(rows, p, ambient_dim)
+        if not any(row[ambient_dim] for row in reduced[r:]):
+            total += p ** (ambient_dim - r)
     if total == 0:
         raise Indeterminate(f"no locus point found in {trials} samples")
     if shape == SQUARE:

@@ -12,8 +12,8 @@ crossing and the last step blows up the component meeting Z_1.
 
 (consecutive members meeting in copies of S; E_1 carries an extra blow-up
 along the curve C) into second Betti numbers, cross-checking the closed
-formula against an explicit rank computation on the restriction matrix of
-the chain.
+formula against the exact rank over Q of the restriction matrix of the
+chain, built and ranked as sparse integer rows (`lattice.sparse_rank`).
 """
 
 from __future__ import annotations
@@ -144,33 +144,35 @@ class ChainReport:
         })
 
 
-def _restriction_rank(members, m, h2_s, seed=0):
-    """Rank of the joint restriction map (sum over chain members of H^2)
-    -> (sum over the m intersection surfaces of H^2).
+def _restriction_rows(members, m, h2_s, seed=0):
+    """Rows of the joint restriction map (sum over chain members of H^2)
+    -> (sum over the m intersection surfaces of H^2), as sparse
+    {column: int} dicts.
 
     Each member E_{i+1} restricts onto the surface to its left with an
     identity pullback block (bundle pullback, or the surjectivity
     assumption on Z_2); the restriction from the left member is filled
-    with bounded random integers.  The triangular identity pattern makes
-    the matrix full row rank whatever the random entries are.
+    with bounded random integers drawn from `seed`, row by row.  The
+    triangular identity pattern makes the matrix full row rank whatever
+    the random entries are.
     """
     rng = random.Random(seed)
-    col_dims = [e.h2 for e in members]
     col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
-    mat = [[0] * col_off[-1] for _ in range(m * h2_s)]
+    for e in members:
+        col_off.append(col_off[-1] + e.h2)
+    rows = []
     for i in range(m):           # surface between members i and i + 1
-        r0 = i * h2_s
-        for k in range(h2_s):    # left member: generic restriction
-            for j in range(col_dims[i]):
-                mat[r0 + k][col_off[i] + j] = rng.randrange(-3, 4)
-        for k in range(h2_s):    # right member: identity pullback block
-            mat[r0 + k][col_off[i + 1] + k] = 1
-    r = lattice.rank_mod_p(mat)
-    if r == len(mat):  # modular full row rank certifies the exact rank
-        return r
-    return lattice.rank(mat)
+        left = range(col_off[i], col_off[i + 1])
+        right = col_off[i + 1]
+        for k in range(h2_s):
+            row = {}
+            for c in left:       # left member: generic restriction
+                x = rng.randrange(-3, 4)
+                if x:
+                    row[c] = x
+            row[right + k] = 1   # right member: identity pullback block
+            rows.append(row)
+    return rows
 
 
 def build_chain(m, h2_z1, h2_s, h2_c, h2_z2,
@@ -178,7 +180,7 @@ def build_chain(m, h2_z1, h2_s, h2_c, h2_z2,
     """Second Betti number of the chain union and the class-rank bound.
 
     Closed formula h^2(Z_1) + h^2(Z_2) - h^2(S) + h^2(C) + (m - 1),
-    cross-checked against the explicit restriction-matrix rank; the bound
+    cross-checked against the exact restriction-matrix rank; the bound
     on the class-group rank of the contracted cone is h2_total - (m + 1).
     """
     if min(h2_z1, h2_z2, h2_s, h2_c) < 0:
@@ -194,8 +196,8 @@ def build_chain(m, h2_z1, h2_s, h2_c, h2_z2,
             "restriction from Z_2 cannot be onto: h2_z2 < h2_s")
     members = chain_members(m, h2_z1, h2_s, h2_c, h2_z2)
     formula = h2_z1 + h2_z2 - h2_s + h2_c + (m - 1)
-    crosscheck = sum(e.h2 for e in members) - _restriction_rank(
-        members, m, h2_s, seed=seed)
+    crosscheck = sum(e.h2 for e in members) - lattice.sparse_rank(
+        _restriction_rows(members, m, h2_s, seed))
     if crosscheck != formula:
         raise AssumptionViolated(
             f"Betti formula {formula} disagrees with matrix computation "

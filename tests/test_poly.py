@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sncgeom import poly
+from sncgeom import lattice, poly
 from sncgeom.poly import GF, QQ, ZZ, MultiPoly, PolyMatrix, parse_poly
 
 VARS = ("x1", "x2", "x3")
@@ -99,6 +100,123 @@ def test_divide_exact_of_product(seed):
     assert q == f
 
 
+# -- the trusted constructor behind +, -, * and ** ---------------------------
+
+DOMAINS = (ZZ, QQ, GF(2), GF(5), GF(101))
+XY = ("x", "y")
+
+
+@st.composite
+def same_ring_polys(draw, count=3):
+    domain = draw(st.sampled_from(DOMAINS))
+    if domain == QQ:
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        coeffs = st.integers(-12, 12)
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return [MultiPoly(domain, XY, draw(st.dictionaries(exps, coeffs,
+                                                       max_size=4)))
+            for _ in range(count)]
+
+
+def assert_normalised(f):
+    """f is what the validating public constructor makes of its terms."""
+    g = MultiPoly(f.domain, f.variables, f.terms)
+    assert f.terms == g.terms and hash(f) == hash(g) and f == g
+    for c in f.terms.values():
+        assert c != 0
+        if f.domain == QQ:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int
+        if f.domain.p is not None:
+            assert 0 < c < f.domain.p
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_ring_polys(), st.integers(0, 3),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_trusted_arithmetic_is_normalised(polys, k, point):
+    f, g, h = polys
+    results = [f + g, f - g, -f, f * g, f ** k, f * (g + h), f + 2, 3 * g]
+    for r in results:
+        assert_normalised(r)
+    assert (f - f).is_zero() and (f + (-f)).terms == {}
+    assert (f + g) - g == f
+    assert f * (g + h) == f * g + f * h
+    ev = f.domain.coerce
+    assert (f * g).evaluate(point) == ev(f.evaluate(point) * g.evaluate(point))
+    assert (f + g).evaluate(point) == ev(f.evaluate(point) + g.evaluate(point))
+
+
+def test_trusted_cancellation_mod_p():
+    x = MultiPoly.var(GF(5), XY, "x")
+    prod = (x + 2) * (x + 3)  # 5x vanishes only mod 5
+    assert prod.terms == {(2, 0): 1, (0, 0): 1}
+    assert_normalised(prod)
+    assert ((x * 4) * 5).is_zero()
+    assert (x + x * 4).terms == {}
+    q = parse_poly("x + 1", XY, QQ) * Fraction(1, 3)
+    assert q.terms == {(1, 0): Fraction(1, 3), (0, 0): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in (q * q + q).terms.values())
+    assert_normalised(poly.divide_exact(parse_poly("4*x^2 + 4", XY, GF(5)),
+                                        parse_poly("3", XY, GF(5))))
+
+
+# -- coefficients are exact ------------------------------------------------
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF(7)])
+def test_coerce_refuses_floats(domain):
+    with pytest.raises(TypeError):
+        domain.coerce(0.1)
+    with pytest.raises(TypeError):
+        MultiPoly(domain, ("x",), {(1,): 0.1})
+    x = MultiPoly.var(domain, ("x",), "x")
+    with pytest.raises(TypeError):
+        x * 0.5
+    assert x != 0.5
+
+
+def test_coerce_takes_ints_without_fractions(monkeypatch):
+    big = 10 ** 30 + 7
+    assert ZZ.coerce(big) is big and type(ZZ.coerce(True)) is int
+    monkeypatch.setattr(poly, "Fraction", None)  # any use would raise
+    assert ZZ.coerce(-4) == -4
+    assert GF(7).coerce(-15) == 6 and GF(7).coerce(big) == big % 7
+    assert MultiPoly(ZZ, ("x",), {(1,): 3}).terms == {(1,): 3}
+
+
+def test_coerce_rationals():
+    assert QQ.coerce(3) == Fraction(3) and type(QQ.coerce(3)) is Fraction
+    assert ZZ.coerce(Fraction(6, 3)) == 2
+    with pytest.raises(ValueError):
+        ZZ.coerce(Fraction(1, 2))
+    assert GF(5).coerce(Fraction(1, 2)) == 3  # the inverse of 2 mod 5
+    with pytest.raises(ValueError):
+        GF(5).coerce(Fraction(1, 10))
+
+
+# -- the mod-p echelon of the codimension estimator ------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_echelon_mod_p_rank_and_solution_count(seed):
+    rng = random.Random(seed)
+    p = rng.choice((2, 3, 5))
+    nvars = rng.randint(1, 3)
+    rows = [[rng.randrange(p) for _ in range(nvars + 1)]
+            for _ in range(rng.randint(1, 4))]
+    r, reduced = poly._echelon_mod_p(rows, p, nvars)
+    assert r == lattice.rank_mod_p([row[:nvars] for row in rows], p)
+    consistent = not any(row[nvars] for row in reduced[r:])
+    brute = sum(all(sum(a * x for a, x in zip(row, pt)) % p == row[nvars]
+                    for row in rows)
+                for pt in itertools.product(range(p), repeat=nvars))
+    assert brute == (p ** (nvars - r) if consistent else 0)
+
+
 def _matrix(texts):
     return PolyMatrix.from_rows([[P(t) for t in row] for row in texts])
 
@@ -176,6 +294,12 @@ def test_singular_locus_detects_wrong_claim():
     f = P("x1^2 + x2^2 + x3^2")
     rep = poly.singular_locus_check(f, None, trials=2000, seed=1)
     assert not rep.ok  # the origin is singular but was claimed smooth
+
+
+def test_singular_locus_with_rational_coefficients():
+    f = parse_poly("x1^2 + 1", ("x1", "x2"), QQ)
+    for g in (f, f * Fraction(1, 2)):  # the same hypersurface, smooth
+        assert poly.singular_locus_check(g, None, trials=200, seed=0).ok
 
 
 def test_codim_estimates():
