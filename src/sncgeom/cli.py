@@ -2,8 +2,9 @@
 
 Every command prints a human-readable report (or JSON with --json) and
 exits 0 exactly when all embedded assertions passed; rejected input ends in
-one line on stderr and exit 1.  Randomized suites take --seed (default 0);
-the environment variable SNC_SEED overrides it.
+one line on stderr and exit 1.  `main` returns the exit status.  `verify`,
+the one randomized command, takes --seed (default 0); the environment
+variable SNC_SEED overrides it.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ import sys
 import time
 
 from . import fano, picard, poly, resolution, snc
-
-
-def _seed(args):
-    env = os.environ.get("SNC_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 def _fail(message):
@@ -158,7 +152,7 @@ def cmd_resolve(args):
     except ValueError:
         return _fail("--h2 expects four nonnegative integers z1,s,c,z2")
     try:
-        chain = resolution.build_chain(args.m, *h2, seed=_seed(args))
+        chain = resolution.build_chain(args.m, *h2)
     except resolution.AssumptionViolated as exc:
         return _fail(f"assumption violated: {exc}")
     trace = resolution.local_model_trace(args.m, args.variant)
@@ -168,7 +162,7 @@ def cmd_resolve(args):
         "steps": [str(step) for step in chain.trace],
         "members": [{"kind": e.kind, "h2": e.h2} for e in chain.members],
         "h2_formula": chain.h2_total,
-        "h2_matrix": chain.h2_crosscheck,
+        "h2_members": chain.h2_crosscheck,
         "class_rank_bound": chain.class_rank_bound,
         "bound_clamped": chain.bound_clamped,
         "seconds": round(time.perf_counter() - t0, 3),
@@ -178,7 +172,10 @@ def cmd_resolve(args):
 
 def cmd_verify(args):
     t0 = time.perf_counter()
-    seed = _seed(args)
+    try:
+        seed = int(os.environ.get("SNC_SEED", args.seed))
+    except ValueError:
+        return _fail("SNC_SEED must be an integer")
     results = {}
     if args.suite in ("adjugate", "all"):
         results["adjugate_failures"] = poly.fuzz_adjugate(seed=seed)
@@ -248,7 +245,6 @@ def build_parser():
     rp.add_argument("--variant", choices=["plain", "twisted"],
                     default="plain")
     rp.add_argument("--h2", required=True, metavar="Z1,S,C,Z2")
-    rp.add_argument("--seed", type=int, default=0)
     rp.set_defaults(func=cmd_resolve)
 
     vp = sub.add_parser("verify", help="run the property/fuzz suites")
@@ -260,7 +256,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error
+        return exc.code
     return args.func(args)
 
 

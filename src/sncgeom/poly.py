@@ -297,7 +297,6 @@ def parse_poly(text, variables, domain=ZZ):
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append(None)
-    it = iter(range(len(tokens)))
     state = {"i": 0}
 
     def peek():
@@ -428,7 +427,7 @@ class PolyMatrix:
         return PolyMatrix.from_rows(out)
 
 
-def determinant(m, method="auto"):
+def determinant(m):
     """Determinant of a square PolyMatrix.
 
     Cofactor expansion with memoized minors up to 4x4, fraction-free
@@ -439,9 +438,9 @@ def determinant(m, method="auto"):
     n = m.rows
     if n == 0:
         raise ValueError("empty matrix")
-    ring_zero = m.entries[0][0] * 0
-    if method == "bareiss" or (method == "auto" and n > 4):
+    if n > 4:
         return _det_bareiss(m)
+    ring_zero = m.entries[0][0] * 0
     memo = {}
 
     def minor(rows_left, cols):

@@ -49,8 +49,18 @@ class Triangulation:
             if len(ts) != 2:
                 raise Boundary(
                     f"edge {sorted(e)} lies in {len(ts)} triangles, not 2")
-        for v in range(self.vertex_count):
-            self.link_cycle(v)  # raises NonManifold if the link is bad
+        # link_cycle raises NonManifold if a link is not one cycle
+        links = [self.link_cycle(v) for v in range(self.vertex_count)]
+        if not links:
+            raise ValueError("no triangles")
+        seen, stack = {0}, [0]
+        while stack:
+            for w in links[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != self.vertex_count:
+            raise ValueError("the surface is not connected")
         return edge_tris
 
     def edges(self):

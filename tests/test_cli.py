@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import sncgeom
 from sncgeom import cli, snc
@@ -84,16 +86,14 @@ def test_glue_rejects_unreadable_path(tmp_path, capsys, path):
     ["resolve", "--m", "3", "--h2", "-1,2,1,2"],
     ["resolve", "--m", "3", "--h2=-1,2,1,2"],
     ["resolve", "--m", "3"],
+    ["resolve", "--seed", "1", "--m", "3", "--h2", "1,2,1,2"],
     ["fano", "--kind", "zr", "--r", "-1"],
     ["fano", "--kind", "zrs", "--r", "1", "--s", "-2"],
     ["fano", "--kind", "zr", "--r", "0", "--mmax", "0"],
     ["surface", "--corners", "-3"],
 ])
 def test_out_of_range_arguments_fail_in_one_line(capsys, argv):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # a usage error, raised by argparse
-        code = exc.code
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -164,7 +164,7 @@ def test_resolve(capsys):
                     "--h2", "1,2,1,2")
     assert code == 0
     data = json.loads(out)
-    assert data["h2_formula"] == data["h2_matrix"] == 6
+    assert data["h2_formula"] == data["h2_members"] == 6
 
 
 def test_resolve_bad_h2(capsys):
@@ -191,3 +191,127 @@ def test_verify_env_seed(capsys, monkeypatch):
     code, out = run(capsys, "--json", "verify", "--suite", "charts")
     assert code == 0
     assert "seed=12" in out
+
+
+def test_verify_rejects_non_integer_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("SNC_SEED", "twelve")
+    assert cli.main(["verify", "--suite", "charts"]) == 1
+    assert capsys.readouterr().err == "SNC_SEED must be an integer\n"
+
+
+# -- fuzz: every input ends in a report or one line, exit 0 or 1 -------------
+
+REFERENCE = [json.loads(f().to_json()) for f in (
+    snc.tetrahedron, snc.torus_7, snc.rp2_6, snc.klein_bottle, snc.genus2)]
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 9),
+                 st.floats(-2, 9), st.text(max_size=3))
+
+
+def _disjoint_union(a, b):
+    n = a["vertices"]
+    return {"vertices": n + b["vertices"],
+            "triangles": a["triangles"] + [[v + n for v in tri]
+                                           for tri in b["triangles"]]}
+
+
+def _drop_triangle(blob, i):
+    tris = list(blob["triangles"])
+    del tris[i % len(tris)]
+    return {**blob, "triangles": tris}
+
+
+TRIANGULATION_TEXT = st.one_of(
+    st.sampled_from(REFERENCE).map(json.dumps),
+    st.builds(_disjoint_union, st.sampled_from(REFERENCE),
+              st.sampled_from(REFERENCE)).map(json.dumps),
+    st.builds(_drop_triangle, st.sampled_from(REFERENCE),
+              st.integers(0, 50)).map(json.dumps),
+    st.fixed_dictionaries({
+        "vertices": st.one_of(st.integers(-1, 8), JUNK),
+        "triangles": st.one_of(
+            st.lists(st.one_of(st.lists(st.integers(-1, 8), min_size=3,
+                                        max_size=3),
+                               st.lists(JUNK, max_size=4), JUNK),
+                     max_size=12),
+            JUNK)}).map(json.dumps),
+    st.recursive(JUNK, lambda kids: st.lists(kids, max_size=3)
+                 | st.dictionaries(st.text(max_size=9), kids, max_size=3),
+                 max_leaves=8).map(json.dumps),
+    st.text(max_size=20),
+)
+
+NUMBER = st.one_of(st.integers(-3, 14).map(str),
+                   st.sampled_from(["", "x", "1.5", "-", "1,2", "--json"]))
+
+# --suite is always drawn for verify: `adjugate`, `detvar` and `all` take
+# seconds each and run in their own tests.
+OPTIONS = {
+    "surface": {"--corners": NUMBER,
+                "--schedule": st.sampled_from(["standard", "other"])},
+    "glue": {"--triangulation": st.sampled_from(["@file", "@missing",
+                                                 "@dir"])},
+    "fano": {"--kind": st.sampled_from(["zr", "zrs", "zq"]), "--r": NUMBER,
+             "--s": NUMBER,
+             "--mmax": st.sampled_from(["-1", "0", "1", "2", "4", "y"])},
+    "resolve": {"--m": NUMBER,
+                "--variant": st.sampled_from(["plain", "twisted", "z"]),
+                "--h2": st.one_of(NUMBER, st.lists(
+                    st.integers(-1, 6), max_size=5).map(
+                        lambda xs: ",".join(map(str, xs)))),
+                "--seed": NUMBER},
+    "verify": {"--seed": NUMBER},
+}
+
+
+@st.composite
+def argvs(draw):
+    argv = ["--json"] if draw(st.booleans()) else []
+    command = draw(st.sampled_from([*OPTIONS, "bogus", None]))
+    if command is not None:
+        argv.append(command)
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(["charts", "none"]))]
+    options = OPTIONS.get(command, {})
+    for name in draw(st.lists(st.sampled_from([*options, "--junk",
+                                               "--help"]),
+                              unique=True, max_size=5)):
+        argv.append(name)
+        if draw(st.integers(0, 9)):
+            argv.append(draw(options.get(name, NUMBER)))
+    return argv
+
+
+def _ends_in_report_or_one_line(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1 and not out:
+        assert len(err.splitlines()) == 1
+
+
+FUZZ = settings(max_examples=120, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(text=TRIANGULATION_TEXT)
+@example(text=json.dumps({"vertices": 0, "triangles": []}))
+@example(text=json.dumps(_disjoint_union(REFERENCE[0], REFERENCE[0])))
+def test_glue_fuzz_ends_in_report_or_one_line(tmp_path, capsys, text):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    _ends_in_report_or_one_line(capsys, ["glue", "--triangulation",
+                                         str(path)])
+
+
+@FUZZ
+@given(argv=argvs())
+@example(argv=["resolve", "--m", "3", "--h2", "1,2,1,2", "--seed", "1"])
+def test_cli_fuzz_ends_in_report_or_one_line(tmp_path, capsys, argv):
+    path = tmp_path / "rp2.json"
+    path.write_text(snc.rp2_6().to_json())
+    paths = {"@file": str(path), "@missing": str(tmp_path / "missing.json"),
+             "@dir": str(tmp_path)}
+    _ends_in_report_or_one_line(capsys, [paths.get(a, a) for a in argv])

@@ -107,15 +107,17 @@ def test_report_json():
     assert data["multiplicity"] == 3
 
 
-# -- the dense restriction matrix, kept as the oracle of the sparse rows ----
+# -- the old seeded restriction matrix, kept as the oracle of route A -------
 
 H2_GRID = [h2 for h2 in itertools.product(range(1, 6), repeat=4)
            if h2[3] >= h2[1]]  # h2_z2 >= h2_s: the surjective cases
 
 
 def dense_restriction_matrix(members, m, h2_s, seed):
-    """The restriction matrix as the seeded dense fill that the sparse
-    rows replaced: same draws, same order."""
+    """The joint restriction map (sum of H^2 of the chain members) -> (sum
+    of H^2 of the m copies of S): member i + 1 pulls back onto the copy to
+    its left by an identity block, member i restricts to the copy on its
+    right by bounded random integers drawn from `seed`."""
     rng = random.Random(seed)
     col_dims = [e.h2 for e in members]
     col_off = [0]
@@ -140,26 +142,82 @@ def dense_rank(mat):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_restriction_rows_match_dense_oracle(m):
+    """Route A subtracts m h2_s as the restriction rank without sampling;
+    the seeded matrix has exactly that rank, the seed rotating over the
+    grid."""
     for index, (h2_z1, h2_s, h2_c, h2_z2) in enumerate(H2_GRID):
         members = R.chain_members(m, h2_z1, h2_s, h2_c, h2_z2)
-        for seed in range(3):
-            rows = R._restriction_rows(members, m, h2_s, seed)
-            mat = dense_restriction_matrix(members, m, h2_s, seed)
-            assert len(rows) == len(mat)
-            for row, dense in zip(rows, mat):
-                assert row == {c: x for c, x in enumerate(dense) if x}
-            # the dense rank costs most: rank each input once, the seed
-            # rotating over the grid
-            if seed == index % 3:
-                assert lattice.sparse_rank(rows) == dense_rank(mat)
+        rep = R.build_chain(m, h2_z1, h2_s, h2_c, h2_z2)
+        rank = dense_rank(dense_restriction_matrix(members, m, h2_s,
+                                                   index % 3))
+        assert rank == m * h2_s
+        assert sum(e.h2 for e in members) - rank == rep.h2_crosscheck
 
 
 def test_crosscheck_independent_of_seed():
+    """`seed=` is still accepted and changes nothing."""
     for m in (1, 2, 5, 12):
         for h2 in ((1, 2, 1, 2), (5, 5, 5, 5), (2, 1, 4, 3)):
             reports = [R.build_chain(m, *h2, seed=k) for k in range(5)]
             assert len({r.h2_crosscheck for r in reports}) == 1
             assert reports[0].h2_crosscheck == reports[0].h2_total
+
+
+# -- mutations the two routes must catch -------------------------------------
+
+MUTATION_CASES = [(m, h2) for m in (1, 2, 3, 5, 12)
+                  for h2 in ((1, 2, 1, 2), (5, 5, 5, 5), (2, 1, 4, 3))]
+
+
+def _chain_mutant(monkeypatch, mutate):
+    original = R.chain_members
+    monkeypatch.setattr(R, "chain_members",
+                        lambda *args: mutate(original(*args)))
+
+
+@pytest.mark.parametrize("drop", [0, 1, -1])
+def test_dropped_member_raises(monkeypatch, drop):
+    _chain_mutant(monkeypatch,
+                  lambda members: members[:drop] + members[drop:][1:])
+    for m, h2 in MUTATION_CASES:
+        with pytest.raises(R.AssumptionViolated):
+            R.build_chain(m, *h2)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_wrong_first_member_h2_raises(monkeypatch, delta):
+    def mutate(members):
+        first = members[1]
+        members[1] = R.ChainMember(first.kind, first.h2 + delta)
+        return members
+
+    _chain_mutant(monkeypatch, mutate)
+    for m, h2 in MUTATION_CASES:
+        with pytest.raises(R.AssumptionViolated):
+            R.build_chain(m, *h2)
+
+
+@pytest.mark.parametrize("at", [2, 3])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_off_by_one_blowup_rule_raises(monkeypatch, at, delta):
+    """One exceptional divisor too few or too many at the final m = 2
+    step, or at every m >= 3 step."""
+    original = R.resolve_local
+
+    def mutant(model):
+        return [step[:2] + (step[2] + delta,)
+                if len(step) == 3 and (step[0] == 2 if at == 2
+                                       else step[0] >= 3) else step
+                for step in original(model)]
+
+    monkeypatch.setattr(R, "resolve_local", mutant)
+    for m, h2 in MUTATION_CASES:
+        if (m >= 3 if at == 3 else m % 2 == 0):
+            with pytest.raises(R.AssumptionViolated):
+                R.build_chain(m, *h2)
+        else:  # the mutated rule is never played
+            rep = R.build_chain(m, *h2)
+            assert rep.h2_total == rep.h2_crosscheck
 
 
 def test_verify_paths_do_not_import_numpy():

@@ -1,6 +1,6 @@
 import pytest
 
-from sncgeom import snc
+from sncgeom import lattice, snc
 
 SURFACES = {
     "sphere": (snc.tetrahedron, (1, 0, 1), 1),
@@ -20,6 +20,16 @@ def test_triangulations_are_closed_manifolds(name):
 def test_validate_rejects_boundary():
     t = snc.Triangulation(3, ((0, 1, 2),))
     with pytest.raises(snc.Boundary):
+        t.validate()
+
+
+@pytest.mark.parametrize("t", [
+    snc.Triangulation(0, ()),
+    snc.Triangulation(8, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+                          (4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7))),
+])
+def test_validate_rejects_empty_and_disconnected(t):
+    with pytest.raises(ValueError):
         t.validate()
 
 
@@ -152,3 +162,18 @@ def test_refine_random_preserves_invariants():
     assert t.euler_characteristic() == 0
     (h, _) = snc.simplicial_homology(t)
     assert h == (1, 2, 1)
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_smith_invariants_match_sympy(name):
+    """Optional oracle: the nonzero invariant factors of both simplicial
+    boundaries agree with sympy's Smith form, up to sign."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for d in snc.simplicial_boundaries(SURFACES[name][0]()):
+        ours = [abs(x) for x in lattice.smith_normal_form(d).diagonal if x]
+        snf = smith_normal_form(sympy.Matrix(d), domain=sympy.ZZ)
+        theirs = [abs(int(snf[i, i])) for i in range(min(snf.shape))
+                  if snf[i, i]]
+        assert ours == theirs
