@@ -238,47 +238,42 @@ def smith_normal_form(rows):
         for row in v:
             row[i], row[j] = row[j], row[i]
 
-    t = 0
-    while t < min(n, m):
+    def pick(t):  # minimal |x| in the submatrix from (t, t), moved to (t, t)
         best = None
         for i in range(t, n):
             for j in range(t, m):
                 x = a[i][j]
                 if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
                     best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
+        if best is not None:
+            swap_rows(t, best[0])
+            swap_cols(t, best[1])
+        return best is not None
+
+    # Each round reduces row and column t once by the pivot. A nonzero
+    # remainder is smaller than the pivot and becomes the next pivot, so
+    # |a[t][t]| falls strictly until it divides its row, its column and
+    # (after adding a row it fails to divide to row t) the whole submatrix.
+    t = 0
+    while t < min(n, m) and pick(t):
+        while True:
+            p = a[t][t]
             for i in range(t + 1, n):
                 if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:  # remainder smaller than pivot
-                        swap_rows(t, i)
-                        dirty = True
+                    row_op(i, t, a[i][t] // p)
             for j in range(t + 1, m):
                 if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # pivot must divide the rest of the submatrix for the chain d_i | d_{i+1}
-        fixed = True
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if a[i][j] % a[t][t] != 0:
-                    row_op(t, i, -1)
-                    fixed = False
-                    break
-            if not fixed:
+                    col_op(j, t, a[t][j] // p)
+            if (any(a[i][t] for i in range(t + 1, n))
+                    or any(a[t][j] for j in range(t + 1, m))):
+                pick(t)
+                continue
+            bad = next((i for i in range(t + 1, n)
+                        if any(x % p for x in a[i][t + 1:])), None)
+            if bad is None:
                 break
-        if fixed:
-            t += 1
+            row_op(t, bad, -1)  # row t += row bad
+        t += 1
 
     diag = []
     for i in range(min(n, m)):
@@ -289,6 +284,63 @@ def smith_normal_form(rows):
             d = -d
         diag.append(d)
     return SmithForm(diagonal=diag, u=u, v=v, rows=n, cols=m)
+
+
+def invariant_factors(vectors):
+    """Nonzero Smith invariants d1 | d2 | ... of sparse integer rows,
+    {column: int} dicts, without the transforms U and V.
+
+    Each ±1 entry is a unit pivot: clearing its column from the other rows
+    leaves the Schur complement and contributes one invariant 1. Pivots come
+    from the shortest rows first, in the shortest of their unit columns, to
+    keep fill low. The core without units left over is diagonalized by the
+    dense `smith_normal_form` (Dumas, Heckenbach, Saunders and Welker,
+    "Computing simplicial homology based on efficient Smith normal form
+    algorithms", 2003).
+    """
+    rows = {}
+    cols = {}
+    for i, vec in enumerate(vectors):
+        row = {c: x for c, x in vec.items() if x}
+        if row:
+            rows[i] = row
+            for c in row:
+                cols.setdefault(c, set()).add(i)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            row = rows.get(i)
+            if row is None:
+                continue
+            unit_cols = [c for c, x in row.items() if x == 1 or x == -1]
+            if not unit_cols:
+                continue
+            c = min(unit_cols, key=lambda c: len(cols[c]))
+            del rows[i]
+            for k in row:
+                cols[k].discard(i)
+            for j in cols.pop(c):
+                other = rows[j]
+                q = other[c] * row[c]  # row[c] = ±1 is its own inverse
+                for k, y in row.items():
+                    x = other.get(k, 0) - q * y
+                    if x:
+                        if k not in other:
+                            cols[k].add(j)
+                        other[k] = x
+                    elif k in other:
+                        del other[k]
+                        if k != c:
+                            cols[k].discard(j)
+                if not other:
+                    del rows[j]
+            units += 1
+            found = True
+    core_cols = list(dict.fromkeys(c for row in rows.values() for c in row))
+    core = [[row.get(c, 0) for c in core_cols] for row in rows.values()]
+    return [1] * units + [d for d in smith_normal_form(core).diagonal if d]
 
 
 def rank_mod_p(rows, p=46337):

@@ -36,21 +36,27 @@ class Triangulation:
     triangles: tuple
 
     def validate(self):
+        """Check that the triangles form a closed connected surface and
+        return the ordered link cycle of every vertex."""
         edge_tris = {}
+        # vertex -> {link vertex: its two link neighbours}, one pass
+        nbrs = [{} for _ in range(self.vertex_count)]
         for t, tri in enumerate(self.triangles):
             if len(set(tri)) != 3:
                 raise NonManifold(f"degenerate triangle {tri}")
             if any(not 0 <= v < self.vertex_count for v in tri):
                 raise ValueError(f"vertex index out of range in {tri}")
-            for a, b in ((0, 1), (1, 2), (0, 2)):
+            for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
                 e = frozenset((tri[a], tri[b]))
                 edge_tris.setdefault(e, []).append(t)
+                link = nbrs[tri[c]]
+                link.setdefault(tri[a], set()).add(tri[b])
+                link.setdefault(tri[b], set()).add(tri[a])
         for e, ts in edge_tris.items():
             if len(ts) != 2:
                 raise Boundary(
                     f"edge {sorted(e)} lies in {len(ts)} triangles, not 2")
-        # link_cycle raises NonManifold if a link is not one cycle
-        links = [self.link_cycle(v) for v in range(self.vertex_count)]
+        links = [_link_cycle(v, link) for v, link in enumerate(nbrs)]
         if not links:
             raise ValueError("no triangles")
         seen, stack = {0}, [0]
@@ -61,7 +67,7 @@ class Triangulation:
                     stack.append(w)
         if len(seen) != self.vertex_count:
             raise ValueError("the surface is not connected")
-        return edge_tris
+        return links
 
     def edges(self):
         out = set()
@@ -69,32 +75,6 @@ class Triangulation:
             for a, b in ((0, 1), (1, 2), (0, 2)):
                 out.add(frozenset((tri[a], tri[b])))
         return out
-
-    def link_cycle(self, v):
-        """Ordered cycle of neighbours of v; NonManifold if not a cycle."""
-        nbrs = {}
-        for tri in self.triangles:
-            if v in tri:
-                a, b = [x for x in tri if x != v]
-                nbrs.setdefault(a, set()).add(b)
-                nbrs.setdefault(b, set()).add(a)
-        if not nbrs:
-            raise NonManifold(f"isolated vertex {v}")
-        if any(len(s) != 2 for s in nbrs.values()):
-            raise NonManifold(f"link of vertex {v} is not a cycle")
-        start = min(nbrs)
-        cycle = [start]
-        prev, cur = None, start
-        while True:
-            nxt = [x for x in nbrs[cur] if x != prev]
-            step = nxt[0] if prev is None else nxt[0]
-            if step == start:
-                break
-            cycle.append(step)
-            prev, cur = cur, step
-        if len(cycle) != len(nbrs):
-            raise NonManifold(f"link of vertex {v} is disconnected")
-        return cycle
 
     def euler_characteristic(self):
         return self.vertex_count - len(self.edges()) + len(self.triangles)
@@ -125,6 +105,27 @@ class Triangulation:
         return cls(vertex_count=n, triangles=tuple(tuple(t) for t in tris))
 
 
+def _link_cycle(v, nbrs):
+    """Ordered cycle through the link of v, given each link vertex's link
+    neighbours; NonManifold if the link is not one cycle."""
+    if not nbrs:
+        raise NonManifold(f"isolated vertex {v}")
+    if any(len(s) != 2 for s in nbrs.values()):
+        raise NonManifold(f"link of vertex {v} is not a cycle")
+    start = min(nbrs)
+    cycle = [start]
+    prev, cur = None, start
+    while True:
+        step = next(x for x in nbrs[cur] if x != prev)
+        if step == start:
+            break
+        cycle.append(step)
+        prev, cur = cur, step
+    if len(cycle) != len(nbrs):
+        raise NonManifold(f"link of vertex {v} is disconnected")
+    return cycle
+
+
 @dataclass
 class DualComplex:
     # polygon per triangulation vertex: ordered sides, each side a tuple
@@ -149,12 +150,11 @@ def _tri_index(tri_of, v, a, b):
 
 def dual_complex(t):
     """Polygonal subdivision dual to a closed-manifold triangulation."""
-    t.validate()
+    links = t.validate()
     tri_of = {frozenset(tri): i for i, tri in enumerate(t.triangles)}
     polygons = {}
     side_gluing = {}
-    for v in range(t.vertex_count):
-        link = t.link_cycle(v)
+    for v, link in enumerate(links):
         d = len(link)
         sides = []
         for i in range(d):
@@ -225,22 +225,22 @@ def _edge_orientations(d):
 
 
 def _boundary_matrices(d):
+    """Boundary matrices (d1, d2, edges) of the dual cell complex. Each row
+    is a sparse {column index: ±1} dict: d1 has one row per triple point
+    over the double curves `edges`, d2 one row per double curve over the
+    polygons in sorted order."""
     edges = sorted(d.side_gluing, key=sorted)
     eidx = {e: i for i, e in enumerate(edges)}
     direction = _edge_orientations(d)
-    verts = sorted(d.polygons)
-    # d2: edges x polygons
-    d2 = [[0] * len(verts) for _ in edges]
-    for col, v in enumerate(verts):
+    d2 = [{} for _ in edges]
+    for col, v in enumerate(sorted(d.polygons)):
         for edge, fr, to in d.polygons[v]:
-            sign = 1 if (fr, to) == direction[edge] else -1
-            d2[eidx[edge]][col] += sign
-    # d1: triangles x edges
-    d1 = [[0] * len(edges) for _ in range(d.triangle_count)]
+            d2[eidx[edge]][col] = 1 if (fr, to) == direction[edge] else -1
+    d1 = [{} for _ in range(d.triangle_count)]
     for edge, i in eidx.items():
         fr, to = direction[edge]
-        d1[to][i] += 1
-        d1[fr][i] -= 1
+        d1[to][i] = 1
+        d1[fr][i] = -1
     return d1, d2, edges
 
 
@@ -256,8 +256,8 @@ def structure_cohomology(z):
     n0 = d.triangle_count
     n1 = len(edges)
     n2 = len(d.polygons)
-    r1 = lattice.rank(d1)
-    r2 = lattice.rank(d2)
+    r1 = lattice.sparse_rank(d1)
+    r2 = lattice.sparse_rank(d2)
     h0 = n0 - r1
     h1 = n1 - r1 - r2
     h2 = n2 - r2
@@ -326,16 +326,16 @@ class AbelianInvariants:
 
 
 def abelianization(g):
-    """H_1 invariants of a presentation, by Smith normal form of the
-    relation matrix."""
-    rows = [[0] * g.generator_count for _ in g.relations]
-    for i, word in enumerate(g.relations):
+    """H_1 invariants of a presentation, from the Smith invariants of the
+    sparse relation matrix."""
+    rows = []
+    for word in g.relations:
+        row = {}
         for letter in word:
-            rows[i][abs(letter) - 1] += 1 if letter > 0 else -1
-    if not rows or g.generator_count == 0:
-        return AbelianInvariants(free_rank=g.generator_count, torsion=())
-    snf = lattice.smith_normal_form(rows)
-    nonzero = [x for x in snf.diagonal if x != 0]
+            k = abs(letter) - 1
+            row[k] = row.get(k, 0) + (1 if letter > 0 else -1)
+        rows.append(row)
+    nonzero = lattice.invariant_factors(rows)
     return AbelianInvariants(
         free_rank=g.generator_count - len(nonzero),
         torsion=tuple(x for x in nonzero if x > 1))
@@ -385,8 +385,9 @@ def assemble(d, component_factory=None, refinement=3, node_markings=None):
                 raise CycleLengthMismatch(
                     f"factory returned cycle length {surf.length}, "
                     f"wanted {want}")
+            num, den = picard.clear_denominators(h)  # h.C = 1 in integers
             for c in surf.cycle:
-                if picard.dot(h, c) != 1:
+                if picard.dot(num, c) != den:
                     raise PolarizationDegreeMismatch(
                         "polarization does not have degree 1 on the cycle")
             cache[want] = (surf, h)
@@ -427,36 +428,36 @@ def loop_kernel_classes(z):
 
 
 def simplicial_boundaries(t):
-    """Boundary matrices of the simplicial chain complex over Z, with the
-    canonical orientation given by sorted vertex tuples."""
-    verts = list(range(t.vertex_count))
+    """Boundary matrices (d1, d2) of the simplicial chain complex over Z,
+    with the canonical orientation given by sorted vertex tuples. Each row
+    is a sparse {column index: ±1} dict: d1 has one row per vertex over the
+    edges sorted as vertex pairs, d2 one row per edge over the triangles."""
     edges = sorted(t.edges(), key=sorted)
     eidx = {e: i for i, e in enumerate(edges)}
-    d1 = [[0] * len(edges) for _ in verts]
+    d1 = [{} for _ in range(t.vertex_count)]
     for e, i in eidx.items():
         a, b = sorted(e)
-        d1[b][i] += 1
-        d1[a][i] -= 1
-    d2 = [[0] * len(t.triangles) for _ in edges]
+        d1[b][i] = 1
+        d1[a][i] = -1
+    d2 = [{} for _ in edges]
     for j, tri in enumerate(t.triangles):
         a, b, c = sorted(tri)
-        d2[eidx[frozenset((b, c))]][j] += 1
-        d2[eidx[frozenset((a, c))]][j] -= 1
-        d2[eidx[frozenset((a, b))]][j] += 1
+        d2[eidx[frozenset((b, c))]][j] = 1
+        d2[eidx[frozenset((a, c))]][j] = -1
+        d2[eidx[frozenset((a, b))]][j] = 1
     return d1, d2
 
 
 def simplicial_homology(t):
     """((h0, h1, h2) over Q, H_1 invariants over Z) of the triangulation."""
     d1, d2 = simplicial_boundaries(t)
-    n0, n1, n2 = t.vertex_count, len(d2), len(d2[0]) if d2 else 0
-    r1 = lattice.rank(d1)
-    r2 = lattice.rank(d2)
+    n0, n1, n2 = t.vertex_count, len(d2), len(t.triangles)
+    r1 = lattice.sparse_rank(d1)
+    r2 = lattice.sparse_rank(d2)
     h0 = n0 - r1
     h1 = n1 - r1 - r2
     h2 = n2 - r2
-    snf = lattice.smith_normal_form(d2)
-    torsion = tuple(x for x in snf.diagonal if x > 1)
+    torsion = tuple(x for x in lattice.invariant_factors(d2) if x > 1)
     return (h0, h1, h2), AbelianInvariants(free_rank=h1, torsion=torsion)
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sncgeom import lattice
@@ -113,6 +113,61 @@ def test_smith_normal_form_random(seed):
     assert snf.check(mat)
     nonzero = [d for d in snf.diagonal if d]
     assert len(nonzero) == lattice.rank(mat)
+
+
+def test_smith_normal_form_terminates_without_entry_growth():
+    # an in-place Euclid on row/column t with swaps let these entries grow
+    # past 10**300 without returning
+    m = [[-12, -12, 10, -12, -16], [6, 12, -3, 6, 6],
+         [-24, -22, 8, -25, -21], [-8, -7, -2, -6, -3],
+         [-14, -6, 7, -9, -14], [18, 18, -3, 11, 15]]
+    snf = lattice.smith_normal_form(m)
+    assert snf.diagonal == [1, 1, 1, 1, 12]
+    assert snf.check(m)
+
+
+def _sympy_invariants(rows):
+    try:
+        import sympy
+        from sympy.matrices.normalforms import invariant_factors
+    except ImportError:
+        return None
+    return [abs(int(x)) for x in
+            invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if x]
+
+
+# clearing the unit pivot at row 0, column 5 leaves the 6x5 matrix above
+CORE_IS_THE_ENTRY_GROWTH_CASE = [
+    [6, 6, -2, 6, 6, -1], [0, 0, 6, 0, -4, -2], [0, 6, -1, 0, 0, 1],
+    [0, 2, 0, -1, 3, -4], [-2, -1, -4, 0, 3, -1], [-2, 6, 3, 3, -2, -2],
+    [6, 6, 1, -1, 3, 2]]
+SMITH_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6, -12])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda m: st.lists(
+    st.lists(SMITH_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=8)))
+@example(CORE_IS_THE_ENTRY_GROWTH_CASE)
+def test_invariant_factors_match_dense_smith_form(rows):
+    snf = lattice.smith_normal_form(rows)
+    assert snf.check(rows)
+    dense = [d for d in snf.diagonal if d]
+    sparse = lattice.invariant_factors(
+        [{c: x for c, x in enumerate(row) if x} for row in rows])
+    assert sparse == dense
+    theirs = _sympy_invariants(rows)
+    assert theirs is None or sparse == theirs
+    if rows == CORE_IS_THE_ENTRY_GROWTH_CASE:
+        assert sparse == [1, 1, 1, 1, 1, 12]
+
+
+def test_invariant_factors_simple():
+    assert lattice.invariant_factors([]) == []
+    assert lattice.invariant_factors([{}, {4: 0}]) == []
+    assert lattice.invariant_factors([{0: 2, 1: 4}, {1: 6}]) == [2, 6]
+    # any hashable column keys
+    assert lattice.invariant_factors([{"a": 1, "b": 1}, {"a": 1, "b": -1}]) \
+        == [1, 2]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,6 @@
 import pytest
 
-from sncgeom import lattice, snc
+from sncgeom import lattice, picard, snc
 
 SURFACES = {
     "sphere": (snc.tetrahedron, (1, 0, 1), 1),
@@ -164,16 +164,62 @@ def test_refine_random_preserves_invariants():
     assert h == (1, 2, 1)
 
 
+def _dense(rows, width):
+    """The sparse {column: entry} rows as a dense list of lists."""
+    return [[row.get(c, 0) for c in range(width)] for row in rows]
+
+
+def _boundary_pairs(t):
+    """(sparse rows, column count) of both simplicial boundaries and of
+    both dual-complex boundaries of a triangulation."""
+    d = snc.dual_complex(t)
+    s1, s2 = snc.simplicial_boundaries(t)
+    b1, b2, edges = snc._boundary_matrices(d)
+    return [(s1, len(s2)), (s2, len(t.triangles)),
+            (b1, len(edges)), (b2, len(d.polygons))]
+
+
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_smith_invariants_match_sympy(name):
     """Optional oracle: the nonzero invariant factors of both simplicial
-    boundaries agree with sympy's Smith form, up to sign."""
+    boundaries agree with sympy's Smith form, up to sign, and with the
+    unit-pivot invariant factors of the sparse rows."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
 
-    for d in snc.simplicial_boundaries(SURFACES[name][0]()):
+    t = SURFACES[name][0]()
+    for rows, width in _boundary_pairs(t)[:2]:
+        d = _dense(rows, width)
         ours = [abs(x) for x in lattice.smith_normal_form(d).diagonal if x]
         snf = smith_normal_form(sympy.Matrix(d), domain=sympy.ZZ)
         theirs = [abs(int(snf[i, i])) for i in range(min(snf.shape))
                   if snf[i, i]]
-        assert ours == theirs
+        assert ours == theirs == lattice.invariant_factors(rows)
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_sparse_boundary_ranks_match_dense_rank(name):
+    base = SURFACES[name][0]()
+    for t in [base] + [snc.refine_random(base, 12, seed=s) for s in range(2)]:
+        for rows, width in _boundary_pairs(t):
+            assert lattice.sparse_rank(rows) == lattice.rank(
+                _dense(rows, width))
+
+
+def test_degree_guard_rejects_degree_two_on_first_curve(monkeypatch):
+    """h + (C_1 + C_last)/2 has degree 2 on C_0, with a denominator."""
+    from fractions import Fraction
+
+    good = snc.default_component_factory
+
+    def factory(n):
+        s, h = good(n)
+        c1, clast = s.cycle[1], s.cycle[-1]
+        bad = tuple(Fraction(x) + Fraction(y + z, 2)
+                    for x, y, z in zip(h, c1, clast))
+        assert picard.dot(bad, s.cycle[0]) == 2
+        return s, bad
+
+    monkeypatch.setattr(snc, "default_component_factory", factory)
+    with pytest.raises(snc.PolarizationDegreeMismatch):
+        snc.glue_report(snc.tetrahedron())
