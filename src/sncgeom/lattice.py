@@ -1,61 +1,31 @@
-"""Exact integer / rational linear algebra.
+"""Exact integer / rational linear algebra on one sparse echelon core.
 
-Matrices are plain lists of rows; entries are ints or fractions.Fraction.
-No floating point anywhere in this module.
+Dense matrices are plain lists of rows with int or fractions.Fraction
+entries; sparse vectors are {column: int} dicts. `_echelon` is the one
+elimination over Q: `rank`, `sparse_rank`, `solve` and `kernel_basis` read
+its pivot rows. `echelon_mod_p` is the one elimination over F_p, read by
+`rank_mod_p` and the codimension estimator. `invariant_factors` clears unit
+pivots sparsely and leaves a small core to the diagonal-only
+`smith_normal_form`; `det_int` is a dense Bareiss determinant. No floating
+point anywhere in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def _integerize_rows(rows):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    out = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        fr = [Fraction(x) for x in row]
-        mult = lcm(*[f.denominator for f in fr]) if fr else 1
-        out.append([int(f * mult) for f in fr])
-    return out
+def _echelon(vectors):
+    """Fraction-free echelon over Q of sparse integer vectors, {column: int}
+    dicts with comparable column keys. Returns {pivot column: row}.
 
-
-def rank(rows):
-    """Rank over the rationals via fraction-free Bareiss elimination."""
-    if not rows or not rows[0]:
-        return 0
-    a = _integerize_rows(rows)
-    n, m = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for c in range(m):
-        if r == n:
-            break
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, n):
-            ric = a[i][c]
-            arc = a[r][c]
-            for j in range(c, m):
-                a[i][j] = (a[i][j] * arc - ric * a[r][j]) // prev
-        prev = a[r][c]
-        r += 1
-    return r
-
-
-def sparse_rank(vectors):
-    """Rank over the rationals of sparse integer vectors, {column: int} dicts.
-
-    Fraction-free echelon on comparable column keys: each kept row is stored
-    at its smallest column. A vector is reduced by the row stored at its
-    smallest column (a * v - b * row cancels that column) and divided by the
-    gcd of its entries, until its smallest column is free or it vanishes.
+    Each kept row is stored at its smallest column. A vector is reduced by
+    the row stored at its smallest column (a * v - b * row cancels that
+    column) and divided by the gcd of its entries, until its smallest
+    column is free or it vanishes (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", 1968). The pivot
+    columns depend only on the row space.
     """
     rows = {}
     for vec in vectors:
@@ -77,7 +47,66 @@ def sparse_rank(vectors):
             g = gcd(*v.values())
             if g > 1:
                 v = {k: x // g for k, x in v.items()}
-    return len(rows)
+    return rows
+
+
+def _sparse(row):
+    """A dense row of ints and Fractions as a {column: int} dict, scaled by
+    the lcm of its denominators."""
+    mult = lcm(*[x.denominator for x in row])
+    return {c: int(x * mult) for c, x in enumerate(row) if x}
+
+
+def _back_substitute(pivots, x):
+    """Complete x, {column: value} on free columns, to the vector on which
+    every pivot row vanishes; pivots are taken in descending order, so each
+    row meets only values already set."""
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        s = sum(y * x[k] for k, y in row.items() if k in x)
+        if s:
+            x[c] = Fraction(-s) / row[c]
+    return x
+
+
+def rank(rows):
+    """Rank over the rationals of a dense matrix."""
+    return len(_echelon(map(_sparse, rows)))
+
+
+def sparse_rank(vectors):
+    """Rank over the rationals of sparse integer vectors, {column: int}
+    dicts."""
+    return len(_echelon(vectors))
+
+
+def solve(rows, b):
+    """Exact solution of M x = b, or None when b is not in the column span.
+
+    Free variables are set to zero.
+    """
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    if len(b) != n:
+        raise ValueError("dimension mismatch")
+    pivots = _echelon(_sparse([*row, b[i]]) for i, row in enumerate(rows))
+    if m in pivots:
+        return None
+    x = _back_substitute(pivots, {m: -1})
+    return [Fraction(x.get(c, 0)) for c in range(m)]
+
+
+def kernel_basis(rows):
+    """Basis of the rational null space of M: one vector per free column,
+    in column order, with 1 there and 0 on the other free columns."""
+    m = len(rows[0]) if rows else 0
+    pivots = _echelon(map(_sparse, rows))
+    basis = []
+    for free in range(m):
+        if free not in pivots:
+            x = _back_substitute(pivots, {free: 1})
+            basis.append([Fraction(x.get(c, 0)) for c in range(m)])
+    return basis
 
 
 def det_int(rows):
@@ -104,139 +133,19 @@ def det_int(rows):
     return sign * a[n - 1][n - 1]
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q. Returns (matrix, pivot columns)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        if r == n:
-            break
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def solve(rows, b):
-    """Exact solution of M x = b, or None when b is not in the column span.
-
-    Free variables are set to zero.
-    """
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    if len(b) != n:
-        raise ValueError("dimension mismatch")
-    aug = [list(row) + [b[i]] for i, row in enumerate(rows)]
-    red, pivots = _rref(aug)
-    if m in pivots:
-        return None
-    x = [Fraction(0)] * m
-    for r, c in enumerate(pivots):
-        x[c] = red[r][m]
-    return x
-
-
-def kernel_basis(rows):
-    """Basis of the rational null space of M."""
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    if n == 0:
-        return [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    red, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][free]
-        basis.append(v)
-    return basis
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-@dataclass
-class SmithForm:
-    """Diagonalization D = U M V with unimodular U, V and d1 | d2 | ..."""
-
-    diagonal: list
-    u: list
-    v: list
-    rows: int
-    cols: int
-
-    def check(self, m_rows):
-        d = mat_mul(mat_mul(self.u, m_rows), self.v)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = self.diagonal[i] if i == j and i < len(self.diagonal) else 0
-                if d[i][j] != want:
-                    return False
-        for i in range(len(self.diagonal) - 1):
-            a, b = self.diagonal[i], self.diagonal[i + 1]
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        return abs(det_int(self.u)) == 1 and abs(det_int(self.v)) == 1
-
-
 def smith_normal_form(rows):
-    """Smith normal form by elementary row/column reduction.
+    """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix,
+    min(rows, cols) entries with the zeros last, by elementary row and
+    column reduction.
 
     Pivot choice: minimal nonzero absolute value, tie-break by (row, col).
     """
     a = [list(map(int, row)) for row in rows]
     n = len(a)
     m = len(a[0]) if n else 0
-    u = identity(n)
-    v = identity(m)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def pick(t):  # minimal |x| in the submatrix from (t, t), moved to (t, t)
         best = None
@@ -246,8 +155,10 @@ def smith_normal_form(rows):
                 if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
                     best = (i, j)
         if best is not None:
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
+            i, j = best
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
         return best is not None
 
     # Each round reduces row and column t once by the pivot. A nonzero
@@ -263,7 +174,9 @@ def smith_normal_form(rows):
                     row_op(i, t, a[i][t] // p)
             for j in range(t + 1, m):
                 if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // p)
+                    q = a[t][j] // p
+                    for row in a:  # column j -= q * column t
+                        row[j] -= q * row[t]
             if (any(a[i][t] for i in range(t + 1, n))
                     or any(a[t][j] for j in range(t + 1, m))):
                 pick(t)
@@ -274,21 +187,12 @@ def smith_normal_form(rows):
                 break
             row_op(t, bad, -1)  # row t += row bad
         t += 1
-
-    diag = []
-    for i in range(min(n, m)):
-        d = a[i][i]
-        if d < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-            d = -d
-        diag.append(d)
-    return SmithForm(diagonal=diag, u=u, v=v, rows=n, cols=m)
+    return [abs(a[i][i]) for i in range(min(n, m))]
 
 
 def invariant_factors(vectors):
     """Nonzero Smith invariants d1 | d2 | ... of sparse integer rows,
-    {column: int} dicts, without the transforms U and V.
+    {column: int} dicts.
 
     Each ±1 entry is a unit pivot: clearing its column from the other rows
     leaves the Schur complement and contributes one invariant 1. Pivots come
@@ -340,36 +244,39 @@ def invariant_factors(vectors):
             found = True
     core_cols = list(dict.fromkeys(c for row in rows.values() for c in row))
     core = [[row.get(c, 0) for c in core_cols] for row in rows.values()]
-    return [1] * units + [d for d in smith_normal_form(core).diagonal if d]
+    return [1] * units + [d for d in smith_normal_form(core) if d]
+
+
+def echelon_mod_p(rows, p, ncols):
+    """Row echelon form over F_p of a copy of rows, eliminating on the
+    first ncols columns; entries must lie in range(p). Returns (rank, rows):
+    the rows past the rank vanish on those columns."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, n):
+            f = a[i][c]
+            if f:
+                f = f * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
+        r += 1
+        if r == n:
+            break
+    return r, a
 
 
 def rank_mod_p(rows, p=46337):
-    """Rank of an integer matrix over F_p (numpy, vectorized).
+    """Rank of an integer matrix over F_p.
 
     Always a lower bound for the rational rank; equality holds whenever the
-    result matches an a-priori upper bound such as the row count. No
-    computation of the library depends on it: the exact ranks are `rank`
-    and `sparse_rank`. numpy is imported on the first call only.
+    result matches an a-priori upper bound such as the row count.
     """
-    import numpy as np
-
-    if not rows or not rows[0]:
-        return 0
-    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    n, m = a.shape
-    r = 0
-    for c in range(m):
-        if r == n:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        below = a[r + 1:, c].copy()
-        if below.size:
-            a[r + 1:] = (a[r + 1:] - np.outer(below, a[r])) % p
-        r += 1
-    return r
+    reduced = [[x % p for x in row] for row in rows]
+    return echelon_mod_p(reduced, p, len(rows[0]) if rows else 0)[0]

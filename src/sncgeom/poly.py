@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
 
+from . import lattice
+
 INT = "int"
 RAT = "rat"
 PRIME_FIELD = "gf"
@@ -720,31 +722,6 @@ class Indeterminate(Exception):
     """Raised when no sampled fiber met the rank condition."""
 
 
-def _echelon_mod_p(rows, p, ncols):
-    """Row echelon form over F_p of a copy of rows, eliminating on the
-    first ncols columns; entries must lie in range(p). Returns (rank, rows):
-    the rows past the rank vanish on those columns."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, n) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        top = a[r]
-        inv = pow(top[c], -1, p)
-        for i in range(r + 1, n):
-            f = a[i][c]
-            if f:
-                f = f * inv % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
-        r += 1
-        if r == n:
-            break
-    return r, a
-
-
 def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
     """Estimated codimension of a determinantal rank locus over F_p.
 
@@ -780,7 +757,7 @@ def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
         while True:
             vs = [[rng.randrange(p) for _ in range(ncols_m)]
                   for _ in range(kdim)]
-            if _echelon_mod_p(vs, p, ncols_m)[0] == kdim:
+            if lattice.echelon_mod_p(vs, p, ncols_m)[0] == kdim:
                 return vs
 
     total = 0
@@ -800,7 +777,7 @@ def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
                 rows.append(row)
         # the affine system (constant column last) has p**(ambient_dim -
         # rank) solutions, or none when a reduced row leaves a constant
-        r, reduced = _echelon_mod_p(rows, p, ambient_dim)
+        r, reduced = lattice.echelon_mod_p(rows, p, ambient_dim)
         if not any(row[ambient_dim] for row in reduced[r:]):
             total += p ** (ambient_dim - r)
     if total == 0:

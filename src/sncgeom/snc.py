@@ -226,16 +226,15 @@ def _edge_orientations(d):
 
 def _boundary_matrices(d):
     """Boundary matrices (d1, d2, edges) of the dual cell complex. Each row
-    is a sparse {column index: ±1} dict: d1 has one row per triple point
-    over the double curves `edges`, d2 one row per double curve over the
-    polygons in sorted order."""
+    is a sparse {column index: ±1} dict over the double curves `edges`: d1
+    has one row per triple point, d2 one row per polygon in sorted order
+    (the transpose of the boundary map, which has the same rank and Smith
+    invariants)."""
     edges = sorted(d.side_gluing, key=sorted)
     eidx = {e: i for i, e in enumerate(edges)}
     direction = _edge_orientations(d)
-    d2 = [{} for _ in edges]
-    for col, v in enumerate(sorted(d.polygons)):
-        for edge, fr, to in d.polygons[v]:
-            d2[eidx[edge]][col] = 1 if (fr, to) == direction[edge] else -1
+    d2 = [{eidx[edge]: 1 if (fr, to) == direction[edge] else -1
+           for edge, fr, to in d.polygons[v]} for v in sorted(d.polygons)]
     d1 = [{} for _ in range(d.triangle_count)]
     for edge, i in eidx.items():
         fr, to = direction[edge]
@@ -428,10 +427,12 @@ def loop_kernel_classes(z):
 
 
 def simplicial_boundaries(t):
-    """Boundary matrices (d1, d2) of the simplicial chain complex over Z,
-    with the canonical orientation given by sorted vertex tuples. Each row
-    is a sparse {column index: ±1} dict: d1 has one row per vertex over the
-    edges sorted as vertex pairs, d2 one row per edge over the triangles."""
+    """Boundary matrices (d1, d2, edges) of the simplicial chain complex
+    over Z, with the canonical orientation given by sorted vertex tuples.
+    Each row is a sparse {column index: ±1} dict over the edges sorted as
+    vertex pairs: d1 has one row per vertex, d2 one row per triangle (the
+    transpose of the boundary map, which has the same rank and Smith
+    invariants)."""
     edges = sorted(t.edges(), key=sorted)
     eidx = {e: i for i, e in enumerate(edges)}
     d1 = [{} for _ in range(t.vertex_count)]
@@ -439,19 +440,18 @@ def simplicial_boundaries(t):
         a, b = sorted(e)
         d1[b][i] = 1
         d1[a][i] = -1
-    d2 = [{} for _ in edges]
-    for j, tri in enumerate(t.triangles):
+    d2 = []
+    for tri in t.triangles:
         a, b, c = sorted(tri)
-        d2[eidx[frozenset((b, c))]][j] = 1
-        d2[eidx[frozenset((a, c))]][j] = -1
-        d2[eidx[frozenset((a, b))]][j] = 1
-    return d1, d2
+        d2.append({eidx[frozenset((b, c))]: 1, eidx[frozenset((a, c))]: -1,
+                   eidx[frozenset((a, b))]: 1})
+    return d1, d2, edges
 
 
 def simplicial_homology(t):
     """((h0, h1, h2) over Q, H_1 invariants over Z) of the triangulation."""
-    d1, d2 = simplicial_boundaries(t)
-    n0, n1, n2 = t.vertex_count, len(d2), len(t.triangles)
+    d1, d2, edges = simplicial_boundaries(t)
+    n0, n1, n2 = t.vertex_count, len(edges), len(t.triangles)
     r1 = lattice.sparse_rank(d1)
     r2 = lattice.sparse_rank(d2)
     h0 = n0 - r1

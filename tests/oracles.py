@@ -1,0 +1,278 @@
+"""Dense exact linear algebra, kept as the independent second route for
+`sncgeom.lattice`.
+
+The library ranks, solves and takes kernels on one sparse fraction-free
+echelon, and reads Smith invariants off a diagonal-only pivot loop. The
+routines here are the dense ones it replaced: Bareiss rank, Fraction
+Gauss-Jordan (`_rref`) for `solve` and `kernel_basis`, the Smith form with
+its unimodular transforms U and V and their `check`, and the numpy modular
+rank. `rank_mod_p` counts the row space over F_p instead of eliminating.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from math import lcm
+
+from sncgeom.lattice import det_int
+
+
+def _integerize_rows(rows):
+    """Scale each row by the lcm of its denominators; returns int rows."""
+    out = []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        fr = [Fraction(x) for x in row]
+        mult = lcm(*[f.denominator for f in fr]) if fr else 1
+        out.append([int(f * mult) for f in fr])
+    return out
+
+
+def rank(rows):
+    """Rank over the rationals via fraction-free Bareiss elimination."""
+    if not rows or not rows[0]:
+        return 0
+    a = _integerize_rows(rows)
+    n, m = len(a), len(a[0])
+    r = 0
+    prev = 1
+    for c in range(m):
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, n):
+            ric = a[i][c]
+            arc = a[r][c]
+            for j in range(c, m):
+                a[i][j] = (a[i][j] * arc - ric * a[r][j]) // prev
+        prev = a[r][c]
+        r += 1
+    return r
+
+
+def _rref(rows):
+    """Reduced row echelon form over Q. Returns (matrix, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    pivots = []
+    r = 0
+    for c in range(m):
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def solve(rows, b):
+    """Exact solution of M x = b, or None when b is not in the column span.
+
+    Free variables are set to zero.
+    """
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    if len(b) != n:
+        raise ValueError("dimension mismatch")
+    aug = [list(row) + [b[i]] for i, row in enumerate(rows)]
+    red, pivots = _rref(aug)
+    if m in pivots:
+        return None
+    x = [Fraction(0)] * m
+    for r, c in enumerate(pivots):
+        x[c] = red[r][m]
+    return x
+
+
+def kernel_basis(rows):
+    """Basis of the rational null space of M."""
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    if n == 0:
+        return [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    red, pivots = _rref(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(m):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * m
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free]
+        basis.append(v)
+    return basis
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+@dataclass
+class SmithForm:
+    """Diagonalization D = U M V with unimodular U, V and d1 | d2 | ..."""
+
+    diagonal: list
+    u: list
+    v: list
+    rows: int
+    cols: int
+
+    def check(self, m_rows):
+        d = mat_mul(mat_mul(self.u, m_rows), self.v)
+        for i in range(self.rows):
+            for j in range(self.cols):
+                want = self.diagonal[i] if i == j and i < len(self.diagonal) else 0
+                if d[i][j] != want:
+                    return False
+        for i in range(len(self.diagonal) - 1):
+            a, b = self.diagonal[i], self.diagonal[i + 1]
+            if a == 0 and b != 0:
+                return False
+            if a != 0 and b % a != 0:
+                return False
+        return abs(det_int(self.u)) == 1 and abs(det_int(self.v)) == 1
+
+
+def smith_normal_form(rows):
+    """Smith normal form by elementary row/column reduction.
+
+    Pivot choice: minimal nonzero absolute value, tie-break by (row, col).
+    """
+    a = [list(map(int, row)) for row in rows]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    u = identity(n)
+    v = identity(m)
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in a:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def pick(t):  # minimal |x| in the submatrix from (t, t), moved to (t, t)
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is not None:
+            swap_rows(t, best[0])
+            swap_cols(t, best[1])
+        return best is not None
+
+    # Each round reduces row and column t once by the pivot. A nonzero
+    # remainder is smaller than the pivot and becomes the next pivot, so
+    # |a[t][t]| falls strictly until it divides its row, its column and
+    # (after adding a row it fails to divide to row t) the whole submatrix.
+    t = 0
+    while t < min(n, m) and pick(t):
+        while True:
+            p = a[t][t]
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    row_op(i, t, a[i][t] // p)
+            for j in range(t + 1, m):
+                if a[t][j] != 0:
+                    col_op(j, t, a[t][j] // p)
+            if (any(a[i][t] for i in range(t + 1, n))
+                    or any(a[t][j] for j in range(t + 1, m))):
+                pick(t)
+                continue
+            bad = next((i for i in range(t + 1, n)
+                        if any(x % p for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            row_op(t, bad, -1)  # row t += row bad
+        t += 1
+
+    diag = []
+    for i in range(min(n, m)):
+        d = a[i][i]
+        if d < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+            d = -d
+        diag.append(d)
+    return SmithForm(diagonal=diag, u=u, v=v, rows=n, cols=m)
+
+
+def numpy_rank_mod_p(rows, p=46337):
+    """Rank of an integer matrix over F_p (numpy, vectorized); numpy is
+    imported on the first call only."""
+    import numpy as np
+
+    if not rows or not rows[0]:
+        return 0
+    a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    n, m = a.shape
+    r = 0
+    for c in range(m):
+        if r == n:
+            break
+        col = a[r:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        below = a[r + 1:, c].copy()
+        if below.size:
+            a[r + 1:] = (a[r + 1:] - np.outer(below, a[r])) % p
+        r += 1
+    return r
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p without elimination: the row space has p**rank
+    vectors, counted over all p**k combinations of the k rows."""
+    span = {tuple(sum(c * x for c, x in zip(coeffs, col)) % p
+                  for col in zip(*rows))
+            for coeffs in product(range(p), repeat=len(rows))}
+    r = 0
+    while p ** r < len(span):
+        r += 1
+    return r

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sncgeom import lattice
 
 
@@ -90,16 +91,16 @@ def test_kernel_of_full_rank_is_empty():
 
 def test_smith_normal_form_known():
     m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    snf = lattice.smith_normal_form(m)
-    assert snf.diagonal == [2, 2, 156]
+    snf = oracles.smith_normal_form(m)
+    assert snf.diagonal == lattice.smith_normal_form(m) == [2, 2, 156]
     assert snf.check(m)
 
 
 def test_smith_normal_form_rectangular():
     m = [[1, 2, 3], [4, 5, 6]]
-    snf = lattice.smith_normal_form(m)
+    snf = oracles.smith_normal_form(m)
     assert snf.check(m)
-    assert snf.diagonal == [1, 3]
+    assert snf.diagonal == lattice.smith_normal_form(m) == [1, 3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,10 +110,11 @@ def test_smith_normal_form_random(seed):
     n = rng.randint(1, 5)
     m = rng.randint(1, 5)
     mat = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-    snf = lattice.smith_normal_form(mat)
+    snf = oracles.smith_normal_form(mat)
     assert snf.check(mat)
+    assert lattice.smith_normal_form(mat) == snf.diagonal
     nonzero = [d for d in snf.diagonal if d]
-    assert len(nonzero) == lattice.rank(mat)
+    assert len(nonzero) == oracles.rank(mat)
 
 
 def test_smith_normal_form_terminates_without_entry_growth():
@@ -121,9 +123,8 @@ def test_smith_normal_form_terminates_without_entry_growth():
     m = [[-12, -12, 10, -12, -16], [6, 12, -3, 6, 6],
          [-24, -22, 8, -25, -21], [-8, -7, -2, -6, -3],
          [-14, -6, 7, -9, -14], [18, 18, -3, 11, 15]]
-    snf = lattice.smith_normal_form(m)
-    assert snf.diagonal == [1, 1, 1, 1, 12]
-    assert snf.check(m)
+    assert lattice.smith_normal_form(m) == [1, 1, 1, 1, 12]
+    assert oracles.smith_normal_form(m).check(m)
 
 
 def _sympy_invariants(rows):
@@ -149,7 +150,7 @@ SMITH_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6, -12])
     st.lists(SMITH_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=8)))
 @example(CORE_IS_THE_ENTRY_GROWTH_CASE)
 def test_invariant_factors_match_dense_smith_form(rows):
-    snf = lattice.smith_normal_form(rows)
+    snf = oracles.smith_normal_form(rows)
     assert snf.check(rows)
     dense = [d for d in snf.diagonal if d]
     sparse = lattice.invariant_factors(
@@ -177,7 +178,7 @@ def test_rank_mod_p_certificate(seed):
     n = rng.randint(1, 6)
     m = rng.randint(1, 6)
     mat = [[rng.randint(-20, 20) for _ in range(m)] for _ in range(n)]
-    exact = lattice.rank(mat)
+    exact = oracles.rank(mat)
     modular = lattice.rank_mod_p(mat)
     assert modular <= exact  # modular rank never exceeds the rational rank
 
@@ -213,10 +214,85 @@ def test_sparse_rank_matches_dense_rank(rows, combos):
             a, b = rows[i % len(rows)], rows[j % len(rows)]
             rows.append([x + k * y for x, y in zip(a, b)])
     sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    assert lattice.sparse_rank(sparse) == lattice.rank(rows)
+    assert lattice.sparse_rank(sparse) == oracles.rank(rows)
 
 
 def test_mat_mul_identity():
     m = [[1, 2], [3, 4]]
-    assert lattice.mat_mul(m, lattice.identity(2)) == m
-    assert lattice.transpose(m) == [[1, 3], [2, 4]]
+    assert oracles.mat_mul(m, oracles.identity(2)) == m
+    assert oracles.transpose(m) == [[1, 3], [2, 4]]
+
+
+# -- the readers of the sparse echelon against the dense oracles ------------
+
+READER_ENTRIES = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]),
+    st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda m: st.lists(
+           st.lists(READER_ENTRIES, min_size=m, max_size=m), max_size=6)),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                          st.fractions(-2, 2, max_denominator=3)),
+                max_size=3),
+       st.lists(READER_ENTRIES, min_size=9, max_size=9),
+       st.booleans())
+@example([], [], [0] * 9, False)
+@example([[]], [], [1] * 9, False)
+@example([[]], [], [0] * 9, False)
+@example([[0, 0, 0], [0, 0, 0]], [], [0, 1] + [0] * 7, False)
+@example([[1, 1], [1, 1]], [], [0, 1] + [0] * 7, False)
+@example([[2, 4, Fraction(1, 2)], [1, 2, Fraction(1, 4)]], [], [1] * 9, True)
+def test_readers_match_oracles(rows, combos, draws, consistent):
+    rows = [list(row) for row in rows]
+    for i, j, k in combos:  # dependent rows: combinations of drawn ones
+        if rows:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append([x + k * y for x, y in zip(a, b)])
+    if consistent:  # b = M x for a drawn x
+        b = [sum(r * x for r, x in zip(row, draws)) for row in rows]
+    else:  # usually outside the column span of a deficient M
+        b = draws[:len(rows)]
+    assert lattice.rank(rows) == oracles.rank(rows)
+    assert lattice.solve(rows, b) == oracles.solve(rows, b)
+    if consistent:
+        assert lattice.solve(rows, b) is not None
+    assert lattice.kernel_basis(rows) == oracles.kernel_basis(rows)
+    ints = oracles._integerize_rows(rows)
+    assert lattice.smith_normal_form(ints) == \
+        oracles.smith_normal_form(ints).diagonal
+
+
+def test_solve_dimension_mismatch():
+    with pytest.raises(ValueError):
+        lattice.solve([[1, 2]], [1, 2])
+    with pytest.raises(ValueError):
+        lattice.solve([], [1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.integers(0, 5).flatmap(lambda m: st.lists(
+           st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+           max_size=4)))
+@example(2, [])
+@example(3, [[]])
+@example(5, [[5, 10], [0, 0]])
+def test_rank_mod_p_matches_row_space_count(p, rows):
+    assert lattice.rank_mod_p(rows, p) == oracles.rank_mod_p(rows, p)
+
+
+def test_rank_mod_p_matches_numpy_oracle():
+    """Optional oracle: the vectorized elimination the library used to
+    run, on matrices too large to count."""
+    pytest.importorskip("numpy")
+    rng = random.Random(11)
+    for _ in range(100):
+        p = rng.choice((3, 7, 46337))
+        n, m = rng.randint(0, 9), rng.randint(1, 9)
+        rows = [[rng.randint(-50, 50) * rng.randint(0, 1) for _ in range(m)]
+                for _ in range(n)]
+        rows += [[x + p * y for x, y in zip(rows[0], rows[-1])]] if rows else []
+        assert lattice.rank_mod_p(rows, p) == \
+            oracles.numpy_rank_mod_p(rows, p)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sncgeom import lattice, picard
 
 
@@ -125,13 +127,13 @@ def _oracle_is_negative_definite(s, exclude):
 
 
 def _oracle_polarization(s, seed):
-    """One dense lattice.solve per excluded curve, then the average of the
+    """One dense oracle solve per excluded curve, then the average of the
     corrected seeds with weights 1/(H'_j.C_j)."""
     h = [Fraction(0)] * s.dim
     for j in range(s.length):
         assert _oracle_is_negative_definite(s, j)
         gram, idx = _oracle_gram(s, j)
-        coeffs = lattice.solve(
+        coeffs = oracles.solve(
             gram, [-Fraction(picard.dot(seed, s.cycle[i])) for i in idx])
         hj = [Fraction(x) for x in seed]
         for a, i in zip(coeffs, idx):
@@ -196,6 +198,35 @@ def test_polarization_matches_dense_oracle_on_random_schedules(seed, steps):
     except picard.NoAmpleSeed:
         assume(False)
     _assert_matches_oracle(s, seed)
+
+
+def _seed_or_error(s):
+    try:
+        return picard.uniform_degree_seed(s)
+    except picard.NoAmpleSeed:
+        return picard.NoAmpleSeed
+
+
+def _oracle_seed(s):
+    """uniform_degree_seed on the dense oracle solve and kernel_basis in
+    place of the readers of the sparse echelon."""
+    with mock.patch.object(lattice, "solve", oracles.solve), \
+            mock.patch.object(lattice, "kernel_basis", oracles.kernel_basis):
+        return _seed_or_error(s)
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_uniform_degree_seed_matches_dense_oracle(m):
+    s = picard.cycle_surface(m)
+    assert _seed_or_error(s) == _oracle_seed(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 14))
+def test_uniform_degree_seed_matches_dense_oracle_on_random_schedules(
+        seed, steps):
+    s = _random_surface(random.Random(seed), steps)
+    assert _seed_or_error(s) == _oracle_seed(s)
 
 
 def test_definiteness_negative_cases_match_oracle():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sncgeom import lattice, poly
 from sncgeom.poly import GF, QQ, ZZ, MultiPoly, PolyMatrix, parse_poly
 
@@ -208,8 +209,8 @@ def test_echelon_mod_p_rank_and_solution_count(seed):
     nvars = rng.randint(1, 3)
     rows = [[rng.randrange(p) for _ in range(nvars + 1)]
             for _ in range(rng.randint(1, 4))]
-    r, reduced = poly._echelon_mod_p(rows, p, nvars)
-    assert r == lattice.rank_mod_p([row[:nvars] for row in rows], p)
+    r, reduced = lattice.echelon_mod_p(rows, p, nvars)
+    assert r == oracles.rank_mod_p([row[:nvars] for row in rows], p)
     consistent = not any(row[nvars] for row in reduced[r:])
     brute = sum(all(sum(a * x for a, x in zip(row, pt)) % p == row[nvars]
                     for row in rows)

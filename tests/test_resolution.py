@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from sncgeom import lattice
 from sncgeom import resolution as R
 
@@ -135,9 +136,10 @@ def dense_restriction_matrix(members, m, h2_s, seed):
 
 
 def dense_rank(mat):
-    """Modular full row rank certifies the exact rank; else Bareiss."""
+    """Modular full row rank certifies the exact rank; else the Bareiss
+    oracle. Neither runs the sparse echelon that build_chain ranks with."""
     r = lattice.rank_mod_p(mat)
-    return r if r == len(mat) else lattice.rank(mat)
+    return r if r == len(mat) else oracles.rank(mat)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -220,25 +222,38 @@ def test_off_by_one_blowup_rule_raises(monkeypatch, at, delta):
             assert rep.h2_total == rep.h2_crosscheck
 
 
-def test_verify_paths_do_not_import_numpy():
-    """build_chain, the poly fuzz suites and the codimension estimator
-    compute exactly in pure Python; numpy only serves lattice.rank_mod_p."""
+def test_verify_paths_do_not_import_numpy(tmp_path):
+    """The package and every CLI command compute exactly in pure Python:
+    with numpy blocked, `import sncgeom`, build_chain, the poly fuzz
+    suites, the codimension estimator and surface, glue, fano, resolve and
+    verify through cli.main all run."""
     src = str(Path(R.__file__).resolve().parents[1])
+    tri = tmp_path / "torus.json"
     code = (
-        "import sys\n"
-        "from sncgeom import poly, resolution\n"
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import sncgeom\n"
+        "from sncgeom import cli, poly, resolution, snc\n"
+        f"open({str(tri)!r}, 'w').write(snc.torus_7().to_json())\n"
         "out = [resolution.build_chain(12, 5, 5, 5, 5).h2_crosscheck,\n"
         "       poly.fuzz_adjugate(cases=20, seed=0),\n"
         "       poly.fuzz_adjoint_relation(cases=20, seed=0),\n"
         "       poly.fuzz_blowup_charts(cases=10, seed=0),\n"
         "       poly.rank_locus_codim_estimate(\n"
-        "           2, poly.SQUARE, ambient_dim=4, p=101, trials=200),\n"
-        "       'numpy' in sys.modules]\n"
+        "           2, poly.SQUARE, ambient_dim=4, p=101, trials=200)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['surface', '--schedule', 'standard'],\n"
+        f"                 ['glue', '--triangulation', {str(tri)!r}],\n"
+        "                 ['fano', '--kind', 'zrs', '--r', '1', '--s', '1'],\n"
+        "                 ['resolve', '--m', '4', '--h2', '1,2,1,2'],\n"
+        "                 ['verify', '--suite', 'charts']):\n"
+        "        out.append(cli.main(argv))\n"
         "print(out)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # h2 = 5 + 5 - 5 + 5 + 11, no fuzz failures, codimension 4, no numpy
-    assert proc.stdout.strip() == "[21, 0, 0, 0, 4, False]"
+    # h2 = 5 + 5 - 5 + 5 + 11, no fuzz failures, codimension 4, then the
+    # exit status of each command
+    assert proc.stdout.strip() == "[21, 0, 0, 0, 4, 0, 0, 0, 0, 0]"
