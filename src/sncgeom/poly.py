@@ -429,93 +429,69 @@ class PolyMatrix:
         return PolyMatrix.from_rows(out)
 
 
-def determinant(m):
-    """Determinant of a square PolyMatrix.
+def _minor_table(m):
+    """`minor(rows, cols)`: the minor of the square PolyMatrix m on sorted
+    index tuples rows and cols of equal length.
 
-    Cofactor expansion with memoized minors up to 4x4, fraction-free
-    elimination (exact polynomial division) above.
+    Each minor expands along its first row and is computed once: every
+    request shares one memo keyed by (rows, cols), so the determinant and
+    all cofactors of m come from the same smaller minors. The empty minor is
+    the ring's one.
     """
     if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
+        raise ValueError("minors of a non-square matrix")
+    if m.rows == 0:
         raise ValueError("empty matrix")
-    if n > 4:
-        return _det_bareiss(m)
-    ring_zero = m.entries[0][0] * 0
-    memo = {}
+    entries = m.entries
+    ref = entries[0][0]
+    zero = MultiPoly._trusted(ref.domain, ref.variables, {})
+    memo = {((), ()): MultiPoly.const(ref.domain, ref.variables, 1)}
 
-    def minor(rows_left, cols):
-        # rows_left: tuple of row indices, cols: frozenset of column indices
-        key = (rows_left, cols)
+    def minor(rows, cols):
+        key = (rows, cols)
         if key in memo:
             return memo[key]
-        i = rows_left[0]
-        if len(rows_left) == 1:
-            (j,) = cols
-            return m.entries[i][j]
-        acc = ring_zero
-        for s, j in enumerate(sorted(cols)):
-            e = m.entries[i][j]
+        row, rest = entries[rows[0]], rows[1:]
+        acc = zero
+        for s, j in enumerate(cols):
+            e = row[j]
             if e.is_zero():
                 continue
-            sub = minor(rows_left[1:], cols - {j})
-            acc = acc + e * sub * ((-1) ** s)
+            term = e * minor(rest, cols[:s] + cols[s + 1:])
+            acc = acc - term if s % 2 else acc + term
         memo[key] = acc
         return acc
 
-    return minor(tuple(range(n)), frozenset(range(n)))
+    return minor
 
 
-def _det_bareiss(m):
-    n = m.rows
-    a = [row[:] for row in m.entries]
-    one = MultiPoly.const(a[0][0].domain, a[0][0].variables, 1)
-    sign = 1
-    prev = one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not a[i][c].is_zero()), None)
-        if piv is None:
-            return a[0][0] * 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                num = a[i][j] * a[c][c] - a[i][c] * a[c][j]
-                q = divide_exact(num, prev)
-                if q is None:
-                    raise AssertionError("Bareiss division must be exact")
-                a[i][j] = q
-            a[i][c] = a[i][c] * 0
-        prev = a[c][c]
-    return a[n - 1][n - 1] * sign
+def _det_adj(m):
+    """(det(M), adjugate(M)) of a square PolyMatrix from one minor table:
+    the adjugate's (j, i) entry is the signed minor without row i and
+    column j, and the determinant expands along the first row over the same
+    minors."""
+    minor = _minor_table(m)
+    idx = tuple(range(m.rows))
+    adj = [[None] * m.rows for _ in idx]
+    for i in idx:
+        rows = idx[:i] + idx[i + 1:]
+        for j in idx:
+            c = minor(rows, idx[:j] + idx[j + 1:])
+            adj[j][i] = -c if (i + j) % 2 else c
+    return minor(idx, idx), PolyMatrix.from_rows(adj)
+
+
+def determinant(m):
+    """Determinant of a square PolyMatrix, expanded along the first row
+    over its memoized minor table."""
+    idx = tuple(range(m.rows))
+    return _minor_table(m)(idx, idx)
 
 
 def adjugate(m):
-    """Transpose cofactor matrix: adjugate(M) . M = det(M) . I exactly."""
-    if m.rows != m.cols:
-        raise ValueError("adjugate of a non-square matrix")
-    n = m.rows
-    if n == 1:
-        one = MultiPoly.const(m.entries[0][0].domain,
-                              m.entries[0][0].variables, 1)
-        return PolyMatrix.from_rows([[one]])
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = PolyMatrix.from_rows(
-                [[m.entries[r][c] for c in range(n) if c != j]
-                 for r in range(n) if r != i])
-            out[j][i] = determinant(sub) * ((-1) ** (i + j))
-    return PolyMatrix.from_rows(out)
-
-
-def poly_identity(n, domain, variables):
-    one = MultiPoly.const(domain, variables, 1)
-    zero = MultiPoly.zero(domain, variables)
-    return PolyMatrix.from_rows(
-        [[one if i == j else zero for j in range(n)] for i in range(n)])
+    """Transpose cofactor matrix: adjugate(M) . M = det(M) . I exactly.
+    Callers that also need det(M) take both from `_det_adj`."""
+    return _det_adj(m)[1]
 
 
 def derive_adjoint_relation(h, f):
@@ -530,8 +506,7 @@ def derive_adjoint_relation(h, f):
         raise ValueError("dimension mismatch")
     hn = h.drop_col(n - 1)
     hcol = h.column(n - 1)
-    adj = adjugate(hn)
-    det = determinant(hn)
+    det, adj = _det_adj(hn)
     fprime, fn = f[:-1], f[-1]
     left = [det * fi + fn * c for fi, c in zip(fprime, adj.mul_vec(hcol))]
     inner = [hi + fn * hc for hi, hc in zip(hn.mul_vec(fprime), hcol)]
@@ -559,8 +534,7 @@ class BlowupChart:
         f, h, j = self._f, self._h, self.chart_index - 1
         hj = h.drop_col(j)
         hcol = h.column(j)
-        adj = adjugate(hj)
-        det = determinant(hj)
+        det, adj = _det_adj(hj)
         ring = f[0]
         if self.chart == "s":
             t = MultiPoly.var(ring.domain, ring.variables, "t")
@@ -595,49 +569,24 @@ def blowup_chart(f, h, j, chart="s"):
         raise ValueError("column index out of range")
     if chart not in ("s", "t"):
         raise ValueError("chart must be 's' or 't'")
-    ring = f[0]
-    new_vars = tuple(ring.variables) + ("s", "t")
-    fx = [fi.extend_vars(new_vars) for fi in f]
+    other = "t" if chart == "s" else "s"
+    variables = f[0].variables + (other,)
+    fx = [fi.extend_vars(variables) for fi in f]
     hx = PolyMatrix.from_rows(
-        [[e.extend_vars(new_vars) for e in row] for row in h.entries])
+        [[e.extend_vars(variables) for e in row] for row in h.entries])
     jj = j - 1
-    hj = hx.drop_col(jj)
-    hcol = hx.column(jj)
-    adj = adjugate(hj)
-    det = determinant(hj)
-    s = MultiPoly.var(fx[0].domain, new_vars, "s")
-    t = MultiPoly.var(fx[0].domain, new_vars, "t")
+    det, adj = _det_adj(hx.drop_col(jj))
+    u = MultiPoly.var(fx[0].domain, variables, other)
     fprime = [fi for k, fi in enumerate(fx) if k != jj]
-    adj_h = adj.mul_vec(hcol)
+    adj_h = adj.mul_vec(hx.column(jj))
     if chart == "s":
-        eqs = [fi + t * c for fi, c in zip(fprime, adj_h)]
-        exc = fx[jj] - t * det
+        eqs = [fi + u * c for fi, c in zip(fprime, adj_h)]
+        exc = fx[jj] - u * det
     else:
-        eqs = [s * fi + c for fi, c in zip(fprime, adj_h)]
-        exc = s * fx[jj] - det
-    # drop the chart variable from the stored ring (it is set to 1)
-    keep = tuple(v for v in new_vars if v != chart)
-    one = {chart: 1}
-    eqs = [e.subs(one)._strip(chart, keep) for e in eqs]
-    exc = exc.subs(one)._strip(chart, keep)
-    fk = [fi._strip(chart, keep) for fi in fx]
-    hk = PolyMatrix.from_rows(
-        [[e._strip(chart, keep) for e in row] for row in hx.entries])
+        eqs = [u * fi + c for fi, c in zip(fprime, adj_h)]
+        exc = u * fx[jj] - det
     return BlowupChart(chart_index=j, chart=chart, equations=eqs,
-                       exceptional_equation=exc, _f=fk, _h=hk)
-
-
-def _strip(self, name, keep):
-    idx = self.variables.index(name)
-    terms = {}
-    for e, c in self.terms.items():
-        if e[idx] != 0:
-            raise ValueError(f"variable {name} still present")
-        terms[tuple([x for i, x in enumerate(e) if i != idx])] = c
-    return MultiPoly(self.domain, keep, terms)
-
-
-MultiPoly._strip = _strip
+                       exceptional_equation=exc, _f=fx, _h=hx)
 
 
 def jacobian(f):
@@ -816,21 +765,13 @@ def fuzz_adjugate(cases=200, seed=0, max_size=4):
         m = PolyMatrix.from_rows(
             [[_random_poly(rng, ZZ, vs, degree=2, nterms=2)
               for _ in range(n)] for _ in range(n)])
-        adj = adjugate(m)
-        det = determinant(m)
-        prod = adj.matmul(m)
-        ident = poly_identity(n, ZZ, vs)
-        for i in range(n):
-            for j in range(n):
-                want = det if i == j else det * 0
-                if not (prod.entries[i][j] - want).is_zero():
-                    failures += 1
-        prod2 = m.matmul(adj)
-        for i in range(n):
-            for j in range(n):
-                want = det if i == j else det * 0
-                if not (prod2.entries[i][j] - want).is_zero():
-                    failures += 1
+        det, adj = _det_adj(m)
+        for prod in (adj.matmul(m), m.matmul(adj)):
+            for i in range(n):
+                for j in range(n):
+                    want = det if i == j else det * 0
+                    if not (prod.entries[i][j] - want).is_zero():
+                        failures += 1
     return failures
 
 

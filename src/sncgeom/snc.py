@@ -140,9 +140,6 @@ class DualComplex:
         return (len(self.polygons) - len(self.side_gluing)
                 + self.triangle_count)
 
-    def polygon_sizes(self):
-        return {v: len(sides) for v, sides in self.polygons.items()}
-
 
 def _tri_index(tri_of, v, a, b):
     return tri_of[frozenset((v, a, b))]
@@ -453,11 +450,12 @@ def simplicial_homology(t):
     d1, d2, edges = simplicial_boundaries(t)
     n0, n1, n2 = t.vertex_count, len(edges), len(t.triangles)
     r1 = lattice.sparse_rank(d1)
-    r2 = lattice.sparse_rank(d2)
+    nonzero = lattice.invariant_factors(d2)
+    r2 = len(nonzero)
     h0 = n0 - r1
     h1 = n1 - r1 - r2
     h2 = n2 - r2
-    torsion = tuple(x for x in lattice.invariant_factors(d2) if x > 1)
+    torsion = tuple(x for x in nonzero if x > 1)
     return (h0, h1, h2), AbelianInvariants(free_rank=h1, torsion=torsion)
 
 

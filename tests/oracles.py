@@ -1,5 +1,5 @@
 """Dense exact linear algebra, kept as the independent second route for
-`sncgeom.lattice`.
+`sncgeom.lattice` and for the determinants and adjugates of `sncgeom.poly`.
 
 The library ranks, solves and takes kernels on one sparse fraction-free
 echelon, and reads Smith invariants off a diagonal-only pivot loop. The
@@ -7,16 +7,22 @@ routines here are the dense ones it replaced: Bareiss rank, Fraction
 Gauss-Jordan (`_rref`) for `solve` and `kernel_basis`, the Smith form with
 its unimodular transforms U and V and their `check`, and the numpy modular
 rank. `rank_mod_p` counts the row space over F_p instead of eliminating.
+
+For polynomial matrices, which the library expands along first rows over
+one memoized minor table, `det_bareiss` is the fraction-free elimination
+with exact polynomial division it used above 4x4, and `leibniz_det` and
+`cofactor_adjugate` sum over permutations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 from sncgeom.lattice import det_int
+from sncgeom.poly import MultiPoly, PolyMatrix, divide_exact
 
 
 def _integerize_rows(rows):
@@ -276,3 +282,60 @@ def rank_mod_p(rows, p):
     while p ** r < len(span):
         r += 1
     return r
+
+
+def det_bareiss(m):
+    n = m.rows
+    a = [row[:] for row in m.entries]
+    one = MultiPoly.const(a[0][0].domain, a[0][0].variables, 1)
+    sign = 1
+    prev = one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not a[i][c].is_zero()), None)
+        if piv is None:
+            return a[0][0] * 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                num = a[i][j] * a[c][c] - a[i][c] * a[c][j]
+                q = divide_exact(num, prev)
+                if q is None:
+                    raise AssertionError("Bareiss division must be exact")
+                a[i][j] = q
+            a[i][c] = a[i][c] * 0
+        prev = a[c][c]
+    return a[n - 1][n - 1] * sign
+
+
+def leibniz_det(entries, one):
+    """Sum over permutations p of sign(p) * prod_i entries[i][p(i)], for a
+    square list of polynomial rows; `one` fixes the ring, and the empty
+    determinant is one."""
+    n = len(entries)
+    total = one * 0
+    for perm in permutations(range(n)):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * entries[i][j]
+        inversions = sum(perm[a] > perm[b]
+                         for a in range(n) for b in range(a + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def cofactor_adjugate(m):
+    """adj(M)[i][j] = (-1)^(i+j) times the Leibniz determinant of M without
+    row j and column i."""
+    n = m.rows
+    ref = m.entries[0][0]
+    one = MultiPoly.const(ref.domain, ref.variables, 1)
+
+    def cofactor(i, j):
+        sub = [[e for c, e in enumerate(row) if c != i]
+               for r, row in enumerate(m.entries) if r != j]
+        return leibniz_det(sub, one) * (-1) ** (i + j)
+
+    return PolyMatrix.from_rows(
+        [[cofactor(i, j) for j in range(n)] for i in range(n)])

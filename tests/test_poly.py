@@ -227,15 +227,37 @@ def test_determinant_2x2():
     assert poly.determinant(m) == P("x1 - x2*x3")
 
 
-def test_determinant_methods_agree():
-    """Up to 4x4 `determinant` expands by cofactors; Bareiss must agree."""
-    rng = random.Random(11)
-    for n in (2, 3, 4):
-        for _ in range(4):
-            m = PolyMatrix.from_rows(
-                [[poly._random_poly(rng, ZZ, VARS, degree=1, nterms=2)
-                  for _ in range(n)] for _ in range(n)])
-            assert poly._det_bareiss(m) == poly.determinant(m)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5),
+       st.sampled_from((ZZ, QQ, GF(7))),
+       st.sampled_from(("random", "zero row", "repeated row")))
+def test_minor_table_matches_oracles(seed, n, domain, shape):
+    """`determinant` equals Bareiss and Leibniz, `adjugate` the Leibniz
+    cofactors, and `_det_adj` both, with zero entries, a zero row or a
+    repeated row, from 1x1 to 5x5."""
+    rng = random.Random(seed)
+    vs = VARS[:rng.randint(1, 3)]
+
+    def entry():
+        if rng.random() < 0.25:
+            return MultiPoly.zero(domain, vs)
+        e = poly._random_poly(rng, domain, vs, degree=1, nterms=2)
+        return e * Fraction(1, rng.randint(1, 3)) if domain == QQ else e
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if shape == "zero row":
+        rows[rng.randrange(n)] = [MultiPoly.zero(domain, vs)] * n
+    elif shape == "repeated row" and n > 1:
+        i, k = rng.sample(range(n), 2)
+        rows[k] = list(rows[i])
+    m = PolyMatrix.from_rows(rows)
+    one = MultiPoly.const(domain, vs, 1)
+    det, adj = poly.determinant(m), poly.adjugate(m)
+    assert det == oracles.det_bareiss(m) == oracles.leibniz_det(rows, one)
+    assert adj == oracles.cofactor_adjugate(m)
+    assert poly._det_adj(m) == (det, adj)
+    if shape != "random" and n > 1:
+        assert det.is_zero()
 
 
 def test_adjugate_identity_small():
@@ -262,14 +284,78 @@ def test_adjoint_relation_is_zero():
     assert all(r.is_zero() for r in res)
 
 
+def _two_variable_chart(f, h, j, chart):
+    """Chart equations by the route `blowup_chart` replaced: built in the
+    ring extended by both s and t from the oracle adjugate, then s or t set
+    to 1."""
+    vs = f[0].variables + ("s", "t")
+    fx = [fi.extend_vars(vs) for fi in f]
+    hx = PolyMatrix.from_rows([[e.extend_vars(vs) for e in row]
+                               for row in h.entries])
+    hj = hx.drop_col(j - 1)
+    one = MultiPoly.const(ZZ, vs, 1)
+    det = oracles.leibniz_det(hj.entries, one)
+    adj_h = oracles.cofactor_adjugate(hj).mul_vec(hx.column(j - 1))
+    s, t = MultiPoly.var(ZZ, vs, "s"), MultiPoly.var(ZZ, vs, "t")
+    fprime = fx[:j - 1] + fx[j:]
+    eqs = [s * fi + t * c for fi, c in zip(fprime, adj_h)]
+    exc = s * fx[j - 1] - t * det
+    return [e.subs({chart: 1}) for e in eqs + [exc]]
+
+
 def test_blowup_chart_verify_both_charts():
     h = _matrix([["x1", "x2", "1"], ["x3", "1", "x1"]])
     f = [P("x1^2"), P("x2*x3"), P("x3 - 1")]
-    for j in (1, 2, 3):
-        for chart in ("s", "t"):
-            ch = poly.blowup_chart(f, h, j, chart)
-            assert ch.verify()
-            assert len(ch.equations) == 2
+    cases = [(f, h)]
+    rng = random.Random(17)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        cases.append((
+            [poly._random_poly(rng, ZZ, VARS, degree=2, nterms=2)
+             for _ in range(n)],
+            PolyMatrix.from_rows(
+                [[poly._random_poly(rng, ZZ, VARS, degree=1, nterms=2)
+                  for _ in range(n)] for _ in range(n - 1)])))
+    for f, h in cases:
+        for j in range(1, h.cols + 1):
+            for chart in ("s", "t"):
+                ch = poly.blowup_chart(f, h, j, chart)
+                assert ch.verify()
+                assert len(ch.equations) == h.rows
+                other = "t" if chart == "s" else "s"
+                ring = f[0].variables + (other,)
+                built = ch.equations + [ch.exceptional_equation]
+                assert all(e.variables == ring for e in built + ch._f)
+                assert all(e.variables == ring
+                           for row in ch._h.entries for e in row)
+                both = f[0].variables + ("s", "t")
+                assert [e.extend_vars(both) for e in built] \
+                    == _two_variable_chart(f, h, j, chart)
+
+
+def test_one_minor_table_per_determinant_and_adjugate(monkeypatch):
+    """Callers that need det(M) and adj(M) build one minor table."""
+    tables = []
+    real = poly._minor_table
+
+    def counting(m):
+        tables.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(poly, "_minor_table", counting)
+    h = _matrix([["x1", "x2", "1"], ["x3", "1", "x1"]])
+    f = [P("x1^2"), P("x2*x3"), P("x3 - 1")]
+    poly.derive_adjoint_relation(h, f)
+    assert tables == [2]
+    tables.clear()
+    ch = poly.blowup_chart(f, h, 2, "t")
+    assert tables == [2]
+    tables.clear()
+    assert ch.verify()
+    assert tables == [2]
+    tables.clear()
+    assert poly.fuzz_adjugate(cases=9, seed=4) == 0
+    assert len(tables) == 9
 
 
 def test_blowup_chart_bad_dimensions():
