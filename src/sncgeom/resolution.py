@@ -69,8 +69,6 @@ def resolve_local(model):
     added); the list ends with the marker ("smooth").  The exceptional
     divisors added over the whole run total m - 1.
     """
-    if isinstance(model, int):
-        model = LocalModel(model)
     steps = []
     mult = model.multiplicity
     while mult >= 3:
@@ -186,15 +184,15 @@ def build_chain(m, h2_z1, h2_s, h2_c, h2_z2,
         raise AssumptionViolated(
             f"chain members give h2 = {crosscheck}, the local blow-ups "
             f"{h2_total}")
-    bound = h2_total - (m + 1)
+    bound, clamped = class_rank_bound(h2_total, m + 1)
     return ChainReport(
         multiplicity=m,
         members=members,
         intersection_count=m,
         h2_total=h2_total,
         h2_crosscheck=crosscheck,
-        class_rank_bound=max(0, bound),
-        bound_clamped=bound < 0,
+        class_rank_bound=bound,
+        bound_clamped=clamped,
         trace=trace,
     )
 

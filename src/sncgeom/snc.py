@@ -128,61 +128,46 @@ def _link_cycle(v, nbrs):
 
 @dataclass
 class DualComplex:
-    # polygon per triangulation vertex: ordered sides, each side a tuple
-    # (edge_key, from_triangle, to_triangle) in boundary-traversal order
+    # polygon per triangulation vertex: {edge_key: +1 or -1} over its sides
+    # in boundary-traversal order, +1 where the side runs along its curve
     polygons: dict
     side_gluing: dict        # edge_key -> (vertex, vertex)
-    orientation_data: dict   # edge_key -> True if the two traversals oppose
+    curves: dict             # edge_key -> its direction (from_tri, to_tri)
     triangle_count: int
-    triangulation: Triangulation
 
     def euler_characteristic(self):
         return (len(self.polygons) - len(self.side_gluing)
                 + self.triangle_count)
 
 
-def _tri_index(tri_of, v, a, b):
-    return tri_of[frozenset((v, a, b))]
-
-
 def dual_complex(t):
-    """Polygonal subdivision dual to a closed-manifold triangulation."""
+    """Polygonal subdivision dual to a closed-manifold triangulation. The
+    first polygon to cross a double curve (the smaller vertex) sets the
+    curve's direction; each side records whether it runs along it."""
     links = t.validate()
     tri_of = {frozenset(tri): i for i, tri in enumerate(t.triangles)}
     polygons = {}
-    side_gluing = {}
+    owners = {}
+    curves = {}
     for v, link in enumerate(links):
-        d = len(link)
-        sides = []
-        for i in range(d):
-            u = link[i]
-            prev_u = link[i - 1]
-            next_u = link[(i + 1) % d]
+        signs = {}
+        for i, u in enumerate(link):
             edge = frozenset((v, u))
             # the side dual to edge {v,u} runs between the two triangles
             # adjacent to it, crossed in link order
-            sides.append((edge,
-                          _tri_index(tri_of, v, prev_u, u),
-                          _tri_index(tri_of, v, u, next_u)))
-            side_gluing.setdefault(edge, []).append(v)
-        polygons[v] = sides
-    gluing = {}
-    orientation = {}
-    traversal = {}
-    for v, sides in polygons.items():
-        for edge, fr, to in sides:
-            traversal.setdefault(edge, []).append((fr, to))
-    for edge, owners in side_gluing.items():
-        if len(owners) != 2 or owners[0] == owners[1]:
+            step = (tri_of[frozenset((v, link[i - 1], u))],
+                    tri_of[frozenset((v, u, link[(i + 1) % len(link)]))])
+            signs[edge] = 1 if curves.setdefault(edge, step) == step else -1
+            owners.setdefault(edge, []).append(v)
+        polygons[v] = signs
+    for edge, pair in owners.items():
+        if len(pair) != 2 or pair[0] == pair[1]:
             raise NonManifold(
                 f"side gluing for edge {sorted(edge)} is not a fixed-point"
                 " free involution")
-        gluing[edge] = tuple(owners)
-        (f1, t1), (f2, t2) = traversal[edge]
-        orientation[edge] = (f1, t1) == (t2, f2)
-    return DualComplex(polygons=polygons, side_gluing=gluing,
-                       orientation_data=orientation,
-                       triangle_count=len(t.triangles), triangulation=t)
+    return DualComplex(polygons=polygons,
+                       side_gluing={e: tuple(p) for e, p in owners.items()},
+                       curves=curves, triangle_count=len(t.triangles))
 
 
 def canonical_order(d):
@@ -195,30 +180,17 @@ def canonical_order(d):
         queue = [start]
         while queue:
             v = queue.pop()
-            for edge, _, _ in d.polygons[v]:
+            for edge, s in d.polygons[v].items():
                 u, w = d.side_gluing[edge]
                 other = w if v == u else u
-                # opposing traversals are coherent for equal signs
-                want = signs[v] if d.orientation_data[edge] else -signs[v]
+                # sides running opposite ways are coherent for equal signs
+                want = -signs[v] * s * d.polygons[other][edge]
                 if other not in signs:
                     signs[other] = want
                     queue.append(other)
                 elif signs[other] != want:
                     return 2
     return 1
-
-
-def _edge_orientations(d):
-    """Canonical direction per dual edge: (from, to) of the polygon whose
-    vertex index is smaller."""
-    out = {}
-    for edge, (u, w) in d.side_gluing.items():
-        v = min(u, w)
-        for e, fr, to in d.polygons[v]:
-            if e == edge:
-                out[edge] = (fr, to)
-                break
-    return out
 
 
 def _boundary_matrices(d):
@@ -229,12 +201,11 @@ def _boundary_matrices(d):
     invariants)."""
     edges = sorted(d.side_gluing, key=sorted)
     eidx = {e: i for i, e in enumerate(edges)}
-    direction = _edge_orientations(d)
-    d2 = [{eidx[edge]: 1 if (fr, to) == direction[edge] else -1
-           for edge, fr, to in d.polygons[v]} for v in sorted(d.polygons)]
+    d2 = [{eidx[edge]: s for edge, s in d.polygons[v].items()}
+          for v in sorted(d.polygons)]
     d1 = [{} for _ in range(d.triangle_count)]
     for edge, i in eidx.items():
-        fr, to = direction[edge]
+        fr, to = d.curves[edge]
         d1[to][i] = 1
         d1[fr][i] = -1
     return d1, d2, edges
@@ -277,34 +248,25 @@ def fundamental_group(z):
     """Presentation of pi_1 from the dual complex: generators are the dual
     edges outside a spanning tree, relations the polygon boundary words."""
     d = z.dual if isinstance(z, SncSurface) else z
-    direction = _edge_orientations(d)
     adj = {i: [] for i in range(d.triangle_count)}
-    for edge, (fr, to) in direction.items():
+    for edge, (fr, to) in d.curves.items():
         adj[fr].append((to, edge))
         adj[to].append((fr, edge))
     tree = set()
     seen = {0}
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
+    order = [0]
+    for v in order:  # breadth first: `order` grows while it is walked
         for w, edge in adj[v]:
             if w not in seen:
                 seen.add(w)
                 tree.add(edge)
-                queue.append(w)
+                order.append(w)
     if len(seen) != d.triangle_count:
         raise ValueError("dual complex is not connected")
     gens = [e for e in sorted(d.side_gluing, key=sorted) if e not in tree]
     gidx = {e: i + 1 for i, e in enumerate(gens)}
-    relations = []
-    for v in sorted(d.polygons):
-        word = []
-        for edge, fr, to in d.polygons[v]:
-            if edge in tree:
-                continue
-            sign = 1 if (fr, to) == direction[edge] else -1
-            word.append(sign * gidx[edge])
-        relations.append(tuple(word))
+    relations = [tuple([s * gidx[edge] for edge, s in d.polygons[v].items()
+                        if edge not in tree]) for v in sorted(d.polygons)]
     return GroupPresentation(generator_count=len(gens),
                              relations=tuple(relations))
 
@@ -373,8 +335,8 @@ def assemble(d, component_factory=None, refinement=3, node_markings=None):
     factory = component_factory or default_component_factory
     components = {}
     cache = {}
-    for v, sides in d.polygons.items():
-        want = refinement * len(sides)
+    for v, signs in d.polygons.items():
+        want = refinement * len(signs)
         if want not in cache:  # check each factory result once
             surf, h = factory(want)
             if surf.length != want:
@@ -388,15 +350,11 @@ def assemble(d, component_factory=None, refinement=3, node_markings=None):
                         "polarization does not have degree 1 on the cycle")
             cache[want] = (surf, h)
         components[v] = cache[want]
-    identifications = {}
-    for edge, (u, w) in d.side_gluing.items():
-        pos = {}
-        for v in (u, w):
-            for i, (e, _, _) in enumerate(d.polygons[v]):
-                if e == edge:
-                    pos[v] = refinement * i + refinement // 2
-                    break
-        identifications[edge] = ((u, pos[u]), (w, pos[w]))
+    # (vertex, edge_key) -> the middle cycle curve of that side
+    pos = {(v, edge): refinement * i + refinement // 2
+           for v, signs in d.polygons.items() for i, edge in enumerate(signs)}
+    identifications = {edge: ((u, pos[u, edge]), (w, pos[w, edge]))
+                       for edge, (u, w) in d.side_gluing.items()}
     marks = set(d.side_gluing) if node_markings is None else set(node_markings)
     return SncSurface(dual=d, components=components,
                       curve_identifications=identifications,

@@ -356,6 +356,10 @@ def test_one_minor_table_per_determinant_and_adjugate(monkeypatch):
     tables.clear()
     assert poly.fuzz_adjugate(cases=9, seed=4) == 0
     assert len(tables) == 9
+    tables.clear()
+    # one table per chart and one per verify; degenerate charts skip verify
+    assert poly.fuzz_blowup_charts(cases=40, seed=3) == 0
+    assert len(tables) <= 2 * 40
 
 
 def test_blowup_chart_bad_dimensions():

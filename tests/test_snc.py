@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sncgeom import lattice, picard, snc
@@ -84,6 +86,22 @@ def test_abelianization_vs_oracle(name):
     ab = snc.abelianization(pres)
     _, oracle = snc.simplicial_homology(t)
     assert ab == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SURFACES)), splits=st.integers(0, 12),
+       seed=st.integers(0, 2**16))
+def test_dual_complex_readers_vs_simplicial_oracle(name, splits, seed):
+    """Orientability, loop group and cell counts read off the signed side
+    table agree with the simplicial chain complex on refined surfaces."""
+    factory, _, order = SURFACES[name]
+    t = snc.refine_random(factory(), splits, seed)
+    d = snc.dual_complex(t)
+    (_, _, h2), oracle = snc.simplicial_homology(t)
+    assert snc.canonical_order(d) == 2 - h2 == order
+    assert snc.abelianization(snc.fundamental_group(d)) == oracle
+    assert (len(d.polygons), len(d.side_gluing), d.triangle_count) == (
+        t.vertex_count, len(t.edges()), len(t.triangles))
 
 
 def test_rp2_torsion():
