@@ -24,6 +24,7 @@ def _fail(message):
 
 
 def _emit(args, report, ok):
+    report["seconds"] = round(time.perf_counter() - args.t0, 3)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
@@ -46,7 +47,6 @@ def _pretty(report, indent=0):
 
 
 def cmd_surface(args):
-    t0 = time.perf_counter()
     if args.corners is not None and args.corners < 0:
         return _fail("--corners must be >= 0")
     if args.schedule:
@@ -79,12 +79,10 @@ def cmd_surface(args):
         report["polarization_scale"] = mult
         report["polarization_degrees"] = [
             str(picard.dot(h, c)) for c in s.cycle]
-    report["seconds"] = round(time.perf_counter() - t0, 3)
     return _emit(args, report, ok)
 
 
 def cmd_glue(args):
-    t0 = time.perf_counter()
     try:
         with open(args.triangulation) as fh:
             tri = snc.Triangulation.from_json(fh.read())
@@ -95,13 +93,11 @@ def cmd_glue(args):
     ok = all(report[k] for k in ("cohomology_crosscheck",
                                  "abelianization_crosscheck"))
     report = {"command": f"glue {args.triangulation}", **report,
-              "crosschecks": "ok" if ok else "FAILED",
-              "seconds": round(time.perf_counter() - t0, 3)}
+              "crosschecks": "ok" if ok else "FAILED"}
     return _emit(args, report, ok)
 
 
 def cmd_fano(args):
-    t0 = time.perf_counter()
     if args.r < 0 or (args.s is not None and args.s < 0):
         return _fail("--r and --s must be >= 0")
     if args.mmax < 1:
@@ -137,12 +133,10 @@ def cmd_fano(args):
     }
     if series_note:
         report["note"] = series_note
-    report["seconds"] = round(time.perf_counter() - t0, 3)
     return _emit(args, report, ok)
 
 
 def cmd_resolve(args):
-    t0 = time.perf_counter()
     if args.m < 1:
         return _fail("--m must be >= 1")
     try:
@@ -165,14 +159,12 @@ def cmd_resolve(args):
         "h2_members": chain.h2_crosscheck,
         "class_rank_bound": chain.class_rank_bound,
         "bound_clamped": chain.bound_clamped,
-        "seconds": round(time.perf_counter() - t0, 3),
     }
     # build_chain raises AssumptionViolated when the two h^2 routes differ
     return _emit(args, report, True)
 
 
 def cmd_verify(args):
-    t0 = time.perf_counter()
     try:
         seed = int(os.environ.get("SNC_SEED", args.seed))
     except ValueError:
@@ -200,8 +192,7 @@ def cmd_verify(args):
           and all(results.get(f"codim_{n}x{n - 1}_rank_drop", 2) == 2
                   for n in (2, 3)))
     report = {"command": f"verify {args.suite} seed={seed}", **results,
-              "verdict": "pass" if ok else "FAIL",
-              "seconds": round(time.perf_counter() - t0, 3)}
+              "verdict": "pass" if ok else "FAIL"}
     return _emit(args, report, ok)
 
 
@@ -261,6 +252,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error
         return exc.code
+    args.t0 = time.perf_counter()
     return args.func(args)
 
 

@@ -6,6 +6,8 @@ never stored. Lexicographic order in the declared variable order.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -669,20 +671,33 @@ N_BY_N_MINUS_1 = "n_by_n_minus_1"
 
 
 class Indeterminate(Exception):
-    """Raised when no sampled fiber met the rank condition."""
+    """Raised when no point of F_p^ambient_dim meets the rank condition."""
+
+
+def _subspaces(k, n, p):
+    """Each k-dimensional subspace of F_p^n once, as its reduced row
+    echelon basis: pivot columns by combination, free entries by product."""
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, c) for i, piv in enumerate(pivots)
+                for c in range(piv + 1, n) if c not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            basis = [[int(c == piv) for c in range(n)] for piv in pivots]
+            for (i, c), x in zip(free, values):
+                basis[i][c] = x
+            yield basis
 
 
 def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
-    """Estimated codimension of a determinantal rank locus over F_p.
+    """Codimension of a determinantal rank locus over F_p, counted exactly.
 
     A matrix of random affine-linear forms in ambient_dim variables is
-    instantiated. The locus point count is estimated by Monte Carlo over
-    kernel directions: each sampled direction (a point of P^(n-2) for the
-    n x (n-1) rank-drop locus, a plane of Gr(2, n) for the singular locus
-    of an n x n determinant) turns the rank condition into a linear system
-    whose solutions are counted exactly; uniform point sampling cannot
-    resolve codimension 4 at this field size, this fiber decomposition can.
-    Returns round(ambient_dim - log_p(estimated count)).
+    drawn from random.Random(seed). Every kernel direction (a point of
+    P^(n-2) for the n x (n-1) rank-drop locus, a plane of Gr(2, n) for the
+    singular locus of an n x n determinant) turns the rank condition into
+    a linear system whose solutions are counted exactly; the sum over all
+    directions counts each locus point once per direction in its kernel.
+    Returns round(ambient_dim - log_p(total)). A call whose direction space
+    has more than `trials` members raises ValueError.
     """
     if not _is_prime(p):
         raise ValueError("p must be prime")
@@ -699,45 +714,29 @@ def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
         raise ValueError("shape must be SQUARE or N_BY_N_MINUS_1")
     if ncols_m < kdim:
         raise ValueError("matrix too small for the rank condition")
-    # entries: affine linear forms, coeffs[r][c] = [a_1..a_amb, const]
+    directions = list(itertools.islice(_subspaces(kdim, ncols_m, p),
+                                       trials + 1))
+    if len(directions) > trials:
+        raise ValueError(f"more than {trials} kernel directions")
+    # entries: affine linear forms, forms[r][c] = [a_1..a_amb, const];
+    # coeffs[r][k] runs over the columns c, the constant negated onto the
+    # right-hand side
     forms = [[[rng.randrange(p) for _ in range(ambient_dim + 1)]
               for _ in range(ncols_m)] for _ in range(nrows)]
-
-    def sample_directions():
-        while True:
-            vs = [[rng.randrange(p) for _ in range(ncols_m)]
-                  for _ in range(kdim)]
-            if lattice.echelon_mod_p(vs, p, ncols_m)[0] == kdim:
-                return vs
-
+    coeffs = [list(zip(*(f[:-1] + [-f[-1] % p] for f in row)))
+              for row in forms]
     total = 0
-    for _ in range(trials):
-        vs = sample_directions()
-        rows = []
-        for v in vs:
-            for i in range(nrows):
-                row = [0] * (ambient_dim + 1)
-                for c in range(ncols_m):
-                    vc = v[c]
-                    if vc:
-                        fc = forms[i][c]
-                        for k in range(ambient_dim + 1):
-                            row[k] = (row[k] + vc * fc[k]) % p
-                row[ambient_dim] = (-row[ambient_dim]) % p  # move const to rhs
-                rows.append(row)
+    for vs in directions:
+        rows = [[sum(map(operator.mul, v, col)) % p for col in row]
+                for v in vs for row in coeffs]
         # the affine system (constant column last) has p**(ambient_dim -
         # rank) solutions, or none when a reduced row leaves a constant
         r, reduced = lattice.echelon_mod_p(rows, p, ambient_dim)
         if not any(row[ambient_dim] for row in reduced[r:]):
             total += p ** (ambient_dim - r)
     if total == 0:
-        raise Indeterminate(f"no locus point found in {trials} samples")
-    if shape == SQUARE:
-        space = ((p ** n - 1) * (p ** n - p)) // ((p * p - 1) * (p * p - p))
-    else:
-        space = (p ** (n - 1) - 1) // (p - 1) if n >= 2 else 1
-    estimate = Fraction(space * total, trials)
-    return round(ambient_dim - log(estimate) / log(p))
+        raise Indeterminate("no point of the rank locus over F_p")
+    return round(ambient_dim - log(total) / log(p))
 
 
 # -- fuzz suites (shared by tests and the CLI verify command) ---------------

@@ -141,8 +141,7 @@ class ChainReport:
         })
 
 
-def build_chain(m, h2_z1, h2_s, h2_c, h2_z2,
-                assume_h1_s_zero=True, assume_z2_surjective=True, seed=0):
+def build_chain(m, h2_z1, h2_s, h2_c, h2_z2, seed=0):
     """Second Betti number of the chain union and the class-rank bound.
 
     Two routes to h^2 = h^2(Z_1) + h^2(Z_2) - h^2(S) + h^2(C) + (m - 1):
@@ -169,10 +168,6 @@ def build_chain(m, h2_z1, h2_s, h2_c, h2_z2,
         raise ValueError("Betti numbers must be nonnegative")
     if m < 1:
         raise ValueError("multiplicity must be positive")
-    if not (assume_h1_s_zero and assume_z2_surjective):
-        raise AssumptionViolated(
-            "the Betti formula needs H^1(S) = 0 and a surjective "
-            "restriction from Z_2 to S")
     if h2_z2 < h2_s:
         raise AssumptionViolated(
             "restriction from Z_2 cannot be onto: h2_z2 < h2_s")

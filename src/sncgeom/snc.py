@@ -160,11 +160,8 @@ def dual_complex(t):
             signs[edge] = 1 if curves.setdefault(edge, step) == step else -1
             owners.setdefault(edge, []).append(v)
         polygons[v] = signs
-    for edge, pair in owners.items():
-        if len(pair) != 2 or pair[0] == pair[1]:
-            raise NonManifold(
-                f"side gluing for edge {sorted(edge)} is not a fixed-point"
-                " free involution")
+    # validate makes every link one cycle of distinct vertices, so edge
+    # {v, u} has exactly the two owners v and u
     return DualComplex(polygons=polygons,
                        side_gluing={e: tuple(p) for e, p in owners.items()},
                        curves=curves, triangle_count=len(t.triangles))
@@ -172,24 +169,22 @@ def dual_complex(t):
 
 def canonical_order(d):
     """1 when the polygons admit a coherent orientation, else 2."""
-    signs = {}
-    for start in d.polygons:
-        if start in signs:
-            continue
-        signs[start] = 1
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for edge, s in d.polygons[v].items():
-                u, w = d.side_gluing[edge]
-                other = w if v == u else u
-                # sides running opposite ways are coherent for equal signs
-                want = -signs[v] * s * d.polygons[other][edge]
-                if other not in signs:
-                    signs[other] = want
-                    queue.append(other)
-                elif signs[other] != want:
-                    return 2
+    # validate rejects disconnected surfaces: one start reaches every polygon
+    start = next(iter(d.polygons))
+    signs = {start: 1}
+    queue = [start]
+    while queue:
+        v = queue.pop()
+        for edge, s in d.polygons[v].items():
+            u, w = d.side_gluing[edge]
+            other = w if v == u else u
+            # sides running opposite ways are coherent for equal signs
+            want = -signs[v] * s * d.polygons[other][edge]
+            if other not in signs:
+                signs[other] = want
+                queue.append(other)
+            elif signs[other] != want:
+                return 2
     return 1
 
 

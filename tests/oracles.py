@@ -12,17 +12,22 @@ For polynomial matrices, which the library expands along first rows over
 one memoized minor table, `det_bareiss` is the fraction-free elimination
 with exact polynomial division it used above 4x4, and `leibniz_det` and
 `cofactor_adjugate` sum over permutations.
+
+For the determinantal codimensions, which the library counts over kernel
+directions, `locus_incidence_count` visits every point of the ambient
+space instead.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
-from sncgeom.lattice import det_int
-from sncgeom.poly import MultiPoly, PolyMatrix, divide_exact
+from sncgeom.lattice import det_int, echelon_mod_p
+from sncgeom.poly import SQUARE, MultiPoly, PolyMatrix, divide_exact
 
 
 def _integerize_rows(rows):
@@ -339,3 +344,34 @@ def cofactor_adjugate(m):
 
     return PolyMatrix.from_rows(
         [[cofactor(i, j) for j in range(n)] for i in range(n)])
+
+
+def gaussian_binomial(n, k, p):
+    """Number of k-dimensional subspaces of F_p^n."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def locus_incidence_count(n, shape, ambient_dim, p, seed):
+    """Pairs (x, K) of a point x of F_p^ambient_dim and a kernel direction
+    K of M(x): a k-dimensional subspace of ker M(x), with k = 2 for the
+    n x n SQUARE shape and k = 1 for the n x (n-1) one. M is the matrix of
+    affine forms `rank_locus_codim_estimate` draws first from
+    random.Random(seed), rows of [a_1..a_amb, const]; each point adds
+    [dim ker M(x) choose k]_p."""
+    nrows, ncols, k = (n, n, 2) if shape == SQUARE else (n, n - 1, 1)
+    rng = random.Random(seed)
+    forms = [[[rng.randrange(p) for _ in range(ambient_dim + 1)]
+              for _ in range(ncols)] for _ in range(nrows)]
+    total = 0
+    for x in product(range(p), repeat=ambient_dim):
+        m = [[(sum(a * xi for a, xi in zip(f, x)) + f[-1]) % p for f in row]
+             for row in forms]
+        total += gaussian_binomial(ncols - echelon_mod_p(m, p, ncols)[0], k,
+                                   p)
+    return total

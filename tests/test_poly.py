@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -411,3 +412,51 @@ def test_codim_estimate_rejects_bad_input():
     with pytest.raises(ValueError):
         poly.rank_locus_codim_estimate(2, "diag", ambient_dim=4,
                                        p=101, trials=10)
+    # P^1 over F_101 has 102 points: trials bounds the directions counted
+    with pytest.raises(ValueError):
+        poly.rank_locus_codim_estimate(3, poly.N_BY_N_MINUS_1,
+                                       ambient_dim=4, p=101, trials=101)
+    assert poly.rank_locus_codim_estimate(
+        3, poly.N_BY_N_MINUS_1, ambient_dim=4, p=101, trials=102) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(k, 4))),
+       st.sampled_from((2, 3, 5)))
+def test_subspaces_enumerate_each_subspace_once(kn, p):
+    k, n = kn
+    bases = list(poly._subspaces(k, n, p))
+    assert len(bases) == oracles.gaussian_binomial(n, k, p)
+    spans = set()
+    for basis in bases:
+        assert lattice.echelon_mod_p(basis, p, n)[0] == k
+        # reduced row echelon: leading ones in increasing columns, zero
+        # elsewhere in their column
+        pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots))
+        for i, c in enumerate(pivots):
+            assert [row[c] for row in basis] == [int(j == i)
+                                                  for j in range(k)]
+        spans.add(frozenset(
+            tuple(sum(a * x for a, x in zip(coeffs, col)) % p
+                  for col in zip(*basis))
+            for coeffs in itertools.product(range(p), repeat=k)))
+    assert len(spans) == len(bases)
+
+
+CODIM_SHAPES = ((2, poly.SQUARE), (3, poly.SQUARE),
+                (2, poly.N_BY_N_MINUS_1), (3, poly.N_BY_N_MINUS_1))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_codim_estimate_matches_point_count(p):
+    for (n, shape), seed in itertools.product(CODIM_SHAPES, range(8)):
+        count = oracles.locus_incidence_count(n, shape, 4, p, seed)
+        args = (n, shape, 4, p, 10 ** 4, seed)
+        if count == 0:
+            with pytest.raises(poly.Indeterminate):
+                poly.rank_locus_codim_estimate(*args)
+        else:
+            assert poly.rank_locus_codim_estimate(*args) == round(
+                4 - math.log(count) / math.log(p))

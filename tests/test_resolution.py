@@ -73,13 +73,6 @@ def test_build_chain_series_values():
         assert R.build_chain(m, 2, 2, 1, 2).class_rank_bound == 1
 
 
-def test_build_chain_requires_assumptions():
-    with pytest.raises(R.AssumptionViolated):
-        R.build_chain(3, 1, 2, 1, 2, assume_h1_s_zero=False)
-    with pytest.raises(R.AssumptionViolated):
-        R.build_chain(3, 1, 2, 1, 2, assume_z2_surjective=False)
-
-
 def test_build_chain_rejects_impossible_surjectivity():
     with pytest.raises(R.AssumptionViolated):
         R.build_chain(3, 5, 4, 1, 2)  # h2_z2 < h2_s
