@@ -33,7 +33,10 @@ CASES = {"glue": {name: ["glue", name] for name in SURFACES},
                   "zr_r1": ["fano", "--kind", "zr", "--r", "1"],
                   "zrs_r1_s2": ["fano", "--kind", "zrs", "--r", "1",
                                 "--s", "2"]},
-         "verify": {"all_seed0": ["verify", "--suite", "all", "--seed", "0"]}}
+         "verify": {"all_seed0": ["verify", "--suite", "all", "--seed", "0"]},
+         "surface": {"schedule_standard": ["surface", "--schedule", "standard"],
+                     "corners_0": ["surface", "--corners", "0"],
+                     "corners_3": ["surface", "--corners", "3"]}}
 
 
 def report(argv, workdir):
