@@ -58,15 +58,24 @@ def _sparse(row):
 
 
 def _back_substitute(pivots, x):
-    """Complete x, {column: value} on free columns, to the vector on which
+    """Complete x, {column: int} on free columns, to the vector on which
     every pivot row vanishes; pivots are taken in descending order, so each
-    row meets only values already set."""
+    row meets only values already set. Returns (numerators, denominator)
+    of the vector x / den; den takes a factor of a pivot only when a new
+    value needs it, and every numerator is rescaled with it."""
+    den = 1
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
-        s = sum(y * x[k] for k, y in row.items() if k in x)
+        s = sum([y * x[k] for k, y in row.items() if k in x])
         if s:
-            x[c] = Fraction(-s) / row[c]
-    return x
+            g = gcd(s, row[c])
+            s, r = s // g, row[c] // g
+            if r != 1:
+                den *= r
+                for k in x:
+                    x[k] *= r
+            x[c] = -s
+    return x, den
 
 
 def rank(rows):
@@ -92,8 +101,8 @@ def solve(rows, b):
     pivots = _echelon(_sparse([*row, b[i]]) for i, row in enumerate(rows))
     if m in pivots:
         return None
-    x = _back_substitute(pivots, {m: -1})
-    return [Fraction(x.get(c, 0)) for c in range(m)]
+    x, den = _back_substitute(pivots, {m: -1})
+    return [Fraction(x.get(c, 0), den) for c in range(m)]
 
 
 def kernel_basis(rows):
@@ -104,8 +113,8 @@ def kernel_basis(rows):
     basis = []
     for free in range(m):
         if free not in pivots:
-            x = _back_substitute(pivots, {free: 1})
-            basis.append([Fraction(x.get(c, 0)) for c in range(m)])
+            x, den = _back_substitute(pivots, {free: 1})
+            basis.append([Fraction(x.get(c, 0), den) for c in range(m)])
     return basis
 
 

@@ -2,7 +2,9 @@
 
 The lattice basis is (H, E_1, ..., E_k) with intersection form
 diag(+1, -1, ..., -1); the canonical class is K = -3H + sum E_i.
-Blow-ups return new immutable surfaces.
+Blow-ups return new immutable surfaces. The degree-one polarization runs
+on integer continuants and numerators over one denominator; Fractions are
+built only for the returned class.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import lattice
 
@@ -31,7 +33,7 @@ def dot(a, b):
     """Intersection pairing in the (H, E_1, ..., E_k) basis."""
     if len(a) != len(b):
         raise ValueError("classes live on different surfaces")
-    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+    return a[0] * b[0] - sum([x * y for x, y in zip(a[1:], b[1:])])
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class CycleSurface:
     def from_json(cls, text):
         d = json.loads(text)
         return cls(blowup_count=d["blowup_count"],
-                   cycle=tuple(tuple(c) for c in d["cycle"]),
+                   cycle=tuple([tuple(c) for c in d["cycle"]]),
                    canonical=tuple(d["canonical"]))
 
 
@@ -167,25 +169,31 @@ def cycle_surface(m):
 
 
 def _path_sweep(sq, j, deg):
-    """Exact Thomas sweep on the Gram matrix of the path C_{j+1}, ...,
-    C_{j-1}: diagonal sq[i] = C_i^2, off-diagonal 1 on a validated cycle.
-    The pivots are continuant ratios D_k/D_{k-1}: None if one is >= 0 (not
-    negative definite), else the path and a with Gram.a = -deg[path]."""
+    """Integer sweep on the Gram matrix T of the path C_{j+1}, ..., C_{j-1}
+    (diagonal d_k = C^2, off-diagonal 1 on a validated cycle).
+
+    The continuants theta_0 = 1, theta_k = d_k theta_{k-1} - theta_{k-2}
+    are T's leading minors: None unless every theta_k / theta_{k-1} < 0
+    (Sylvester's criterion). Else (path, A, theta_n), T.(A / theta_n) = r
+    for r_k = -deg: Y_k = r_k theta_{k-1} - Y_{k-1}, A_n = Y_n and
+    A_k = (Y_k theta_n - A_{k+1} theta_{k-1}) / theta_k, an exact division
+    as theta_n T^-1 = adj T is integral (Usmani, Linear Algebra Appl. 1994).
+    """
     m = len(sq)
     path = [(j + k) % m for k in range(1, m)]
-    piv, y = [], []
+    theta, ys, y = [0, 1], [], 0  # from theta_{-1} = 0, theta_0 = 1
     for i in path:
-        p, r = Fraction(sq[i]), Fraction(-deg[i])
-        if piv:
-            p, r = p - 1 / piv[-1], r - y[-1] / piv[-1]
-        if p >= 0:
+        theta.append(sq[i] * theta[-1] - theta[-2])
+        if theta[-1] * theta[-2] >= 0:
             return None
-        piv.append(p)
-        y.append(r)
-    a = [y[-1] / piv[-1]]
+        y = -deg[i] * theta[-2] - y
+        ys.append(y)
+    tn = theta[-1]
+    a = [ys[-1]]
     for k in range(m - 3, -1, -1):
-        a.append((y[k] - a[-1]) / piv[k])
-    return path, a[::-1]
+        a.append((ys[k] * tn - a[-1] * theta[k + 1]) // theta[k + 2])
+    a.reverse()
+    return path, a, tn
 
 
 def is_negative_definite(s, exclude):
@@ -196,29 +204,47 @@ def is_negative_definite(s, exclude):
                        [0] * s.length) is not None
 
 
+def _numerators(v):
+    """A vector of ints and Fractions as (numerators, common denominator)."""
+    d = lcm(*[x.denominator for x in v])
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _reduced(num, den):
+    """(num, den) with the common gcd of every entry divided out."""
+    g = gcd(den, *num)
+    return [x // g for x in num], den // g
+
+
 def _positive_direction(vectors):
     """A rational combination of the given classes with positive square,
-    or None; exact symmetric congruence diagonalization."""
-    basis = [list(map(Fraction, v)) for v in vectors]
-    done = []
+    as (integer numerators, denominator), or None; exact symmetric
+    congruence diagonalization. A pivot B with q = B.B < 0 takes V / d to
+    ((V.B) B - q V) / (-q d)."""
+    basis = [_numerators(v) for v in vectors]
     while basis:
-        piv = next((i for i, b in enumerate(basis) if dot(b, b) != 0), None)
+        piv = next((i for i, (b, _) in enumerate(basis) if dot(b, b) != 0),
+                   None)
         if piv is None:
             pair = next(((i, j) for i in range(len(basis))
                          for j in range(i + 1, len(basis))
-                         if dot(basis[i], basis[j]) != 0), None)
+                         if dot(basis[i][0], basis[j][0]) != 0), None)
             if pair is None:
                 break  # form vanishes on what is left
-            i, j = pair
-            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
+            (u, du), (w, dw) = basis[pair[0]], basis[pair[1]]
+            basis[pair[0]] = _reduced([x * dw + y * du for x, y in zip(u, w)],
+                                      du * dw)
             continue
-        b = basis.pop(piv)
+        b, db = basis.pop(piv)
         q = dot(b, b)
         if q > 0:
-            return b
-        basis = [[x - dot(v, b) / q * y for x, y in zip(v, b)]
-                 for v in basis]
-        done.append(b)
+            return b, db
+        new = []
+        for v, d in basis:
+            f = dot(v, b)  # v - (v.b / q) b is orthogonal to b
+            new.append(_reduced([f * y - q * x for x, y in zip(v, b)],
+                                -q * d))
+        basis = new
     return None
 
 
@@ -226,27 +252,30 @@ def uniform_degree_seed(s):
     """An integral class with degree 1 on every cycle curve and positive
     self-intersection; the default ample seed for the polarization solve.
 
-    The solver's particular solution is corrected, if needed, inside the
-    subspace of degree-0 classes, where a positive-square direction is
-    found by diagonalizing the intersection form.
+    The solver's particular solution sol is corrected, if needed, inside
+    the subspace of degree-0 classes by t x, where x has positive square
+    (diagonalizing the intersection form) and t doubles while
+    sol^2 + 2t sol.x + t^2 x^2 <= 0; all in numerators over one denominator.
     """
     rows = [[(1 if i == 0 else -1) * c[i] for i in range(s.dim)]
             for c in s.cycle]
     sol = lattice.solve(rows, [Fraction(1)] * s.length)
     if sol is None:
         raise NoAmpleSeed("no class of uniform degree 1 on the cycle")
-    if dot(sol, sol) <= 0:
-        x = _positive_direction(lattice.kernel_basis(rows))
-        if x is None:
+    num, den = _numerators(sol)
+    if dot(num, num) <= 0:
+        found = _positive_direction(lattice.kernel_basis(rows))
+        if found is None:
             raise NoAmpleSeed(
                 "no uniform-degree class has positive square")
-        t = Fraction(1)
-        while dot([a + t * b for a, b in zip(sol, x)],
-                  [a + t * b for a, b in zip(sol, x)]) <= 0:
+        x, dx = found
+        d = lcm(den, dx)
+        num, x = [a * (d // den) for a in num], [b * (d // dx) for b in x]
+        ss, sx, xx, t = dot(num, num), dot(num, x), dot(x, x), 1
+        while ss + 2 * t * sx + t * t * xx <= 0:
             t *= 2
-        sol = [a + t * b for a, b in zip(sol, x)]
-    mult = lcm(*[f.denominator for f in sol])
-    seed = tuple([int(f * mult) for f in sol])
+        num, den = [a + t * b for a, b in zip(num, x)], d
+    seed = tuple(_reduced(num, den)[0])
     if dot(seed, seed) <= 0:
         raise InvariantError("uniform-degree seed has non-positive square")
     return seed
@@ -257,7 +286,9 @@ def degree_one_polarization(s, seed_ample):
 
     Per cycle position j the seed is corrected inside the negative-definite
     sublattice spanned by the other curves so that it meets only C_j, then
-    the corrected classes are averaged with weights 1/(H'_j.C_j).
+    the corrected classes are averaged with weights 1/(H'_j.C_j) =
+    theta_n / D_j, D_j = deg_j theta_n + A_0 + A_last, in integer
+    numerators over lcm(D_j).
     """
     s.validate()  # the cycle pattern is what makes each Gram a path
     m, sq = s.length, s.self_intersections()
@@ -268,27 +299,34 @@ def degree_one_polarization(s, seed_ample):
     if any(d <= 0 for d in degs) or dot(seed_ample, seed_ample) <= 0:
         raise NoAmpleSeed("seed must have positive degree on every C_j "
                           "and positive self-intersection")
-    weight, coef = Fraction(0), [Fraction(0)] * m  # of the seed, of each C_i
+    sweeps = []
     for j in range(m):
         swept = _path_sweep(sq, j, degs)
         if swept is None:
             raise NegativeDefiniteViolation(
                 f"curves other than C_{j} are not negative definite")
-        path, a = swept  # only the path's ends meet C_j, once each
-        dj = degs[j] + a[0] + a[-1]
-        if dj <= 0:
-            raise NoAmpleSeed(f"corrected class has degree {dj} on C_{j}")
-        weight += 1 / dj
+        path, a, tn = swept  # only the path's ends meet C_j, once each
+        dj = degs[j] * tn + a[0] + a[-1]
+        if dj * tn <= 0:  # degree D_j / theta_n <= 0
+            raise NoAmpleSeed(f"corrected class has degree "
+                              f"{Fraction(dj, tn)} on C_{j}")
+        sweeps.append((path, a, tn, dj))
+    den = lcm(*[dj for _, _, _, dj in sweeps])
+    # numerators over den of the weight of the seed and of each C_i
+    weight, coef = 0, [0] * m
+    for path, a, tn, dj in sweeps:
+        f = den // dj
+        weight += tn * f
         for i, ai in zip(path, a):
-            coef[i] += ai / dj
-    h = [weight * x + sum(ci * c[t] for ci, c in zip(coef, s.cycle))
-         for t, x in enumerate(seed_ample)]
-    for j in range(m):
-        if dot(h, s.cycle[j]) != 1:
+            coef[i] += ai * f
+    num = [weight * x + sum([ci * c[t] for ci, c in zip(coef, s.cycle)])
+           for t, x in enumerate(seed_ample)]
+    for c in s.cycle:
+        if dot(num, c) != den:
             raise InvariantError("polarization degree is not 1 on the cycle")
-    if dot(h, h) <= 0:
+    if dot(num, num) <= 0:
         raise InvariantError("polarization has non-positive square")
-    return tuple(h)
+    return tuple([Fraction(x, den) for x in num])
 
 
 def clear_denominators(h):

@@ -309,10 +309,21 @@ class SncSurface:
 _FACTORY_CACHE = {}
 
 
+def _check_degree_one(surf, h):
+    num, den = picard.clear_denominators(h)  # h.C = 1 in integers
+    for c in surf.cycle:
+        if picard.dot(num, c) != den:
+            raise PolarizationDegreeMismatch(
+                "polarization does not have degree 1 on the cycle")
+
+
 def default_component_factory(cycle_length):
+    """(cycle_surface, polarization), cached per cycle length; each result
+    is degree-checked once, when it enters the cache."""
     if cycle_length not in _FACTORY_CACHE:
         s = picard.cycle_surface(cycle_length)
         h = picard.degree_one_polarization(s, picard.uniform_degree_seed(s))
+        _check_degree_one(s, h)
         _FACTORY_CACHE[cycle_length] = (s, h)
     return _FACTORY_CACHE[cycle_length]
 
@@ -333,16 +344,13 @@ def assemble(d, component_factory=None, refinement=3, node_markings=None):
     for v, signs in d.polygons.items():
         want = refinement * len(signs)
         if want not in cache:  # check each factory result once
-            surf, h = factory(want)
+            result = surf, h = factory(want)
             if surf.length != want:
                 raise CycleLengthMismatch(
                     f"factory returned cycle length {surf.length}, "
                     f"wanted {want}")
-            num, den = picard.clear_denominators(h)  # h.C = 1 in integers
-            for c in surf.cycle:
-                if picard.dot(num, c) != den:
-                    raise PolarizationDegreeMismatch(
-                        "polarization does not have degree 1 on the cycle")
+            if result is not _FACTORY_CACHE.get(want):  # checked on entry
+                _check_degree_one(surf, h)
             cache[want] = (surf, h)
         components[v] = cache[want]
     # (vertex, edge_key) -> the middle cycle curve of that side

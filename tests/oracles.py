@@ -16,6 +16,13 @@ with exact polynomial division it used above 4x4, and `leibniz_det` and
 For the determinantal codimensions, which the library counts over kernel
 directions, `locus_incidence_count` visits every point of the ambient
 space instead.
+
+For the degree-one polarization, which the library sweeps in integer
+continuants over one denominator, `thomas_path_sweep` is the Fraction
+Thomas sweep it replaced, `thomas_polarization` the Fraction accumulation
+around it, and `uniform_degree_seed` the seed on the dense `solve` and
+`kernel_basis` with the Fraction congruence diagonalization
+`positive_direction`.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from itertools import permutations, product
 from math import lcm
 
 from sncgeom.lattice import det_int, echelon_mod_p
+from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
+                            NoAmpleSeed, dot)
 from sncgeom.poly import SQUARE, MultiPoly, PolyMatrix, divide_exact
 
 
@@ -375,3 +384,115 @@ def locus_incidence_count(n, shape, ambient_dim, p, seed):
         total += gaussian_binomial(ncols - echelon_mod_p(m, p, ncols)[0], k,
                                    p)
     return total
+
+
+# -- the Fraction routes of the degree-one polarization ---------------------
+
+
+def thomas_path_sweep(sq, j, deg):
+    """Exact Thomas sweep on the Gram matrix of the path C_{j+1}, ...,
+    C_{j-1}: diagonal sq[i] = C_i^2, off-diagonal 1 on a validated cycle.
+    The pivots are continuant ratios D_k/D_{k-1}: None if one is >= 0 (not
+    negative definite), else the path and a with Gram.a = -deg[path]."""
+    m = len(sq)
+    path = [(j + k) % m for k in range(1, m)]
+    piv, y = [], []
+    for i in path:
+        p, r = Fraction(sq[i]), Fraction(-deg[i])
+        if piv:
+            p, r = p - 1 / piv[-1], r - y[-1] / piv[-1]
+        if p >= 0:
+            return None
+        piv.append(p)
+        y.append(r)
+    a = [y[-1] / piv[-1]]
+    for k in range(m - 3, -1, -1):
+        a.append((y[k] - a[-1]) / piv[k])
+    return path, a[::-1]
+
+
+def positive_direction(vectors):
+    """A rational combination of the given classes with positive square,
+    or None; exact symmetric congruence diagonalization."""
+    basis = [list(map(Fraction, v)) for v in vectors]
+    done = []
+    while basis:
+        piv = next((i for i, b in enumerate(basis) if dot(b, b) != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(len(basis))
+                         for j in range(i + 1, len(basis))
+                         if dot(basis[i], basis[j]) != 0), None)
+            if pair is None:
+                break  # form vanishes on what is left
+            i, j = pair
+            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
+            continue
+        b = basis.pop(piv)
+        q = dot(b, b)
+        if q > 0:
+            return b
+        basis = [[x - dot(v, b) / q * y for x, y in zip(v, b)]
+                 for v in basis]
+        done.append(b)
+    return None
+
+
+def uniform_degree_seed(s):
+    """`picard.uniform_degree_seed` on the dense solve and kernel_basis
+    above, `positive_direction`, and a t search that rebuilds the vector
+    sol + t.x on every doubling."""
+    rows = [[(1 if i == 0 else -1) * c[i] for i in range(s.dim)]
+            for c in s.cycle]
+    sol = solve(rows, [Fraction(1)] * s.length)
+    if sol is None:
+        raise NoAmpleSeed("no class of uniform degree 1 on the cycle")
+    if dot(sol, sol) <= 0:
+        x = positive_direction(kernel_basis(rows))
+        if x is None:
+            raise NoAmpleSeed(
+                "no uniform-degree class has positive square")
+        t = Fraction(1)
+        while dot([a + t * b for a, b in zip(sol, x)],
+                  [a + t * b for a, b in zip(sol, x)]) <= 0:
+            t *= 2
+        sol = [a + t * b for a, b in zip(sol, x)]
+    mult = lcm(*[f.denominator for f in sol])
+    seed = tuple([int(f * mult) for f in sol])
+    if dot(seed, seed) <= 0:
+        raise InvariantError("uniform-degree seed has non-positive square")
+    return seed
+
+
+def thomas_polarization(s, seed_ample):
+    """`picard.degree_one_polarization` on `thomas_path_sweep`, with every
+    weight and coefficient a Fraction."""
+    s.validate()  # the cycle pattern is what makes each Gram a path
+    m, sq = s.length, s.self_intersections()
+    if any(c2 > -2 for c2 in sq):
+        raise NegativeDefiniteViolation(
+            "all cycle self-intersections must be <= -2")
+    degs = [dot(seed_ample, c) for c in s.cycle]
+    if any(d <= 0 for d in degs) or dot(seed_ample, seed_ample) <= 0:
+        raise NoAmpleSeed("seed must have positive degree on every C_j "
+                          "and positive self-intersection")
+    weight, coef = Fraction(0), [Fraction(0)] * m  # of the seed, of each C_i
+    for j in range(m):
+        swept = thomas_path_sweep(sq, j, degs)
+        if swept is None:
+            raise NegativeDefiniteViolation(
+                f"curves other than C_{j} are not negative definite")
+        path, a = swept  # only the path's ends meet C_j, once each
+        dj = degs[j] + a[0] + a[-1]
+        if dj <= 0:
+            raise NoAmpleSeed(f"corrected class has degree {dj} on C_{j}")
+        weight += 1 / dj
+        for i, ai in zip(path, a):
+            coef[i] += ai / dj
+    h = [weight * x + sum(ci * c[t] for ci, c in zip(coef, s.cycle))
+         for t, x in enumerate(seed_ample)]
+    for j in range(m):
+        if dot(h, s.cycle[j]) != 1:
+            raise InvariantError("polarization degree is not 1 on the cycle")
+    if dot(h, h) <= 0:
+        raise InvariantError("polarization has non-positive square")
+    return tuple(h)

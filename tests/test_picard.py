@@ -1,9 +1,8 @@
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -208,11 +207,12 @@ def _seed_or_error(s):
 
 
 def _oracle_seed(s):
-    """uniform_degree_seed on the dense oracle solve and kernel_basis in
-    place of the readers of the sparse echelon."""
-    with mock.patch.object(lattice, "solve", oracles.solve), \
-            mock.patch.object(lattice, "kernel_basis", oracles.kernel_basis):
-        return _seed_or_error(s)
+    """The Fraction route: dense solve and kernel_basis, the old congruence
+    diagonalization and the vector-rebuilding t search."""
+    try:
+        return oracles.uniform_degree_seed(s)
+    except picard.NoAmpleSeed:
+        return picard.NoAmpleSeed
 
 
 @pytest.mark.parametrize("m", range(3, 41))
@@ -227,6 +227,71 @@ def test_uniform_degree_seed_matches_dense_oracle_on_random_schedules(
         seed, steps):
     s = _random_surface(random.Random(seed), steps)
     assert _seed_or_error(s) == _oracle_seed(s)
+
+
+def _outcome(route, *args):
+    """The returned value, or the class of the exception raised."""
+    try:
+        return route(*args)
+    except (picard.NoAmpleSeed, picard.NegativeDefiniteViolation,
+            picard.InvariantError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 14), st.booleans())
+def test_polarization_matches_thomas_route_on_random_schedules(
+        seed, steps, lower):
+    """Integer continuants against the Fraction Thomas route, errors
+    included: without the interior blow-ups to -2 many schedules raise."""
+    s = _random_surface(random.Random(seed), steps)
+    if lower:
+        for j, c2 in enumerate(s.self_intersections()):
+            for _ in range(c2 + 2):
+                s = picard.blowup_on_curve(s, j)
+    ample = _seed_or_error(s)
+    assume(ample is not picard.NoAmpleSeed)
+    assert _outcome(picard.degree_one_polarization, s, ample) == \
+        _outcome(oracles.thomas_polarization, s, ample)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_path_sweep_matches_thomas_sweep(data):
+    """Random diagonals in [-6, 1], not all definite, paths of 1..25 curves
+    and random right-hand sides: None exactly when the Fraction sweep says
+    so, and otherwise the same solution a = A / theta_n."""
+    n = data.draw(st.integers(1, 25))
+    sq = data.draw(st.lists(st.integers(-6, 1), min_size=n + 1,
+                            max_size=n + 1))
+    deg = data.draw(st.lists(st.integers(-50, 50), min_size=n + 1,
+                             max_size=n + 1))
+    j = data.draw(st.integers(0, n))
+    swept = picard._path_sweep(sq, j, deg)
+    expected = oracles.thomas_path_sweep(sq, j, deg)
+    if expected is None:
+        assert swept is None
+    else:
+        path, a, theta = swept
+        assert (path, [Fraction(x, theta) for x in a]) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n),
+    max_size=5)))
+@example([[1, 1, 0], [Fraction(1, 2), 0, Fraction(1, 2)]])  # both isotropic
+def test_positive_direction_matches_fraction_route(vectors):
+    """Integer numerators over one denominator against the Fraction
+    congruence diagonalization; small entries make isotropic vectors, and
+    with them the pairing branch, common."""
+    found = picard._positive_direction(vectors)
+    expected = oracles.positive_direction(vectors)
+    if expected is None:
+        assert found is None
+    else:
+        num, den = found
+        assert [Fraction(x, den) for x in num] == expected
 
 
 def test_definiteness_negative_cases_match_oracle():
