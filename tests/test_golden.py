@@ -34,7 +34,8 @@ CASES = {"glue": {name: ["glue", name] for name in SURFACES},
                   "zrs_r1_s2": ["fano", "--kind", "zrs", "--r", "1",
                                 "--s", "2"]},
          "verify": {"all_seed0": ["verify", "--suite", "all", "--seed", "0"]},
-         "surface": {"schedule_standard": ["surface", "--schedule", "standard"],
+         "surface": {"schedule_standard": ["surface", "--schedule",
+                                           "standard"],
                      "corners_0": ["surface", "--corners", "0"],
                      "corners_3": ["surface", "--corners", "3"]}}
 

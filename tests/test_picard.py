@@ -199,9 +199,9 @@ def test_polarization_matches_dense_oracle_on_random_schedules(seed, steps):
     _assert_matches_oracle(s, seed)
 
 
-def _seed_or_error(s):
+def _seed_or_error(s, route=picard.uniform_degree_seed):
     try:
-        return picard.uniform_degree_seed(s)
+        return route(s)
     except picard.NoAmpleSeed:
         return picard.NoAmpleSeed
 
@@ -209,10 +209,7 @@ def _seed_or_error(s):
 def _oracle_seed(s):
     """The Fraction route: dense solve and kernel_basis, the old congruence
     diagonalization and the vector-rebuilding t search."""
-    try:
-        return oracles.uniform_degree_seed(s)
-    except picard.NoAmpleSeed:
-        return picard.NoAmpleSeed
+    return _seed_or_error(s, oracles.uniform_degree_seed)
 
 
 @pytest.mark.parametrize("m", range(3, 41))
@@ -283,8 +280,8 @@ def test_path_sweep_matches_thomas_sweep(data):
 @example([[1, 1, 0], [Fraction(1, 2), 0, Fraction(1, 2)]])  # both isotropic
 def test_positive_direction_matches_fraction_route(vectors):
     """Integer numerators over one denominator against the Fraction
-    congruence diagonalization; small entries make isotropic vectors, and
-    with them the pairing branch, common."""
+    congruence diagonalization; the example takes the pairing branch,
+    where every vector left is isotropic."""
     found = picard._positive_direction(vectors)
     expected = oracles.positive_direction(vectors)
     if expected is None:
