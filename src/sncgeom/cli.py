@@ -97,6 +97,15 @@ def cmd_glue(args):
     return _emit(args, report, ok)
 
 
+# Constants of the glued Fano series: Z_1 and Z_2 glued along a quadric
+# surface S, with omega_Z = L^-2 and the cone taken over L itself.
+R_OMEGA = -2  # omega_Z = L^R_OMEGA: the glued 3-folds have index 2
+CONSTRUCTION_DEGREE = 1  # the construction at L = L^1; the node is then
+# x1 x2 = s^(CONSTRUCTION_DEGREE - R_OMEGA) = s^3
+H2_S = 2  # h^2 of the quadric S = P^1 x P^1
+H2_C = 1  # h^2 of the curve C along which Z_2 is blown up
+
+
 def cmd_fano(args):
     if args.r < 0 or (args.s is not None and args.s < 0):
         return _fail("--r and --s must be >= 0")
@@ -118,8 +127,8 @@ def cmd_fano(args):
         series_note = None
     table = fano.h0_table(z, args.mmax)
     gen = fano.degree_one_generation(z, max(2, args.mmax))
-    m_node = fano.cover_degree(-2, 1)  # omega = L^-2, construction at L
-    chain = resolution.build_chain(m_node, h2_ends[0], 2, 1, h2_ends[1])
+    m_node = fano.cover_degree(R_OMEGA, CONSTRUCTION_DEGREE)
+    chain = resolution.build_chain(m_node, h2_ends[0], H2_S, H2_C, h2_ends[1])
     ok = gen
     report = {
         "command": f"fano {args.kind} r={args.r}"
@@ -129,7 +138,11 @@ def cmd_fano(args):
         "degree_one_generation": gen,
         "node_multiplicity": m_node,
         "class_rank_bound": chain.class_rank_bound,
-        "singularity": fano.classify_singularity(2, True, True),
+        # K_Z = R_OMEGA L, so the cone over (Z, L) has index -R_OMEGA = 2 > 1;
+        # Y canonical and Y - Z terminal, the statement's other two
+        # hypotheses, are taken as given for the series
+        "singularity": fano.classify_singularity(
+            -R_OMEGA, y_canonical=True, y_minus_z_terminal=True),
     }
     if series_note:
         report["note"] = series_note

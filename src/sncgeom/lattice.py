@@ -2,12 +2,12 @@
 
 Dense matrices are plain lists of rows with int or fractions.Fraction
 entries; sparse vectors are {column: int} dicts. `_echelon` is the one
-elimination over Q: `rank`, `sparse_rank`, `solve` and `kernel_basis` read
-its pivot rows. `echelon_mod_p` is the one elimination over F_p, read by
-`rank_mod_p` and the codimension estimator. `invariant_factors` clears unit
-pivots sparsely and leaves a small core to the diagonal-only
-`smith_normal_form`; `det_int` is a dense Bareiss determinant. No floating
-point anywhere in this module.
+elimination over Q: `rank`, `sparse_rank`, `solve`, `kernel_basis` and
+`solve_and_kernel` read its pivot rows. `echelon_mod_p` is the one
+elimination over F_p, read by `rank_mod_p` and the codimension estimator.
+`invariant_factors` clears unit pivots sparsely and leaves a small core to
+the diagonal-only `smith_normal_form`; `det_int` is a dense Bareiss
+determinant. No floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -89,33 +89,58 @@ def sparse_rank(vectors):
     return len(_echelon(vectors))
 
 
-def solve(rows, b):
-    """Exact solution of M x = b, or None when b is not in the column span.
-
-    Free variables are set to zero.
-    """
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    if len(b) != n:
+def _augmented_echelon(rows, b):
+    """Echelon of the rows of M augmented by the column b."""
+    if len(b) != len(rows):
         raise ValueError("dimension mismatch")
-    pivots = _echelon(_sparse([*row, b[i]]) for i, row in enumerate(rows))
+    return _echelon(_sparse([*row, b[i]]) for i, row in enumerate(rows))
+
+
+def _particular(pivots, m):
+    """The solution with zero free variables from the echelon of M
+    augmented in column m, or None when m is a pivot column."""
     if m in pivots:
         return None
     x, den = _back_substitute(pivots, {m: -1})
     return [Fraction(x.get(c, 0), den) for c in range(m)]
 
 
-def kernel_basis(rows):
-    """Basis of the rational null space of M: one vector per free column,
-    in column order, with 1 there and 0 on the other free columns."""
-    m = len(rows[0]) if rows else 0
-    pivots = _echelon(map(_sparse, rows))
+def _null_space(pivots, m):
+    """Kernel basis on the first m columns: one vector per free column.
+    Back substitution never reads a column past m, so an echelon of M
+    augmented in column m serves as well as one of M."""
     basis = []
     for free in range(m):
         if free not in pivots:
             x, den = _back_substitute(pivots, {free: 1})
             basis.append([Fraction(x.get(c, 0), den) for c in range(m)])
     return basis
+
+
+def solve(rows, b):
+    """Exact solution of M x = b, or None when b is not in the column span.
+
+    Free variables are set to zero.
+    """
+    m = len(rows[0]) if rows else 0
+    return _particular(_augmented_echelon(rows, b), m)
+
+
+def kernel_basis(rows):
+    """Basis of the rational null space of M: one vector per free column,
+    in column order, with 1 there and 0 on the other free columns."""
+    m = len(rows[0]) if rows else 0
+    return _null_space(_echelon(map(_sparse, rows)), m)
+
+
+def solve_and_kernel(rows, b):
+    """(solve(rows, b), kernel_basis(rows)) from one echelon of M augmented
+    by b. Its pivot rows below column m, read on the first m columns, are
+    an echelon basis of the row space of M with the same pivot columns, so
+    they give the same kernel basis."""
+    m = len(rows[0]) if rows else 0
+    pivots = _augmented_echelon(rows, b)
+    return _particular(pivots, m), _null_space(pivots, m)
 
 
 def det_int(rows):

@@ -259,12 +259,12 @@ def uniform_degree_seed(s):
     """
     rows = [[(1 if i == 0 else -1) * c[i] for i in range(s.dim)]
             for c in s.cycle]
-    sol = lattice.solve(rows, [Fraction(1)] * s.length)
+    sol, kernel = lattice.solve_and_kernel(rows, [Fraction(1)] * s.length)
     if sol is None:
         raise NoAmpleSeed("no class of uniform degree 1 on the cycle")
     num, den = _numerators(sol)
     if dot(num, num) <= 0:
-        found = _positive_direction(lattice.kernel_basis(rows))
+        found = _positive_direction(kernel)
         if found is None:
             raise NoAmpleSeed(
                 "no uniform-degree class has positive square")

@@ -1,7 +1,17 @@
 """Exact sparse multivariate polynomial arithmetic over Z, Q or F_p.
 
-Terms are stored as {exponent tuple: coefficient}; zero coefficients are
-never stored. Lexicographic order in the declared variable order.
+A polynomial lives in a `Ring`, one shared object per (coefficient domain,
+variables), so two polynomials are compatible exactly when their rings are
+the same object. Its terms are a {monomial: coefficient} dict that never
+stores a zero coefficient. A monomial is one packed int: each variable owns
+a FIELD_BITS = 16 bit field holding its exponent, the first variable in the
+highest field, so int order is lexicographic order in the declared variable
+order and a monomial product is one integer addition (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", 2007). The top bit of each field is a guard: exponents lie in
+[0, MAX_EXPONENT] = [0, 2**15 - 1], the constructor rejects any other with
+ValueError, and a product with a larger exponent raises OverflowError.
+`MultiPoly.terms` is a read-only {exponent tuple: coefficient} view.
 """
 
 from __future__ import annotations
@@ -12,13 +22,18 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import log
+from types import MappingProxyType
 
 from . import lattice
 
 INT = "int"
 RAT = "rat"
 PRIME_FIELD = "gf"
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class DomainMismatch(ValueError):
@@ -77,36 +92,106 @@ def GF(p):
     return CoeffDomain(PRIME_FIELD, p)
 
 
+class Ring:
+    """The polynomial ring domain[variables] and its monomial packing.
+
+    `Ring(domain, variables)` returns the one Ring of that pair, so rings
+    compare by identity. Variable i owns the FIELD_BITS wide field at
+    `shifts[i]`; `guard` has the top bit of every field set.
+    """
+
+    __slots__ = ("domain", "variables", "p", "shifts", "guard")
+
+    def __new__(cls, domain, variables):
+        variables = tuple(variables)
+        key = (domain, variables)
+        self = _RINGS.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.domain = domain
+            self.variables = variables
+            self.p = domain.p
+            n = len(variables)
+            self.shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+            self.guard = sum(1 << s + FIELD_BITS - 1 for s in self.shifts)
+            self = _RINGS.setdefault(key, self)
+        return self
+
+    def __reduce__(self):  # unpickled and copied rings stay the interned one
+        return Ring, (self.domain, self.variables)
+
+    def pack(self, exps):
+        """The monomial of an exponent vector, checked."""
+        if len(exps) != len(self.variables):
+            raise ValueError("exponent vector length mismatch")
+        key = 0
+        for k in exps:
+            if not 0 <= k <= MAX_EXPONENT:
+                raise ValueError(f"exponent {k} outside [0, {MAX_EXPONENT}]")
+            key = key << FIELD_BITS | k
+        return key
+
+    def exponents(self, key):
+        """The exponent tuple of a monomial."""
+        return tuple([key >> s & _FIELD_MASK for s in self.shifts])
+
+    def unit(self, name):
+        """The monomial of the variable `name`."""
+        return 1 << self.shifts[self.variables.index(name)]
+
+
+_RINGS = {}  # (domain, variables) -> its Ring; only ever grows
+
+
 class MultiPoly:
-    __slots__ = ("domain", "variables", "terms")
+    """A polynomial of `ring`: {packed monomial: coefficient} in `_terms`."""
+
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, domain, variables, terms=None):
-        self.domain = domain
-        self.variables = tuple(variables)
+        ring = self.ring = Ring(domain, variables)
         clean = {}
         for exps, c in (terms or {}).items():
-            if len(exps) != len(self.variables):
-                raise ValueError("exponent vector length mismatch")
+            key = ring.pack(exps)
             c = domain.coerce(c)
             if c != 0:
-                clean[tuple(exps)] = c
-        self.terms = clean
+                clean[key] = c
+        self._terms = clean
 
-    @classmethod
-    def _trusted(cls, domain, variables, terms):
-        """Wrap terms whose exponents are tuples of the right length and
-        whose coefficients are already of the domain (ints for Z and F_p,
-        Fractions for Q): zero coefficients are dropped and F_p ones
-        reduced, nothing is checked or coerced. `variables` is a tuple."""
-        self = object.__new__(cls)
-        self.domain = domain
-        self.variables = variables
-        p = domain.p
-        if p is None:
-            self.terms = {e: c for e, c in terms.items() if c}
-        else:
-            self.terms = {e: r for e, c in terms.items() if (r := c % p)}
+    @staticmethod
+    def _wrap(ring, terms):
+        """Wrap {monomial: coefficient} terms that are already normalised:
+        coefficients of the domain, nonzero, and in [1, p) over F_p."""
+        self = object.__new__(MultiPoly)
+        self.ring = ring
+        self._terms = terms
         return self
+
+    @staticmethod
+    def _trusted(ring, terms):
+        """Wrap {monomial: coefficient} terms whose coefficients are already
+        of the domain (ints for Z and F_p, Fractions for Q): zero
+        coefficients are dropped and F_p ones reduced, nothing is checked
+        or coerced."""
+        p = ring.p
+        if p is None:
+            return MultiPoly._wrap(ring, {e: c for e, c in terms.items() if c})
+        return MultiPoly._wrap(ring, {e: r for e, c in terms.items()
+                                      if (r := c % p)})
+
+    @property
+    def domain(self):
+        return self.ring.domain
+
+    @property
+    def variables(self):
+        return self.ring.variables
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient} view, built per call."""
+        unpack = self.ring.exponents
+        return MappingProxyType({unpack(e): c for e, c in self._terms.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -116,51 +201,73 @@ class MultiPoly:
 
     @classmethod
     def const(cls, domain, variables, c):
-        return cls(domain, variables, {(0,) * len(tuple(variables)): c})
+        return cls._trusted(Ring(domain, variables), {0: domain.coerce(c)})
 
     @classmethod
     def var(cls, domain, variables, name):
-        variables = tuple(variables)
-        e = [0] * len(variables)
-        e[variables.index(name)] = 1
-        return cls(domain, variables, {tuple(e): 1})
+        ring = Ring(domain, variables)
+        return cls._trusted(ring, {ring.unit(name): domain.coerce(1)})
 
     # -- ring structure ----------------------------------------------------
 
     def _compat(self, other):
         if isinstance(other, MultiPoly):
-            if other.domain != self.domain or other.variables != self.variables:
+            if other.ring is not self.ring:
                 raise DomainMismatch("incompatible polynomial rings")
             return other
-        return MultiPoly.const(self.domain, self.variables, other)
+        ring = self.ring
+        return MultiPoly._trusted(ring, {0: ring.domain.coerce(other)})
+
+    def _plus(self, other, sign):
+        """self + sign * other in one pass over the terms of other, the
+        only ones that can cancel or leave [0, p)."""
+        other = self._compat(other)
+        p = self.ring.p
+        terms = dict(self._terms)
+        get = terms.get
+        for e, c in other._terms.items():
+            s = get(e, 0) + sign * c
+            if p is not None:
+                s %= p
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return MultiPoly._wrap(self.ring, terms)
 
     def __add__(self, other):
-        other = self._compat(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MultiPoly._trusted(self.domain, self.variables, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.domain, self.variables,
-                                  {e: -c for e, c in self.terms.items()})
+        p = self.ring.p
+        if p is None:
+            terms = {e: -c for e, c in self._terms.items()}
+        else:
+            terms = {e: p - c for e, c in self._terms.items()}
+        return MultiPoly._wrap(self.ring, terms)
 
     def __sub__(self, other):
-        return self + (-self._compat(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return self._compat(other) - self
 
     def __mul__(self, other):
         other = self._compat(other)
+        ring = self.ring
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple([a + b for a, b in zip(e1, e2)])
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly._trusted(self.domain, self.variables, terms)
+        get = terms.get
+        rhs = other._terms.items()
+        for e1, c1 in self._terms.items():
+            for e2, c2 in rhs:
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+        if reduce(operator.or_, terms, 0) & ring.guard:
+            raise OverflowError(
+                f"product has an exponent above {MAX_EXPONENT}")
+        return MultiPoly._trusted(ring, terms)
 
     __rmul__ = __mul__
 
@@ -178,42 +285,41 @@ class MultiPoly:
                 other = self._compat(other)
             except (TypeError, ValueError):  # not a constant of this ring
                 return NotImplemented
-        return (self.domain == other.domain
-                and self.variables == other.variables
-                and self.terms == other.terms)
+        return self.ring is other.ring and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.domain, self.variables,
-                     tuple(sorted(self.terms.items()))))
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     # -- calculus and substitution ----------------------------------------
 
     def partial(self, name):
-        idx = self.variables.index(name)
+        ring = self.ring
+        shift = ring.shifts[ring.variables.index(name)]
+        unit = 1 << shift
         terms = {}
-        for e, c in self.terms.items():
-            if e[idx] == 0:
-                continue
-            ne = list(e)
-            ne[idx] -= 1
-            terms[tuple(ne)] = terms.get(tuple(ne), 0) + c * e[idx]
-        return MultiPoly(self.domain, self.variables, terms)
+        for e, c in self._terms.items():
+            k = e >> shift & _FIELD_MASK
+            if k:
+                terms[e - unit] = c * k
+        return MultiPoly._trusted(ring, terms)
 
     def evaluate(self, point):
         """Substitute scalars for all variables; point is a sequence."""
         if len(point) != len(self.variables):
             raise ValueError("point dimension mismatch")
-        total = self.domain.coerce(0)
-        for e, c in self.terms.items():
+        coerce = self.domain.coerce
+        unpack = self.ring.exponents
+        total = coerce(0)
+        for e, c in self._terms.items():
             val = c
-            for x, k in zip(point, e):
+            for x, k in zip(point, unpack(e)):
                 if k:
-                    val = val * self.domain.coerce(x) ** k
+                    val = val * coerce(x) ** k
             total = total + val
-        return self.domain.coerce(total)
+        return coerce(total)
 
     def subs(self, mapping):
         """Substitute polynomials (or scalars) for some variables."""
@@ -240,23 +346,29 @@ class MultiPoly:
 
     def extend_vars(self, variables):
         """Reinterpret in a larger ring containing the old variables."""
-        variables = tuple(variables)
-        idx = [variables.index(v) for v in self.variables]
+        ring = Ring(self.domain, variables)
+        shifts = [ring.shifts[ring.variables.index(v)]
+                  for v in self.variables]
+        unpack = self.ring.exponents
         terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for i, k in zip(idx, e):
-                ne[i] = k
-            terms[tuple(ne)] = c
-        return MultiPoly(self.domain, variables, terms)
+        for e, c in self._terms.items():
+            key = 0
+            for k, s in zip(unpack(e), shifts):
+                key |= k << s
+            terms[key] = c
+        return MultiPoly._wrap(ring, terms)
 
     # -- printing / parsing ------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        """(exponent tuple, coefficient) pairs, lexicographically largest
+        monomial first."""
+        unpack = self.ring.exponents
+        return [(unpack(e), c) for e, c in sorted(self._terms.items(),
+                                                   reverse=True)]
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -358,28 +470,39 @@ def parse_poly(text, variables, domain=ZZ):
 
 
 def divide_exact(f, g):
-    """Quotient q with f = q*g, or None when g does not divide f exactly."""
+    """Quotient q with f = q*g, or None when g does not divide f exactly.
+
+    A leading monomial divides another when the guarded difference
+    (a | guard) - b keeps every guard bit: no field borrows, since each
+    exponent is below the guard."""
+    ring = f.ring
+    if g.ring is not ring:
+        raise DomainMismatch("incompatible polynomial rings")
     if g.is_zero():
-        return MultiPoly.zero(f.domain, f.variables) if f.is_zero() else None
+        return MultiPoly._wrap(ring, {}) if f.is_zero() else None
+    guard = ring.guard
     q_terms = {}
     rem = f
-    lt_e, lt_c = max(g.terms.items(), key=lambda t: t[0])
+    lt_e = max(g._terms)
+    lt_c = g._terms[lt_e]
     while not rem.is_zero():
-        re_, rc = max(rem.terms.items(), key=lambda t: t[0])
-        diff = tuple([a - b for a, b in zip(re_, lt_e)])
-        if any(d < 0 for d in diff):
+        re_ = max(rem._terms)
+        rc = rem._terms[re_]
+        diff = (re_ | guard) - lt_e
+        if diff & guard != guard:
             return None
-        if f.domain.tag == INT:
+        diff ^= guard
+        if ring.domain.tag == INT:
             if rc % lt_c != 0:
                 return None
             qc = rc // lt_c
-        elif f.domain.tag == RAT:
+        elif ring.domain.tag == RAT:
             qc = Fraction(rc) / lt_c
         else:
-            qc = rc * pow(lt_c, -1, f.domain.p)
+            qc = rc * pow(lt_c, -1, ring.p)
         q_terms[diff] = q_terms.get(diff, 0) + qc
-        rem = rem - MultiPoly._trusted(f.domain, f.variables, {diff: qc}) * g
-    return MultiPoly._trusted(f.domain, f.variables, q_terms)
+        rem = rem - MultiPoly._trusted(ring, {diff: qc}) * g
+    return MultiPoly._trusted(ring, q_terms)
 
 
 # -- polynomial matrices ---------------------------------------------------
@@ -395,12 +518,10 @@ class PolyMatrix:
         if len(self.entries) != self.rows or any(
                 len(r) != self.cols for r in self.entries):
             raise ValueError("inconsistent dimensions")
-        ref = self.entries[0][0] if self.rows and self.cols else None
-        if ref is not None:
-            for row in self.entries:
-                for e in row:
-                    if e.domain != ref.domain or e.variables != ref.variables:
-                        raise DomainMismatch("mixed polynomial rings in matrix")
+        if self.rows and self.cols:
+            ring = self.entries[0][0].ring
+            if any(e.ring is not ring for row in self.entries for e in row):
+                raise DomainMismatch("mixed polynomial rings in matrix")
 
     @classmethod
     def from_rows(cls, entries):
@@ -445,9 +566,9 @@ def _minor_table(m):
     if m.rows == 0:
         raise ValueError("empty matrix")
     entries = m.entries
-    ref = entries[0][0]
-    zero = MultiPoly._trusted(ref.domain, ref.variables, {})
-    memo = {((), ()): MultiPoly.const(ref.domain, ref.variables, 1)}
+    ring = entries[0][0].ring
+    zero = MultiPoly._wrap(ring, {})
+    memo = {((), ()): MultiPoly.const(ring.domain, ring.variables, 1)}
 
     def minor(rows, cols):
         key = (rows, cols)
@@ -538,13 +659,13 @@ class BlowupChart:
         hj = h.drop_col(j)
         hcol = h.column(j)
         det, adj = _det_adj(hj)
-        ring = f[0]
+        domain, variables = f[0].domain, f[0].variables
         if self.chart == "s":
-            t = MultiPoly.var(ring.domain, ring.variables, "t")
+            t = MultiPoly.var(domain, variables, "t")
             f_sub = list(f)
             f_sub[j] = t * det
         else:
-            s = MultiPoly.var(ring.domain, ring.variables, "s")
+            s = MultiPoly.var(domain, variables, "s")
             f_sub = [s * fi for fi in f]
             f_sub[j] = det
         others = [fi for k, fi in enumerate(f_sub) if k != j]
@@ -625,16 +746,22 @@ def singular_locus_check(f, expected_locus, trials=10000, p=101, seed=0):
     grads = jacobian(f)
     to_field = GF(p).coerce  # reduces Fraction coefficients exactly
 
-    def eval_mod(poly, pt):
+    def residues(poly):  # (exponent tuple, coefficient mod p) per term
+        unpack = poly.ring.exponents
+        return [(unpack(e), to_field(c)) for e, c in poly._terms.items()]
+
+    def eval_mod(terms, pt):
         total = 0
-        for e, c in poly.terms.items():
-            v = to_field(c)
+        for e, v in terms:
             for x, k in zip(pt, e):
                 if k:
                     v = v * pow(x, k, p) % p
             total = (total + v) % p
         return total
 
+    f_terms = residues(f)
+    grad_terms = [residues(g) for g in grads]
+    cond_terms = [residues(c) for c in poly_conds]
     hits = 0
     mism = 0
     for trial in range(trials):
@@ -653,9 +780,9 @@ def singular_locus_check(f, expected_locus, trials=10000, p=101, seed=0):
             on_locus = False
         else:
             on_locus = all(pt[names.index(nm)] == 0 for nm in zero_vars) and \
-                all(eval_mod(c, pt) == 0 for c in poly_conds)
-        singular = eval_mod(f, pt) == 0 and \
-            all(eval_mod(g, pt) == 0 for g in grads)
+                all(eval_mod(c, pt) == 0 for c in cond_terms)
+        singular = eval_mod(f_terms, pt) == 0 and \
+            all(eval_mod(g, pt) == 0 for g in grad_terms)
         if on_locus:
             hits += 1
         if singular != on_locus:

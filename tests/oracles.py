@@ -23,6 +23,11 @@ Thomas sweep it replaced, `thomas_polarization` the Fraction accumulation
 around it, and `uniform_degree_seed` the seed on the dense `solve` and
 `kernel_basis` with the Fraction congruence diagonalization
 `positive_direction`.
+
+For `MultiPoly`, whose monomials are packed ints in one interned ring,
+`TuplePoly` is the arithmetic on {exponent tuple: coefficient} dicts it
+replaced (`+`, `-`, `*`, negation), with no exponent limit, and
+`tuple_divide_exact` the division on it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from math import lcm
 from sncgeom.lattice import det_int, echelon_mod_p
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, dot)
-from sncgeom.poly import SQUARE, MultiPoly, PolyMatrix, divide_exact
+from sncgeom.poly import (INT, RAT, SQUARE, DomainMismatch, MultiPoly,
+                          PolyMatrix, divide_exact)
 
 
 def _integerize_rows(rows):
@@ -353,6 +359,96 @@ def cofactor_adjugate(m):
 
     return PolyMatrix.from_rows(
         [[cofactor(i, j) for j in range(n)] for i in range(n)])
+
+
+class TuplePoly:
+    """A polynomial as {exponent tuple: coefficient}, compared with the
+    packed `MultiPoly` through its `terms` view."""
+
+    __slots__ = ("domain", "variables", "terms")
+
+    @classmethod
+    def of(cls, f):
+        return cls._trusted(f.domain, f.variables, dict(f.terms))
+
+    @classmethod
+    def _trusted(cls, domain, variables, terms):
+        self = object.__new__(cls)
+        self.domain = domain
+        self.variables = variables
+        p = domain.p
+        if p is None:
+            self.terms = {e: c for e, c in terms.items() if c}
+        else:
+            self.terms = {e: r for e, c in terms.items() if (r := c % p)}
+        return self
+
+    def _compat(self, other):
+        if isinstance(other, TuplePoly):
+            if (other.domain != self.domain
+                    or other.variables != self.variables):
+                raise DomainMismatch("incompatible polynomial rings")
+            return other
+        return TuplePoly._trusted(self.domain, self.variables,
+                                  {(0,) * len(self.variables):
+                                   self.domain.coerce(other)})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._compat(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return TuplePoly._trusted(self.domain, self.variables, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TuplePoly._trusted(self.domain, self.variables,
+                                  {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._compat(other))
+
+    def __mul__(self, other):
+        other = self._compat(other)
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return TuplePoly._trusted(self.domain, self.variables, terms)
+
+    __rmul__ = __mul__
+
+
+def tuple_divide_exact(f, g):
+    """Quotient q with f = q*g of TuplePolys, or None when g does not divide
+    f exactly."""
+    if g.is_zero():
+        return TuplePoly._trusted(f.domain, f.variables, {}) \
+            if f.is_zero() else None
+    q_terms = {}
+    rem = f
+    lt_e, lt_c = max(g.terms.items(), key=lambda t: t[0])
+    while not rem.is_zero():
+        re_, rc = max(rem.terms.items(), key=lambda t: t[0])
+        diff = tuple([a - b for a, b in zip(re_, lt_e)])
+        if any(d < 0 for d in diff):
+            return None
+        if f.domain.tag == INT:
+            if rc % lt_c != 0:
+                return None
+            qc = rc // lt_c
+        elif f.domain.tag == RAT:
+            qc = Fraction(rc) / lt_c
+        else:
+            qc = rc * pow(lt_c, -1, f.domain.p)
+        q_terms[diff] = q_terms.get(diff, 0) + qc
+        rem = rem - TuplePoly._trusted(f.domain, f.variables, {diff: qc}) * g
+    return TuplePoly._trusted(f.domain, f.variables, q_terms)
 
 
 def gaussian_binomial(n, k, p):

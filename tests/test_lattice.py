@@ -259,16 +259,26 @@ def test_readers_match_oracles(rows, combos, draws, consistent):
     if consistent:
         assert lattice.solve(rows, b) is not None
     assert lattice.kernel_basis(rows) == oracles.kernel_basis(rows)
+    # one augmented echelon gives both, whether or not b is in the span
+    assert lattice.solve_and_kernel(rows, b) == (
+        lattice.solve(rows, b), lattice.kernel_basis(rows))
     ints = oracles._integerize_rows(rows)
     assert lattice.smith_normal_form(ints) == \
         oracles.smith_normal_form(ints).diagonal
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        lattice.solve([[1, 2]], [1, 2])
-    with pytest.raises(ValueError):
-        lattice.solve([], [1])
+    for route in (lattice.solve, lattice.solve_and_kernel):
+        with pytest.raises(ValueError):
+            route([[1, 2]], [1, 2])
+        with pytest.raises(ValueError):
+            route([], [1])
+
+
+def test_solve_and_kernel_when_b_is_a_pivot():
+    rows = [[1, 2, 0], [2, 4, 0]]
+    assert lattice.solve_and_kernel(rows, [1, 3]) == (
+        None, lattice.kernel_basis(rows))
 
 
 @settings(max_examples=200, deadline=None)

@@ -218,6 +218,32 @@ def test_uniform_degree_seed_matches_dense_oracle(m):
     assert _seed_or_error(s) == _oracle_seed(s)
 
 
+def test_uniform_degree_seed_runs_one_echelon(monkeypatch):
+    """The solution and the kernel of the degree conditions come from one
+    elimination, also when the seed needs the kernel correction."""
+    calls = []
+    real = lattice._echelon
+
+    def counting(vectors):
+        calls.append(1)
+        return real(vectors)
+
+    monkeypatch.setattr(lattice, "_echelon", counting)
+    corrected = 0
+    for m in range(6, 19):
+        s = picard.cycle_surface(m)
+        calls.clear()
+        seed = _seed_or_error(s)
+        assert len(calls) == 1
+        rows = [[(1 if i == 0 else -1) * c[i] for i in range(s.dim)]
+                for c in s.cycle]
+        sol, kernel = lattice.solve_and_kernel(rows, [1] * s.length)
+        assert kernel == lattice.kernel_basis(rows)
+        corrected += picard.dot(sol, sol) <= 0
+        assert seed == _oracle_seed(s)
+    assert corrected > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 14))
 def test_uniform_degree_seed_matches_dense_oracle_on_random_schedules(

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -163,6 +165,123 @@ def test_trusted_cancellation_mod_p():
     assert all(type(c) is Fraction for c in (q * q + q).terms.values())
     assert_normalised(poly.divide_exact(parse_poly("4*x^2 + 4", XY, GF(5)),
                                         parse_poly("3", XY, GF(5))))
+
+
+# -- packed monomials in one interned ring ----------------------------------
+
+LIMIT = poly.MAX_EXPONENT + 1  # 2**15, the first exponent a field refuses
+PACKED_DOMAINS = (ZZ, QQ, GF(2), GF(5), GF(101))
+# small exponents, sums around 2**15 from two halves, and the top of a field
+EXPONENTS = st.one_of(st.integers(0, 3),
+                      st.integers(LIMIT // 2 - 2, LIMIT // 2 + 1),
+                      st.integers(LIMIT - 4, LIMIT - 1))
+
+
+@st.composite
+def packed_pairs(draw):
+    """(f, g) in one ring of 1-6 variables; g repeats some monomials of f
+    with the coefficient that cancels them, over F_p up to a multiple of
+    p, or doubles them."""
+    domain = draw(st.sampled_from(PACKED_DOMAINS))
+    vs = tuple(f"x{i}" for i in range(draw(st.integers(1, 6))))
+    if domain == QQ:
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        coeffs = st.integers(-12, 12)
+    monomials = st.tuples(*[EXPONENTS] * len(vs))
+    f_terms = draw(st.dictionaries(monomials, coeffs, max_size=5))
+    g_terms = draw(st.dictionaries(monomials, coeffs, max_size=4))
+    f = MultiPoly(domain, vs, f_terms)
+    for e, c in f.terms.items():
+        if draw(st.booleans()):
+            g_terms[e] = draw(st.sampled_from(
+                (-c, c, -c + (domain.p or 0) * draw(st.integers(-2, 2)))))
+    return f, MultiPoly(domain, vs, g_terms)
+
+
+def _overflows(f, g):
+    """Whether some monomial of f times some monomial of g has an exponent
+    above the field: the largest exponents of one variable add up."""
+    if f.is_zero() or g.is_zero():
+        return False
+    return any(max(e[i] for e in f.terms) + max(e[i] for e in g.terms)
+               > poly.MAX_EXPONENT for i in range(len(f.variables)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs(), st.integers(-3, 3))
+def test_packed_arithmetic_matches_tuple_oracle(pair, k):
+    f, g = pair
+    tf, tg = oracles.TuplePoly.of(f), oracles.TuplePoly.of(g)
+    pairs = [(f + g, tf + tg), (f - g, tf - tg), (g - f, tg - tf),
+             (-f, -tf), (f + k, tf + k), (k - f, tf * -1 + k),
+             (f * k, tf * k)]
+    if _overflows(f, g):
+        with pytest.raises(OverflowError):
+            f * g
+    else:
+        pairs.append((f * g, tf * tg))
+        if not g.is_zero():
+            q = poly.divide_exact(f * g, g)
+            assert q == f
+            assert q.terms == oracles.tuple_divide_exact(tf * tg, tg).terms
+    small = all(x <= 3 for h in (f, g) for e in h.terms for x in e)
+    if small:  # a failing division may run through many remainders
+        q, tq = poly.divide_exact(f, g), oracles.tuple_divide_exact(tf, tg)
+        assert (q is None) == (tq is None)
+        if q is not None:
+            pairs.append((q, tq))
+    for packed, tup in pairs:
+        assert packed.terms == tup.terms
+        assert_normalised(packed)
+
+
+def test_constructor_rejects_exponents_outside_the_field():
+    for bad in (-1, LIMIT, 2 ** 40):
+        with pytest.raises(ValueError):
+            MultiPoly(ZZ, XY, {(0, bad): 1})
+    top = MultiPoly(ZZ, XY, {(poly.MAX_EXPONENT, 0): 1})
+    assert top.terms == {(LIMIT - 1, 0): 1}
+    with pytest.raises(ValueError):
+        MultiPoly(ZZ, XY, {(1,): 1})
+
+
+def test_product_across_the_field_raises_overflow():
+    half = MultiPoly(ZZ, ("x", "y", "z"), {(0, LIMIT // 2, 0): 1})
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        half ** 2
+    below = MultiPoly(ZZ, ("x", "y", "z"), {(3, LIMIT // 2 - 1, 2): 1})
+    assert (half * below).terms == {(3, LIMIT - 1, 2): 1}
+
+
+def test_rings_are_interned():
+    assert MultiPoly(ZZ, ["x", "y"]).ring is MultiPoly(ZZ, ("x", "y")).ring
+    assert MultiPoly.var(GF(5), XY, "x").ring is MultiPoly(GF(5), XY).ring
+    assert poly.Ring(QQ, XY) is not poly.Ring(ZZ, XY)
+    x = MultiPoly.var(ZZ, XY, "x")
+    assert x.domain == ZZ and x.variables == XY
+    assert copy.deepcopy(x).ring is x.ring and copy.deepcopy(x) == x
+    with pytest.raises(AttributeError):
+        x.domain = QQ
+    with pytest.raises(TypeError):
+        x.terms[(1, 0)] = 2
+
+
+@pytest.mark.parametrize("a, b", [
+    (MultiPoly.var(GF(5), XY, "x"), MultiPoly.var(GF(7), XY, "x")),
+    (MultiPoly.var(ZZ, ("x", "y"), "x"), MultiPoly.var(ZZ, ("y", "x"), "x")),
+])
+def test_domain_mismatch(a, b):
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(poly.DomainMismatch):
+            op(a, b)
+    with pytest.raises(poly.DomainMismatch):
+        poly.divide_exact(a, b)
+    with pytest.raises(poly.DomainMismatch):
+        PolyMatrix.from_rows([[a, b]])
+    assert a != b
 
 
 # -- coefficients are exact ------------------------------------------------
