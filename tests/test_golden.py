@@ -32,7 +32,13 @@ CASES = {"glue": {name: ["glue", name] for name in SURFACES},
          "fano": {"zr_r0": ["fano", "--kind", "zr", "--r", "0"],
                   "zr_r1": ["fano", "--kind", "zr", "--r", "1"],
                   "zrs_r1_s2": ["fano", "--kind", "zrs", "--r", "1",
-                                "--s", "2"]},
+                                "--s", "2"],
+                  # the widest configurations of the benchmark's fano workload
+                  "zr_r8": ["fano", "--kind", "zr", "--r", "8"],
+                  "zrs_r6_s0": ["fano", "--kind", "zrs", "--r", "6",
+                                "--s", "0"],
+                  "zrs_r0_s4": ["fano", "--kind", "zrs", "--r", "0",
+                                "--s", "4"]},
          "verify": {"all_seed0": ["verify", "--suite", "all", "--seed", "0"]},
          "surface": {"schedule_standard": ["surface", "--schedule",
                                            "standard"],
