@@ -134,7 +134,7 @@ def cmd_fano(args):
         "command": f"fano {args.kind} r={args.r}"
                    + (f" s={args.s}" if args.kind == "zrs" else ""),
         "h0_table": {str(m): v for m, v in table.items()},
-        "embedding_dimension": fano.embedding_dimension(z),
+        "embedding_dimension": table[1],
         "degree_one_generation": gen,
         "node_multiplicity": m_node,
         "class_rank_bound": chain.class_rank_bound,

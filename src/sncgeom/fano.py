@@ -6,7 +6,9 @@ i + j + k = a and al + be = b + k r; the divisor S = (w = 0) is P^1 x P^1.
 The glued 3-folds identify S across two components and their sections are
 pairs agreeing on S. The joint restriction matrix has at most one nonzero
 per column, so its rank and kernel come from bucketing columns by their
-restriction; products of sections go through an exact sparse rank.
+restriction. Products of sections are ranked exactly on packed integer
+columns: each exponent in a field wide enough for twice the largest exponent
+of the factors, the side above them, so a product column is one int add.
 """
 
 from __future__ import annotations
@@ -229,25 +231,46 @@ def glued_basis(z, m):
     return out
 
 
-def _mul_monomial_dicts(f, g):
+def _pack(section, width, side_shift):
+    """A glued section as one {column: int} dict. A column holds the
+    exponents in `width`-bit fields, the first exponent highest, and the
+    side (0 left, 1 right) in the field from bit `side_shift` up, so column
+    order is (side, monomial) order. A product column is one add, and a
+    product of right-side terms carries side 2."""
     out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple([a + b for a, b in zip(e1, e2)])
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    for side, poly in enumerate(section):
+        for mono, c in poly.items():
+            col = 0
+            for e in mono:
+                col = (col << width) | e
+            out[(side << side_shift) | col] = c
+    return out
 
 
 def _product_rank(pairs, bound):
-    """Exact rank of the products of pairs of glued sections, each a sparse
-    {(side, monomial): int} vector; exact duplicates are dropped. A rank
-    above `bound`, the glued h0 of the target degree, means the products
-    left the glued section space."""
+    """Exact rank of the products of pairs of glued sections, each product
+    a sparse {column: int} vector over packed columns; exact duplicates are
+    dropped. A rank above `bound`, the glued h0 of the target degree, means
+    the products left the glued section space.
+
+    Each distinct section is packed once. The field width holds twice the
+    largest exponent, so no product carries into the next field."""
+    sections = {id(s): s for pair in pairs for s in pair}
+    monos = [mono for section in sections.values() for poly in section
+             for mono in poly]
+    width = (2 * max(map(max, monos), default=0)).bit_length()
+    side_shift = width * max(map(len, monos), default=0)
+    packed = {key: _pack(s, width, side_shift)
+              for key, s in sections.items()}
     vectors = {}
-    for (l1, r1), (l2, r2) in pairs:
-        vec = {(0, e): c for e, c in _mul_monomial_dicts(l1, l2).items()}
-        for e, c in _mul_monomial_dicts(r1, r2).items():
-            vec[(1, e)] = c
+    for f, g in pairs:
+        vec = {}
+        for e1, c1 in packed[id(f)].items():
+            for e2, c2 in packed[id(g)].items():
+                if e1 >> side_shift == e2 >> side_shift:
+                    e = e1 + e2
+                    vec[e] = vec.get(e, 0) + c1 * c2
+        vec = {e: c for e, c in vec.items() if c}
         vectors[frozenset(vec.items())] = vec
     rank = lattice.sparse_rank(vectors.values())
     if rank > bound:
@@ -255,32 +278,32 @@ def _product_rank(pairs, bound):
     return rank
 
 
+def _unordered_pairs(basis):
+    n = len(basis)
+    return [(basis[i], basis[j]) for i in range(n) for j in range(i, n)]
+
+
 def degree_one_generation(z, m_max):
     """True when multiplication out of degree 1 is onto through m_max."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     b1 = glued_basis(z, 1)
-    bm = b1
-    for m in range(1, m_max):
-        target = glued_h0(z, m + 1)
-        pairs = [(s1, s2) for s1 in b1 for s2 in bm]
+    pairs = _unordered_pairs(b1)
+    for m in range(2, m_max + 1):
+        target = glued_h0(z, m)
         if _product_rank(pairs, target) != target:
             return False
-        bm = glued_basis(z, m + 1)
+        if m < m_max:
+            bm = glued_basis(z, m)
+            pairs = [(s1, s2) for s1 in b1 for s2 in bm]
     return True
-
-
-def embedding_dimension(z):
-    return glued_h0(z, 1)
 
 
 def quadric_kernel_dim(z):
     """dim ker(Sym^2 H^0(L) -> H^0(L^2)): the number of independent
     quadrics through the image of the degree-1 embedding."""
-    b1 = glued_basis(z, 1)
-    n = len(b1)
-    pairs = [(b1[i], b1[j]) for i in range(n) for j in range(i, n)]
-    return comb(n + 1, 2) - _product_rank(pairs, glued_h0(z, 2))
+    pairs = _unordered_pairs(glued_basis(z, 1))
+    return len(pairs) - _product_rank(pairs, glued_h0(z, 2))
 
 
 def restriction_surjective(r, a, b):

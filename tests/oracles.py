@@ -28,6 +28,10 @@ For `MultiPoly`, whose monomials are packed ints in one interned ring,
 `TuplePoly` is the arithmetic on {exponent tuple: coefficient} dicts it
 replaced (`+`, `-`, `*`, negation), with no exponent limit, and
 `tuple_divide_exact` the division on it.
+
+For the Fano section products, which the library ranks on packed integer
+columns, `tuple_product_rank` is the route on (side, exponent tuple)
+columns it replaced, with `mul_monomial_dicts` its product.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
-from sncgeom.lattice import det_int, echelon_mod_p
+from sncgeom.lattice import det_int, echelon_mod_p, sparse_rank
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, dot)
 from sncgeom.poly import (INT, RAT, SQUARE, DomainMismatch, MultiPoly,
@@ -592,3 +596,29 @@ def thomas_polarization(s, seed_ample):
     if dot(h, h) <= 0:
         raise InvariantError("polarization has non-positive square")
     return tuple(h)
+
+
+def mul_monomial_dicts(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple([a + b for a, b in zip(e1, e2)])
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_product_rank(pairs, bound):
+    """Exact rank of the products of pairs of glued sections, each a sparse
+    {(side, monomial): int} vector; exact duplicates are dropped. A rank
+    above `bound`, the glued h0 of the target degree, means the products
+    left the glued section space."""
+    vectors = {}
+    for (l1, r1), (l2, r2) in pairs:
+        vec = {(0, e): c for e, c in mul_monomial_dicts(l1, l2).items()}
+        for e, c in mul_monomial_dicts(r1, r2).items():
+            vec[(1, e)] = c
+        vectors[frozenset(vec.items())] = vec
+    rank = sparse_rank(vectors.values())
+    if rank > bound:
+        raise AssertionError("products leave the glued section space")
+    return rank

@@ -136,6 +136,12 @@ def test_verify_and_glue_reports_survive_python_O(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_fano_report_survives_python_O():
+    reports = json_reports("fano", "--kind", "zrs", "--r", "6", "--s", "0")
+    assert reports[0]["degree_one_generation"] is True
+    assert reports[0] == reports[1]
+
+
 def test_fano_zr(capsys):
     code, out = run(capsys, "--json", "fano", "--kind", "zr", "--r", "0",
                     "--mmax", "2")

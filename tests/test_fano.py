@@ -1,6 +1,8 @@
 from math import comb, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sncgeom import fano, lattice
@@ -264,6 +266,51 @@ def test_product_rank_drops_only_exact_duplicates():
     # s1 * s1 and s1 * s2 share their support but not their coefficients
     s1, s2 = ({(1, 0): 1}, {(0, 1): 1}), ({(1, 0): 1}, {(0, 1): -1})
     assert fano._product_rank([(s1, s1), (s1, s2), (s1, s1)], 2) == 2
+
+
+# exponents near 0, across 2^8 and across 2^12, so that sums cross field
+# widths a fixed packing would pick
+EXPONENT = st.one_of(st.integers(0, 3), st.integers(250, 260),
+                     st.integers(4090, 4100))
+COEFFICIENT = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def section_lists(draw):
+    """1-5 glued sections; each side draws its at most two terms from a
+    small pool of 4- or 5-tuple exponents, so that products meet."""
+    sides = []
+    for _ in range(2):
+        n = draw(st.sampled_from([4, 5]))
+        pool = draw(st.lists(st.tuples(*[EXPONENT] * n), min_size=1,
+                             max_size=4))
+        sides.append(st.dictionaries(st.sampled_from(pool), COEFFICIENT,
+                                     max_size=2))
+    return draw(st.lists(st.tuples(*sides), min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(section_lists())
+def test_product_rank_matches_tuple_route(sections):
+    pairs = [(f, g) for f in sections for g in sections]
+    assert (fano._product_rank(pairs, len(pairs))
+            == oracles.tuple_product_rank(pairs, len(pairs)))
+
+
+def unit_section(side, mono):
+    return ({mono: 1}, {}) if side == 0 else ({}, {mono: 1})
+
+
+def test_product_exponents_past_8_bits_keep_their_columns():
+    # 200 + 100 = 300 would carry out of an 8-bit field and land on the
+    # column of (44, 1), or of (1, 44) with the fields in the other order
+    pairs = []
+    for side in (0, 1):
+        pairs += [(unit_section(side, a), unit_section(side, b))
+                  for a, b in (((200, 0), (100, 0)), ((0, 200), (0, 100)),
+                               ((44, 1), (0, 0)), ((1, 44), (0, 0)))]
+    assert fano._product_rank(pairs, 8) == 8
+    assert oracles.tuple_product_rank(pairs, 8) == 8
 
 
 def test_glued_h0_guard_fires(monkeypatch):
