@@ -162,10 +162,9 @@ def cmd_resolve(args):
         chain = resolution.build_chain(args.m, *h2)
     except resolution.AssumptionViolated as exc:
         return _fail(f"assumption violated: {exc}")
-    trace = resolution.local_model_trace(args.m, args.variant)
     report = {
         "command": f"resolve m={args.m} variant={args.variant}",
-        "local_multiplicities": [mo.multiplicity for mo in trace],
+        "local_multiplicities": [step[0] for step in chain.trace[:-1]],
         "steps": [str(step) for step in chain.trace],
         "members": [{"kind": e.kind, "h2": e.h2} for e in chain.members],
         "h2_formula": chain.h2_total,

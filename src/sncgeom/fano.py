@@ -218,16 +218,17 @@ def glued_basis(z, m):
     unit section per column that vanishes on S, then the signed consecutive
     differences inside each restriction bucket."""
     _, _, buckets, vanishing = _buckets(z, m)
-    vectors = [[(col, 1)] for col in vanishing]
-    for cols in buckets.values():
-        for (c1, s1), (c2, s2) in zip(cols, cols[1:]):
-            vectors.append([(c1, s1), (c2, -s2)])
     out = []
-    for vec in vectors:
+    for side, mono in vanishing:
         section = ({}, {})
-        for (side, mono), c in vec:
-            section[side][mono] = c
+        section[side][mono] = 1
         out.append(section)
+    for cols in buckets.values():
+        for ((side1, mono1), s1), ((side2, mono2), s2) in zip(cols, cols[1:]):
+            section = ({}, {})
+            section[side1][mono1] = s1
+            section[side2][mono2] = -s2
+            out.append(section)
     return out
 
 

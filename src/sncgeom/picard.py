@@ -204,10 +204,13 @@ def is_negative_definite(s, exclude):
                        [0] * s.length) is not None
 
 
-def _numerators(v):
-    """A vector of ints and Fractions as (numerators, common denominator)."""
-    d = lcm(*[x.denominator for x in v])
-    return [x.numerator * (d // x.denominator) for x in v], d
+def clear_denominators(h):
+    """(d h, d) for a class h of ints and Fractions, d the least common
+    denominator of its entries. d h is primitive when h has degree 1 on some
+    integral class, since a common factor g of d h then divides d and
+    (d / g) h is integral; not in general: (2/3, 4/3) gives ((2, 4), 3)."""
+    d = lcm(*[x.denominator for x in h])
+    return tuple([x.numerator * (d // x.denominator) for x in h]), d
 
 
 def _reduced(num, den):
@@ -221,7 +224,7 @@ def _positive_direction(vectors):
     as (integer numerators, denominator), or None; exact symmetric
     congruence diagonalization. A pivot B with q = B.B < 0 takes V / d to
     ((V.B) B - q V) / (-q d)."""
-    basis = [_numerators(v) for v in vectors]
+    basis = [clear_denominators(v) for v in vectors]
     while basis:
         piv = next((i for i, (b, _) in enumerate(basis) if dot(b, b) != 0),
                    None)
@@ -262,7 +265,7 @@ def uniform_degree_seed(s):
     sol, kernel = lattice.solve_and_kernel(rows, [Fraction(1)] * s.length)
     if sol is None:
         raise NoAmpleSeed("no class of uniform degree 1 on the cycle")
-    num, den = _numerators(sol)
+    num, den = clear_denominators(sol)
     if dot(num, num) <= 0:
         found = _positive_direction(kernel)
         if found is None:
@@ -327,12 +330,3 @@ def degree_one_polarization(s, seed_ample):
     if dot(num, num) <= 0:
         raise InvariantError("polarization has non-positive square")
     return tuple([Fraction(x, den) for x in num])
-
-
-def clear_denominators(h):
-    """Scale a Q-class to a primitive integral line bundle class.
-
-    Returns (integral class, scale factor)."""
-    fr = [Fraction(x) for x in h]
-    mult = lcm(*[f.denominator for f in fr])
-    return tuple([int(f * mult) for f in fr]), mult

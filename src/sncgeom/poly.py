@@ -646,6 +646,7 @@ class BlowupChart:
     _f: list = field(repr=False, default=None)
     _h: PolyMatrix = field(repr=False, default=None)
     _det: MultiPoly = field(repr=False, default=None)  # det(H_j)
+    _adj: PolyMatrix = field(repr=False, default=None)  # adj(H_j)
 
     def verify(self):
         """Check the divisibility postcondition exactly.
@@ -653,12 +654,13 @@ class BlowupChart:
         Multiplying the original system (with f_j eliminated through the
         exceptional relation) by adj(H_j) yields det(H_j) times the chart
         equations; equivalently each component is divisible by det(H_j)
-        with quotient the corresponding chart equation.
+        with quotient the corresponding chart equation. det(H_j) and
+        adj(H_j) are the ones `blowup_chart` computed.
         """
         f, h, j = self._f, self._h, self.chart_index - 1
         hj = h.drop_col(j)
         hcol = h.column(j)
-        det, adj = _det_adj(hj)
+        det, adj = self._det, self._adj
         domain, variables = f[0].domain, f[0].variables
         if self.chart == "s":
             t = MultiPoly.var(domain, variables, "t")
@@ -710,85 +712,8 @@ def blowup_chart(f, h, j, chart="s"):
         eqs = [u * fi + c for fi, c in zip(fprime, adj_h)]
         exc = u * fx[jj] - det
     return BlowupChart(chart_index=j, chart=chart, equations=eqs,
-                       exceptional_equation=exc, _f=fx, _h=hx, _det=det)
-
-
-def jacobian(f):
-    return [f.partial(v) for v in f.variables]
-
-
-@dataclass
-class SingularLocusReport:
-    ok: bool
-    trials: int
-    on_locus_hits: int
-    mismatches: int
-
-
-def singular_locus_check(f, expected_locus, trials=10000, p=101, seed=0):
-    """Probabilistic audit that {f = grad f = 0} equals the expected locus.
-
-    expected_locus: None for the empty locus, else a list of conditions,
-    each a variable name (meaning var = 0) or a MultiPoly (meaning poly = 0).
-    Set-theoretic vanishing only; points are sampled over F_p, half of them
-    with the zero-constrained variables forced to 0.
-    """
-    rng = random.Random(seed)
-    names = f.variables
-    zero_vars = set()
-    poly_conds = []
-    if expected_locus is not None:
-        for cond in expected_locus:
-            if isinstance(cond, str):
-                zero_vars.add(cond)
-            else:
-                poly_conds.append(cond)
-    grads = jacobian(f)
-    to_field = GF(p).coerce  # reduces Fraction coefficients exactly
-
-    def residues(poly):  # (exponent tuple, coefficient mod p) per term
-        unpack = poly.ring.exponents
-        return [(unpack(e), to_field(c)) for e, c in poly._terms.items()]
-
-    def eval_mod(terms, pt):
-        total = 0
-        for e, v in terms:
-            for x, k in zip(pt, e):
-                if k:
-                    v = v * pow(x, k, p) % p
-            total = (total + v) % p
-        return total
-
-    f_terms = residues(f)
-    grad_terms = [residues(g) for g in grads]
-    cond_terms = [residues(c) for c in poly_conds]
-    hits = 0
-    mism = 0
-    for trial in range(trials):
-        pt = [rng.randrange(p) for _ in names]
-        if trial % 2 == 0:
-            if expected_locus is None:
-                # probe coordinate subspaces so small loci are not missed
-                for i in range(len(names)):
-                    if rng.random() < 0.5:
-                        pt[i] = 0
-            else:
-                for i, nm in enumerate(names):
-                    if nm in zero_vars:
-                        pt[i] = 0
-        if expected_locus is None:
-            on_locus = False
-        else:
-            on_locus = all(pt[names.index(nm)] == 0 for nm in zero_vars) and \
-                all(eval_mod(c, pt) == 0 for c in cond_terms)
-        singular = eval_mod(f_terms, pt) == 0 and \
-            all(eval_mod(g, pt) == 0 for g in grad_terms)
-        if on_locus:
-            hits += 1
-        if singular != on_locus:
-            mism += 1
-    return SingularLocusReport(ok=mism == 0, trials=trials,
-                               on_locus_hits=hits, mismatches=mism)
+                       exceptional_equation=exc, _f=fx, _h=hx, _det=det,
+                       _adj=adj)
 
 
 # -- determinantal codimension estimation ----------------------------------
@@ -880,6 +805,17 @@ def _random_poly(rng, domain, variables, degree=2, nterms=3, coeff=5):
     return MultiPoly(domain, variables, terms)
 
 
+def _random_system(rng, variables, n):
+    """(f, h) over ZZ: n polynomials f of degree <= 2 and an (n-1) x n
+    matrix h of entries of degree <= 1, h drawn first."""
+    h = PolyMatrix.from_rows(
+        [[_random_poly(rng, ZZ, variables, degree=1, nterms=2)
+          for _ in range(n)] for _ in range(n - 1)])
+    f = [_random_poly(rng, ZZ, variables, degree=2, nterms=2)
+         for _ in range(n)]
+    return f, h
+
+
 def fuzz_adjugate(cases=200, seed=0, max_size=4):
     """adjugate(M) . M = det(M) . I on random polynomial matrices."""
     rng = random.Random(seed)
@@ -908,12 +844,7 @@ def fuzz_adjoint_relation(cases=200, seed=0):
     variables = ("x1", "x2", "x3", "x4")
     failures = 0
     for _ in range(cases):
-        n = rng.randint(2, 4)
-        h = PolyMatrix.from_rows(
-            [[_random_poly(rng, ZZ, variables, degree=1, nterms=2)
-              for _ in range(n)] for _ in range(n - 1)])
-        f = [_random_poly(rng, ZZ, variables, degree=2, nterms=2)
-             for _ in range(n)]
+        f, h = _random_system(rng, variables, rng.randint(2, 4))
         res = derive_adjoint_relation(h, f)
         if any(not r.is_zero() for r in res):
             failures += 1
@@ -926,13 +857,8 @@ def fuzz_blowup_charts(cases=100, seed=0):
     variables = ("x1", "x2", "x3")
     failures = 0
     for _ in range(cases):
-        n = rng.randint(2, 3)
-        h = PolyMatrix.from_rows(
-            [[_random_poly(rng, ZZ, variables, degree=1, nterms=2)
-              for _ in range(n)] for _ in range(n - 1)])
-        f = [_random_poly(rng, ZZ, variables, degree=2, nterms=2)
-             for _ in range(n)]
-        j = rng.randint(1, n)
+        f, h = _random_system(rng, variables, rng.randint(2, 3))
+        j = rng.randint(1, h.cols)
         chart = rng.choice(("s", "t"))
         ch = blowup_chart(f, h, j, chart)
         if ch._det.is_zero():

@@ -51,17 +51,6 @@ class LocalModel:
             raise ValueError("variant must be 'plain' or 'twisted'")
 
 
-def local_model_trace(m, variant=PLAIN):
-    """Multiplicity sequence m, m-2, ... down to 2 or 1; variant is kept."""
-    out = []
-    model = LocalModel(m, variant)
-    while True:
-        out.append(model)
-        if model.multiplicity <= 2:
-            return out
-        model = LocalModel(model.multiplicity - 2, variant)
-
-
 def resolve_local(model):
     """Blow-up steps resolving the local model.
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -171,6 +172,22 @@ def test_resolve(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["h2_formula"] == data["h2_members"] == 6
+
+
+@pytest.mark.parametrize("variant", ["plain", "twisted"])
+def test_resolve_local_multiplicities(capsys, variant):
+    """m, m - 2, ... down to 2 or 1, the multiplicities the steps start
+    from, for every m beyond the golden reports' m <= 7."""
+    for m in range(1, 26):
+        code, out = run(capsys, "--json", "resolve", "--m", str(m),
+                        "--variant", variant, "--h2", "1,2,1,2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["local_multiplicities"] == list(range(m, 0, -2))
+        steps = [ast.literal_eval(step) for step in data["steps"]]
+        assert steps[-1] == ("smooth",)
+        assert [step[0] for step in steps[:-1]] \
+            == data["local_multiplicities"]
 
 
 def test_resolve_bad_h2(capsys):

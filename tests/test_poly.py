@@ -472,45 +472,19 @@ def test_one_minor_table_per_determinant_and_adjugate(monkeypatch):
     assert tables == [2]
     tables.clear()
     assert ch.verify()
-    assert tables == [2]
-    tables.clear()
+    assert tables == []  # verify reads the chart's det and adj
     assert poly.fuzz_adjugate(cases=9, seed=4) == 0
     assert len(tables) == 9
     tables.clear()
-    # one table per chart and one per verify; degenerate charts skip verify
+    # one table per chart, none per verify
     assert poly.fuzz_blowup_charts(cases=40, seed=3) == 0
-    assert len(tables) <= 2 * 40
+    assert len(tables) == 40
 
 
 def test_blowup_chart_bad_dimensions():
     h = _matrix([["x1", "x2"]])
     with pytest.raises(ValueError):
         poly.blowup_chart([P("x1")], h, 1)
-
-
-def test_singular_locus_cone():
-    f = P("x1^2 + x2^2 + x3^2")
-    rep = poly.singular_locus_check(f, ["x1", "x2", "x3"],
-                                    trials=2000, seed=1)
-    assert rep.ok and rep.on_locus_hits > 0
-
-
-def test_singular_locus_smooth():
-    f = parse_poly("x1*x2 - 1", ("x1", "x2"))
-    rep = poly.singular_locus_check(f, None, trials=2000, seed=1)
-    assert rep.ok
-
-
-def test_singular_locus_detects_wrong_claim():
-    f = P("x1^2 + x2^2 + x3^2")
-    rep = poly.singular_locus_check(f, None, trials=2000, seed=1)
-    assert not rep.ok  # the origin is singular but was claimed smooth
-
-
-def test_singular_locus_with_rational_coefficients():
-    f = parse_poly("x1^2 + 1", ("x1", "x2"), QQ)
-    for g in (f, f * Fraction(1, 2)):  # the same hypersurface, smooth
-        assert poly.singular_locus_check(g, None, trials=200, seed=0).ok
 
 
 def test_codim_estimates():

@@ -19,14 +19,6 @@ def test_local_model_validation():
         R.LocalModel(2, "spiral")
 
 
-def test_local_model_trace():
-    trace = R.local_model_trace(7)
-    assert [m.multiplicity for m in trace] == [7, 5, 3, 1]
-    trace = R.local_model_trace(2, R.TWISTED)
-    assert [m.multiplicity for m in trace] == [2]
-    assert all(m.variant == R.TWISTED for m in trace)
-
-
 def test_resolve_local_rules():
     steps = R.resolve_local(R.LocalModel(5))
     assert steps[-1] == (R.SMOOTH,)
