@@ -92,6 +92,30 @@ def test_divide_exact_integer_content():
     assert poly.divide_exact(f, parse_poly("2", ("x1",), QQ)) is not None
 
 
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF(5)])
+def test_divide_exact_raises_when_a_shifted_term_leaves_the_field(domain):
+    """x*y^20000 / (x + y^20000): the first quotient term y^20000 shifts the
+    non-leading term y^20000 of g to y^40000, past its field."""
+    f = MultiPoly(domain, ("x", "y"), {(1, 20000): 1})
+    g = MultiPoly(domain, ("x", "y"), {(1, 0): 1, (0, 20000): 1})
+    with pytest.raises(OverflowError):
+        poly.divide_exact(f, g)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(2), GF(5), GF(101)])
+@pytest.mark.parametrize("f, g", [
+    ("x^2 + 1", "x + y"),          # stops at the remainder y^2 + 1
+    ("x*y + 1", "y + 1"),          # stops at the remainder 1 - x
+    ("y^2 + x", "y"),              # the leading monomial x is not y times
+    ("x^3*y + x*y^2 + y", "x*y + 1"),
+])
+def test_failing_division_matches_tuple_oracle(domain, f, g):
+    f, g = parse_poly(f, ("x", "y"), domain), parse_poly(g, ("x", "y"), domain)
+    assert poly.divide_exact(f, g) is None
+    tf, tg = oracles.TuplePoly.of(f), oracles.TuplePoly.of(g)
+    assert oracles.tuple_divide_exact(tf, tg) is None
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_divide_exact_of_product(seed):
