@@ -12,6 +12,12 @@ vectors", 2007). The top bit of each field is a guard: exponents lie in
 [0, MAX_EXPONENT] = [0, 2**15 - 1], the constructor rejects any other with
 ValueError, and a product with a larger exponent raises OverflowError.
 `MultiPoly.terms` is a read-only {exponent tuple: coefficient} view.
+
+Every sum of products (a product, matrix products, minor expansions, the
+adjugate identities and the chart equations) runs in `_sum_of_products`:
+one accumulator dict per result, one guard check over its keys and one
+normalisation, not a polynomial per partial product. `divide_exact` keeps
+its remainder in one dict and subtracts each quotient term times g in place.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import log
 from types import MappingProxyType
 
 from . import lattice
@@ -34,6 +39,7 @@ PRIME_FIELD = "gf"
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+_OVERFLOW = f"product has an exponent above {MAX_EXPONENT}"
 
 
 class DomainMismatch(ValueError):
@@ -255,19 +261,7 @@ class MultiPoly:
         return self._compat(other) - self
 
     def __mul__(self, other):
-        other = self._compat(other)
-        ring = self.ring
-        terms = {}
-        get = terms.get
-        rhs = other._terms.items()
-        for e1, c1 in self._terms.items():
-            for e2, c2 in rhs:
-                e = e1 + e2
-                terms[e] = get(e, 0) + c1 * c2
-        if reduce(operator.or_, terms, 0) & ring.guard:
-            raise OverflowError(
-                f"product has an exponent above {MAX_EXPONENT}")
-        return MultiPoly._trusted(ring, terms)
+        return _sum_of_products(self.ring, ((1, self, self._compat(other)),))
 
     __rmul__ = __mul__
 
@@ -397,6 +391,29 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+_PLUS = itertools.repeat(1)  # the sign of every triple of a plain sum
+
+
+def _sum_of_products(ring, triples):
+    """sum(sign * a * b) over (sign, a, b) triples in `ring`, sign 1 or -1,
+    in one accumulator dict. Its keys, which stay when their coefficients
+    cancel, get one guard-bit check; its coefficients one normalisation."""
+    terms = {}
+    get = terms.get
+    for sign, a, b in triples:
+        if a.ring is not ring or b.ring is not ring:
+            raise DomainMismatch("incompatible polynomial rings")
+        rhs = b._terms.items()
+        for e1, c1 in a._terms.items():
+            c1 *= sign
+            for e2, c2 in rhs:
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+    if reduce(operator.or_, terms, 0) & ring.guard:
+        raise OverflowError(_OVERFLOW)
+    return MultiPoly._trusted(ring, terms)
+
+
 _TOKEN = re.compile(r"\s*([a-z][a-z0-9]*|\d+|[-+*^()])")
 
 
@@ -474,34 +491,48 @@ def divide_exact(f, g):
 
     A leading monomial divides another when the guarded difference
     (a | guard) - b keeps every guard bit: no field borrows, since each
-    exponent is below the guard."""
+    exponent is below the guard. The remainder is one dict: each step pops
+    its leading term and subtracts q_c * x^diff times the rest of g in
+    place, raising OverflowError on a shifted monomial past its field."""
     ring = f.ring
     if g.ring is not ring:
         raise DomainMismatch("incompatible polynomial rings")
     if g.is_zero():
         return MultiPoly._wrap(ring, {}) if f.is_zero() else None
-    guard = ring.guard
+    guard, p, tag = ring.guard, ring.p, ring.domain.tag
     q_terms = {}
-    rem = f
+    rem = dict(f._terms)
+    get = rem.get
     lt_e = max(g._terms)
     lt_c = g._terms[lt_e]
-    while not rem.is_zero():
-        re_ = max(rem._terms)
-        rc = rem._terms[re_]
+    tail = [(e, c) for e, c in g._terms.items() if e != lt_e]
+    while rem:
+        re_ = max(rem)
+        rc = rem.pop(re_)
         diff = (re_ | guard) - lt_e
         if diff & guard != guard:
             return None
         diff ^= guard
-        if ring.domain.tag == INT:
+        if tag == INT:
             if rc % lt_c != 0:
                 return None
             qc = rc // lt_c
-        elif ring.domain.tag == RAT:
-            qc = Fraction(rc) / lt_c
+        elif tag == RAT:
+            qc = rc / lt_c
         else:
-            qc = rc * pow(lt_c, -1, ring.p)
-        q_terms[diff] = q_terms.get(diff, 0) + qc
-        rem = rem - MultiPoly._trusted(ring, {diff: qc}) * g
+            qc = rc * pow(lt_c, -1, p) % p
+        q_terms[diff] = qc
+        for e, c in tail:
+            e += diff
+            if e & guard:
+                raise OverflowError(_OVERFLOW)
+            s = get(e, 0) - qc * c
+            if p is not None:
+                s %= p
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
     return MultiPoly._trusted(ring, q_terms)
 
 
@@ -536,20 +567,16 @@ class PolyMatrix:
         return [row[j] for row in self.entries]
 
     def mul_vec(self, vec):
-        return [sum((e * v for e, v in zip(row, vec)),
-                    start=row[0] * 0) for row in self.entries]
+        return [_sum_of_products(row[0].ring, zip(_PLUS, row, vec))
+                for row in self.entries]
 
     def matmul(self, other):
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix.from_rows(out)
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        cols = list(zip(*other.entries))
+        return PolyMatrix.from_rows(
+            [[_sum_of_products(row[0].ring, zip(_PLUS, row, col))
+              for col in cols] for row in self.entries])
 
 
 def _minor_table(m):
@@ -567,7 +594,6 @@ def _minor_table(m):
         raise ValueError("empty matrix")
     entries = m.entries
     ring = entries[0][0].ring
-    zero = MultiPoly._wrap(ring, {})
     memo = {((), ()): MultiPoly.const(ring.domain, ring.variables, 1)}
 
     def minor(rows, cols):
@@ -575,14 +601,9 @@ def _minor_table(m):
         if key in memo:
             return memo[key]
         row, rest = entries[rows[0]], rows[1:]
-        acc = zero
-        for s, j in enumerate(cols):
-            e = row[j]
-            if e.is_zero():
-                continue
-            term = e * minor(rest, cols[:s] + cols[s + 1:])
-            acc = acc - term if s % 2 else acc + term
-        memo[key] = acc
+        acc = memo[key] = _sum_of_products(ring, [
+            (-1 if s % 2 else 1, row[j], minor(rest, cols[:s] + cols[s + 1:]))
+            for s, j in enumerate(cols) if row[j]._terms])
         return acc
 
     return minor
@@ -631,10 +652,18 @@ def derive_adjoint_relation(h, f):
     hcol = h.column(n - 1)
     det, adj = _det_adj(hn)
     fprime, fn = f[:-1], f[-1]
-    left = [det * fi + fn * c for fi, c in zip(fprime, adj.mul_vec(hcol))]
-    inner = [hi + fn * hc for hi, hc in zip(hn.mul_vec(fprime), hcol)]
-    right = adj.mul_vec(inner)
+    left = [_sum_of_products(fn.ring, ((1, det, fi), (1, fn, c)))
+            for fi, c in zip(fprime, adj.mul_vec(hcol))]
+    right = adj.mul_vec(_lifted_system(hn, fprime, fn, hcol))
     return [a - b for a, b in zip(left, right)]
+
+
+def _lifted_system(hj, others, fj, hcol):
+    """H_j f' + f_j h_col, one accumulator per entry: the vector that both
+    adjugate checks multiply by adj(H_j)."""
+    ring = fj.ring
+    return [_sum_of_products(ring, [*zip(_PLUS, row, others), (1, fj, hc)])
+            for row, hc in zip(hj.entries, hcol)]
 
 
 @dataclass
@@ -671,9 +700,7 @@ class BlowupChart:
             f_sub = [s * fi for fi in f]
             f_sub[j] = det
         others = [fi for k, fi in enumerate(f_sub) if k != j]
-        system = [hi + f_sub[j] * hc
-                  for hi, hc in zip(hj.mul_vec(others), hcol)]
-        lifted = adj.mul_vec(system)
+        lifted = adj.mul_vec(_lifted_system(hj, others, f_sub[j], hcol))
         for comp, eq in zip(lifted, self.equations):
             q = divide_exact(comp, det)
             if q is None or not (q - eq).is_zero():
@@ -702,15 +729,16 @@ def blowup_chart(f, h, j, chart="s"):
         [[e.extend_vars(variables) for e in row] for row in h.entries])
     jj = j - 1
     det, adj = _det_adj(hx.drop_col(jj))
-    u = MultiPoly.var(fx[0].domain, variables, other)
+    ring = fx[0].ring
+    u = MultiPoly.var(ring.domain, variables, other)
+    one = MultiPoly.const(ring.domain, variables, 1)
+    # chart s: f' + u adj(H_j) h_col and f_j - u det(H_j);
+    # chart t: u f' + adj(H_j) h_col and u f_j - det(H_j)
+    a, b = (one, u) if chart == "s" else (u, one)
     fprime = [fi for k, fi in enumerate(fx) if k != jj]
-    adj_h = adj.mul_vec(hx.column(jj))
-    if chart == "s":
-        eqs = [fi + u * c for fi, c in zip(fprime, adj_h)]
-        exc = fx[jj] - u * det
-    else:
-        eqs = [u * fi + c for fi, c in zip(fprime, adj_h)]
-        exc = u * fx[jj] - det
+    eqs = [_sum_of_products(ring, ((1, a, fi), (1, b, c)))
+           for fi, c in zip(fprime, adj.mul_vec(hx.column(jj)))]
+    exc = _sum_of_products(ring, ((1, a, fx[jj]), (-1, b, det)))
     return BlowupChart(chart_index=j, chart=chart, equations=eqs,
                        exceptional_equation=exc, _f=fx, _h=hx, _det=det,
                        _adj=adj)
@@ -748,7 +776,7 @@ def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
     singular locus of an n x n determinant) turns the rank condition into
     a linear system whose solutions are counted exactly; the sum over all
     directions counts each locus point once per direction in its kernel.
-    Returns round(ambient_dim - log_p(total)). A call whose direction space
+    Returns ambient_dim - round(log_p(total)). A call whose direction space
     has more than `trials` members raises ValueError.
     """
     if not _is_prime(p):
@@ -788,21 +816,34 @@ def rank_locus_codim_estimate(n, shape, ambient_dim, p, trials, seed=0):
             total += p ** (ambient_dim - r)
     if total == 0:
         raise Indeterminate("no point of the rank locus over F_p")
-    return round(ambient_dim - log(total) / log(p))
+    return ambient_dim - _nearest_log(total, p)
+
+
+def _nearest_log(total, p):
+    """round(log_p(total)), exactly: the k with p**(2k - 1) <= total**2 <
+    p**(2k + 1), where a square never ties with an odd power of p."""
+    k, bound, square = 0, p, total * total
+    while square >= bound:
+        k += 1
+        bound *= p * p
+    return k
 
 
 # -- fuzz suites (shared by tests and the CLI verify command) ---------------
 
 
 def _random_poly(rng, domain, variables, degree=2, nterms=3, coeff=5):
+    """nterms random terms of degree <= degree on packed monomials; sums
+    start at the domain's zero, so they are Fractions over Q."""
+    ring = Ring(domain, variables)
+    shifts, nvars, zero = ring.shifts, len(variables), domain.coerce(0)
     terms = {}
     for _ in range(nterms):
-        e = [0] * len(variables)
+        e = 0
         for _ in range(rng.randrange(degree + 1)):
-            e[rng.randrange(len(variables))] += 1
-        c = rng.randint(-coeff, coeff)
-        terms[tuple(e)] = terms.get(tuple(e), 0) + c
-    return MultiPoly(domain, variables, terms)
+            e += 1 << shifts[rng.randrange(nvars)]
+        terms[e] = terms.get(e, zero) + rng.randint(-coeff, coeff)
+    return MultiPoly._trusted(ring, terms)
 
 
 def _random_system(rng, variables, n):
@@ -829,12 +870,10 @@ def fuzz_adjugate(cases=200, seed=0, max_size=4):
             [[_random_poly(rng, ZZ, vs, degree=2, nterms=2)
               for _ in range(n)] for _ in range(n)])
         det, adj = _det_adj(m)
-        for prod in (adj.matmul(m), m.matmul(adj)):
-            for i in range(n):
-                for j in range(n):
-                    want = det if i == j else det * 0
-                    if not (prod.entries[i][j] - want).is_zero():
-                        failures += 1
+        failures += sum(e != (det if i == j else 0)
+                        for prod in (adj.matmul(m), m.matmul(adj))
+                        for i, row in enumerate(prod.entries)
+                        for j, e in enumerate(row))
     return failures
 
 

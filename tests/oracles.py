@@ -27,7 +27,9 @@ around it, and `uniform_degree_seed` the seed on the dense `solve` and
 For `MultiPoly`, whose monomials are packed ints in one interned ring,
 `TuplePoly` is the arithmetic on {exponent tuple: coefficient} dicts it
 replaced (`+`, `-`, `*`, negation), with no exponent limit, and
-`tuple_divide_exact` the division on it.
+`tuple_divide_exact` the division on it. `random_poly` is the fuzz suites'
+draw through the validating constructor, which `poly._random_poly` replaced
+by packed keys from the same rng calls.
 
 For the Fano section products, which the library ranks on packed integer
 columns, `tuple_product_rank` is the route on (side, exponent tuple)
@@ -453,6 +455,17 @@ def tuple_divide_exact(f, g):
         q_terms[diff] = q_terms.get(diff, 0) + qc
         rem = rem - TuplePoly._trusted(f.domain, f.variables, {diff: qc}) * g
     return TuplePoly._trusted(f.domain, f.variables, q_terms)
+
+
+def random_poly(rng, domain, variables, degree=2, nterms=3, coeff=5):
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * len(variables)
+        for _ in range(rng.randrange(degree + 1)):
+            e[rng.randrange(len(variables))] += 1
+        c = rng.randint(-coeff, coeff)
+        terms[tuple(e)] = terms.get(tuple(e), 0) + c
+    return MultiPoly(domain, variables, terms)
 
 
 def gaussian_binomial(n, k, p):

@@ -1,4 +1,5 @@
 import copy
+import decimal
 import itertools
 import math
 import operator
@@ -201,18 +202,24 @@ EXPONENTS = st.one_of(st.integers(0, 3),
                       st.integers(LIMIT - 4, LIMIT - 1))
 
 
-@st.composite
-def packed_pairs(draw):
-    """(f, g) in one ring of 1-6 variables; g repeats some monomials of f
-    with the coefficient that cancels them, over F_p up to a multiple of
-    p, or doubles them."""
+def packed_ring(draw):
+    """A domain, 1-6 variables, and strategies for coefficients and for
+    monomials with EXPONENTS."""
     domain = draw(st.sampled_from(PACKED_DOMAINS))
     vs = tuple(f"x{i}" for i in range(draw(st.integers(1, 6))))
     if domain == QQ:
         coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     else:
         coeffs = st.integers(-12, 12)
-    monomials = st.tuples(*[EXPONENTS] * len(vs))
+    return domain, vs, coeffs, st.tuples(*[EXPONENTS] * len(vs))
+
+
+@st.composite
+def packed_pairs(draw):
+    """(f, g) in one ring of 1-6 variables; g repeats some monomials of f
+    with the coefficient that cancels them, over F_p up to a multiple of
+    p, or doubles them."""
+    domain, vs, coeffs, monomials = packed_ring(draw)
     f_terms = draw(st.dictionaries(monomials, coeffs, max_size=5))
     g_terms = draw(st.dictionaries(monomials, coeffs, max_size=4))
     f = MultiPoly(domain, vs, f_terms)
@@ -258,6 +265,55 @@ def test_packed_arithmetic_matches_tuple_oracle(pair, k):
     for packed, tup in pairs:
         assert packed.terms == tup.terms
         assert_normalised(packed)
+
+
+@st.composite
+def product_triples(draw):
+    """(ring, triples, cancels): up to four (sign, a, b) triples of one ring
+    drawn like `packed_pairs`; when cancels, each triple is followed by its
+    negative with the factors swapped, so the products cancel completely."""
+    domain, vs, coeffs, monomials = packed_ring(draw)
+    polys = st.dictionaries(monomials, coeffs, max_size=4).map(
+        lambda terms: MultiPoly(domain, vs, terms))
+    triples = draw(st.lists(st.tuples(st.sampled_from((1, -1)), polys, polys),
+                            max_size=4))
+    cancels = draw(st.booleans())
+    if cancels:
+        triples += [(-sign, b, a) for sign, a, b in triples]
+    return poly.Ring(domain, vs), triples, cancels
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_triples())
+def test_sum_of_products_matches_tuple_oracle(case):
+    ring, triples, cancels = case
+    if any(_overflows(a, b) for _, a, b in triples):
+        with pytest.raises(OverflowError):
+            poly._sum_of_products(ring, triples)
+        return
+    got = poly._sum_of_products(ring, triples)
+    want = oracles.TuplePoly._trusted(ring.domain, ring.variables, {})
+    for sign, a, b in triples:
+        want = want + oracles.TuplePoly.of(a) * oracles.TuplePoly.of(b) * sign
+    assert got.ring is ring and got.terms == want.terms
+    assert_normalised(got)
+    if cancels or not triples:
+        assert got.is_zero()
+
+
+def test_sum_of_products_edge_cases():
+    ring = poly.Ring(GF(5), XY)
+    assert poly._sum_of_products(ring, []).ring is ring
+    assert poly._sum_of_products(ring, []).is_zero()
+    x = MultiPoly.var(GF(5), XY, "x")
+    # 2x * 3x - x * x = 5x^2 vanishes only mod 5
+    assert poly._sum_of_products(ring, [(1, x * 2, x * 3), (-1, x, x)]) == 0
+    # the overflowing products cancel, but their monomial is still refused
+    top = MultiPoly(GF(5), XY, {(0, LIMIT // 2): 1})
+    with pytest.raises(OverflowError):
+        poly._sum_of_products(ring, [(1, top, top), (-1, top, top)])
+    with pytest.raises(poly.DomainMismatch):
+        poly._sum_of_products(poly.Ring(GF(7), XY), [(1, x, x)])
 
 
 def test_constructor_rejects_exponents_outside_the_field():
@@ -404,6 +460,11 @@ def test_minor_table_matches_oracles(seed, n, domain, shape):
         assert det.is_zero()
 
 
+def test_matmul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        _matrix([["x1", "x2"]]).matmul(_matrix([["x1", "x2"]]))
+
+
 def test_adjugate_identity_small():
     m = _matrix([["x1", "x2"], ["x3", "x1 + 1"]])
     adj = poly.adjugate(m)
@@ -509,6 +570,47 @@ def test_blowup_chart_bad_dimensions():
     h = _matrix([["x1", "x2"]])
     with pytest.raises(ValueError):
         poly.blowup_chart([P("x1")], h, 1)
+
+
+@pytest.mark.parametrize("degree", (1, 2))
+def test_packed_draws_match_constructor_draws(degree):
+    """`_random_poly` draws what the constructor route in `oracles` draws,
+    and leaves the rng where it leaves it, so seeded fuzz batches keep
+    their inputs."""
+    names = ("x1", "x2", "x3", "x4", "x5")
+    for seed, nv, domain in itertools.product(range(120), range(1, 6),
+                                              (ZZ, QQ, GF(5))):
+        packed, route = random.Random(seed), random.Random(seed)
+        for nterms in (1, 2, 3):
+            f = poly._random_poly(packed, domain, names[:nv], degree, nterms)
+            assert f == oracles.random_poly(route, domain, names[:nv],
+                                            degree, nterms)
+            assert_normalised(f)
+        assert packed.getstate() == route.getstate()
+
+
+def _nearest_log_oracle(total, p):
+    """The integer nearest log_p(total) in decimal arithmetic with more
+    digits than total**2 * p has, enough to separate log_p(total) from
+    the half-integer between two powers."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * len(str(total * p)) + 20
+        x = decimal.Decimal(total).ln() / decimal.Decimal(p).ln()
+        return int(x.to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
+
+
+@pytest.mark.parametrize("p", (2, 3, 101))
+def test_nearest_log_at_powers_and_half_powers(p):
+    totals = set()
+    for k in range(1, 16):
+        totals |= {p ** k - 1, p ** k, p ** k + 1}
+        # p^(k + 1/2) lies strictly between s and s + 1
+        s = math.isqrt(p ** (2 * k + 1))
+        totals |= {s, s + 1}
+        assert poly._nearest_log(s, p) == k
+        assert poly._nearest_log(s + 1, p) == k + 1
+    for total in totals:
+        assert poly._nearest_log(total, p) == _nearest_log_oracle(total, p)
 
 
 def test_codim_estimates():
