@@ -567,6 +567,8 @@ class PolyMatrix:
         return [row[j] for row in self.entries]
 
     def mul_vec(self, vec):
+        if len(vec) != self.cols:
+            raise ValueError("dimension mismatch")
         return [_sum_of_products(row[0].ring, zip(_PLUS, row, vec))
                 for row in self.entries]
 

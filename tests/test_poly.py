@@ -460,9 +460,13 @@ def test_minor_table_matches_oracles(seed, n, domain, shape):
         assert det.is_zero()
 
 
-def test_matmul_rejects_mismatched_shapes():
+def test_products_reject_mismatched_shapes():
+    row = _matrix([["x1", "x2"]])
     with pytest.raises(ValueError):
-        _matrix([["x1", "x2"]]).matmul(_matrix([["x1", "x2"]]))
+        row.matmul(row)
+    for vec in ([P("x1")], [P("x1")] * 3):
+        with pytest.raises(ValueError):
+            row.mul_vec(vec)
 
 
 def test_adjugate_identity_small():
