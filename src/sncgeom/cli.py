@@ -112,6 +112,8 @@ def cmd_fano(args):
     if args.mmax < 1:
         return _fail("--mmax must be >= 1")
     if args.kind == "zr":
+        if args.s is not None:
+            return _fail("zr takes no --s")
         z = fano.ZR(args.r)
         # ends ordered so that the P^2-bundle side carries the surjective
         # restriction onto S; the other end is P^3
@@ -163,7 +165,7 @@ def cmd_resolve(args):
     except resolution.AssumptionViolated as exc:
         return _fail(f"assumption violated: {exc}")
     report = {
-        "command": f"resolve m={args.m} variant={args.variant}",
+        "command": f"resolve m={args.m}",
         "local_multiplicities": [step[0] for step in chain.trace[:-1]],
         "steps": [str(step) for step in chain.trace],
         "members": [{"kind": e.kind, "h2": e.h2} for e in chain.members],
@@ -246,8 +248,6 @@ def build_parser():
 
     rp = sub.add_parser("resolve", help="node resolution chain report")
     rp.add_argument("--m", type=int, required=True)
-    rp.add_argument("--variant", choices=["plain", "twisted"],
-                    default="plain")
     rp.add_argument("--h2", required=True, metavar="Z1,S,C,Z2")
     rp.set_defaults(func=cmd_resolve)
 

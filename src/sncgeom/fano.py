@@ -23,32 +23,6 @@ CANONICAL = "canonical"
 TERMINAL = "terminal"
 
 
-@dataclass(frozen=True)
-class Bidegree:
-    a: int
-    b: int
-
-    def __add__(self, other):
-        return Bidegree(self.a + other.a, self.b + other.b)
-
-    def __neg__(self):
-        return Bidegree(-self.a, -self.b)
-
-
-def canonical_bidegree(r):
-    """K of the bundle P(r)."""
-    return Bidegree(-3, r - 2)
-
-
-def surface_bidegree(r):
-    """The divisor S inside P(r), cut by the unique section of O(1, -r)."""
-    return Bidegree(1, -r)
-
-
-def is_ample(bd):
-    return bd.a > 0 and bd.b > 0
-
-
 def sym_split(a, r):
     """P^1-degrees (with multiplicity) of the rank-side splitting of the
     a-th symmetric power of O + O + O(r)."""
@@ -67,15 +41,6 @@ def h0_P(r, a, b):
     if a < 0:
         return 0
     return sum(mult * max(0, d + b + 1) for d, mult in sym_split(a, r).items())
-
-
-def h1_P(r, a, b):
-    """dim H^1(P(r), O(a, b)); zero for a < 0 (only -2 <= a is ever needed
-    by the internal kernel sequences, where both groups vanish)."""
-    if a < 0:
-        return 0
-    return sum(mult * max(0, -(d + b) - 1)
-               for d, mult in sym_split(a, r).items())
 
 
 def pr_basis(r, a, b):
@@ -318,28 +283,6 @@ def restriction_surjective(r, a, b):
     if by_rank != by_count:
         raise AssertionError("restriction surjectivity crosscheck failed")
     return by_rank
-
-
-def mult_surjective(r, d1, d2):
-    """Surjectivity of the multiplication map O(d1) x O(d2) -> O(d1 + d2)
-    on P(r), checked monomial by monomial."""
-    (a1, b1), (a2, b2) = d1, d2
-    if min(a1, b1, a2, b2) < 0:
-        raise ValueError("degrees must be nonnegative")
-    prods = set()
-    for m1 in pr_basis(r, a1, b1):
-        for m2 in pr_basis(r, a2, b2):
-            prods.add(tuple([x + y for x, y in zip(m1, m2)]))
-    return prods == set(pr_basis(r, a1 + a2, b1 + b2))
-
-
-def normal_bundle_degree(r_omega, m):
-    """Twist (as a power of L) of the normal bundle of the glued divisor
-    when omega = L^r_omega and the construction uses L^m."""
-    if m <= r_omega:
-        raise ValueError("m must exceed r_omega (normal bundle must be "
-                         "negative)")
-    return r_omega - m
 
 
 def cover_degree(r_omega, m):

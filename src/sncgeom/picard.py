@@ -9,7 +9,6 @@ built only for the returned class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -76,21 +75,6 @@ class CycleSurface:
                     raise InvariantError(
                         f"intersection (C_{i}.C_{j}) != {expected}")
         return True
-
-    def to_json(self):
-        return json.dumps({
-            "basis_size": self.dim,
-            "blowup_count": self.blowup_count,
-            "cycle": [list(c) for c in self.cycle],
-            "canonical": list(self.canonical),
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(blowup_count=d["blowup_count"],
-                   cycle=tuple([tuple(c) for c in d["cycle"]]),
-                   canonical=tuple(d["canonical"]))
 
 
 def triangle_surface():

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -287,56 +286,7 @@ class MultiPoly:
     def is_zero(self):
         return not self._terms
 
-    # -- calculus and substitution ----------------------------------------
-
-    def partial(self, name):
-        ring = self.ring
-        shift = ring.shifts[ring.variables.index(name)]
-        unit = 1 << shift
-        terms = {}
-        for e, c in self._terms.items():
-            k = e >> shift & _FIELD_MASK
-            if k:
-                terms[e - unit] = c * k
-        return MultiPoly._trusted(ring, terms)
-
-    def evaluate(self, point):
-        """Substitute scalars for all variables; point is a sequence."""
-        if len(point) != len(self.variables):
-            raise ValueError("point dimension mismatch")
-        coerce = self.domain.coerce
-        unpack = self.ring.exponents
-        total = coerce(0)
-        for e, c in self._terms.items():
-            val = c
-            for x, k in zip(point, unpack(e)):
-                if k:
-                    val = val * coerce(x) ** k
-            total = total + val
-        return coerce(total)
-
-    def subs(self, mapping):
-        """Substitute polynomials (or scalars) for some variables."""
-        out = MultiPoly.zero(self.domain, self.variables)
-        cache = {}
-        for e, c in self.terms.items():
-            term = MultiPoly.const(self.domain, self.variables, c)
-            for name, k in zip(self.variables, e):
-                if k == 0:
-                    continue
-                if name in mapping:
-                    key = (name, k)
-                    if key not in cache:
-                        rep = mapping[name]
-                        if not isinstance(rep, MultiPoly):
-                            rep = MultiPoly.const(self.domain, self.variables, rep)
-                        cache[key] = rep ** k
-                    term = term * cache[key]
-                else:
-                    term = term * MultiPoly.var(
-                        self.domain, self.variables, name) ** k
-            out = out + term
-        return out
+    # -- ring extension and printing ---------------------------------------
 
     def extend_vars(self, variables):
         """Reinterpret in a larger ring containing the old variables."""
@@ -351,8 +301,6 @@ class MultiPoly:
                 key |= k << s
             terms[key] = c
         return MultiPoly._wrap(ring, terms)
-
-    # -- printing / parsing ------------------------------------------------
 
     def sorted_terms(self):
         """(exponent tuple, coefficient) pairs, lexicographically largest
@@ -412,78 +360,6 @@ def _sum_of_products(ring, triples):
     if reduce(operator.or_, terms, 0) & ring.guard:
         raise OverflowError(_OVERFLOW)
     return MultiPoly._trusted(ring, terms)
-
-
-_TOKEN = re.compile(r"\s*([a-z][a-z0-9]*|\d+|[-+*^()])")
-
-
-def parse_poly(text, variables, domain=ZZ):
-    """Parse `3*x1^2*t - x2` style syntax into a MultiPoly."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad token at: {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append(None)
-    state = {"i": 0}
-
-    def peek():
-        return tokens[state["i"]]
-
-    def take():
-        t = tokens[state["i"]]
-        state["i"] += 1
-        return t
-
-    def atom():
-        t = take()
-        if t == "(":
-            e = expr()
-            if take() != ")":
-                raise ValueError("unbalanced parentheses")
-            return e
-        if t is None:
-            raise ValueError("unexpected end of input")
-        if t.isdigit():
-            base = MultiPoly.const(domain, variables, int(t))
-        else:
-            if t not in variables:
-                raise ValueError(f"unknown variable {t!r}")
-            base = MultiPoly.var(domain, variables, t)
-        if peek() == "^":
-            take()
-            n = take()
-            if n is None or not n.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            base = base ** int(n)
-        return base
-
-    def product():
-        out = atom()
-        while peek() == "*":
-            take()
-            out = out * atom()
-        return out
-
-    def expr():
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-        out = product() * sign
-        while peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-            out = out + product() * sign
-        return out
-
-    result = expr()
-    if peek() is not None:
-        raise ValueError("trailing input")
-    return result
 
 
 def divide_exact(f, g):

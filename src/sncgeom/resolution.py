@@ -18,11 +18,7 @@ along S plus the exceptional divisors counted by `resolve_local`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-
-PLAIN = "plain"       # x1 x2 = s^m
-TWISTED = "twisted"   # x1 x2 = s^m x3
 
 END_COMPONENT = "end_component"
 P1_BUNDLE_OVER_S = "p1_bundle_over_s"
@@ -37,47 +33,25 @@ class AssumptionViolated(ValueError):
     """A stated rank/surjectivity hypothesis fails for the given input."""
 
 
-@dataclass(frozen=True)
-class LocalModel:
-    """Node x1 x2 = s^multiplicity (optionally times x3) along a surface."""
-
-    multiplicity: int
-    variant: str = PLAIN
-
-    def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-        if self.variant not in (PLAIN, TWISTED):
-            raise ValueError("variant must be 'plain' or 'twisted'")
-
-
-def resolve_local(model):
-    """Blow-up steps resolving the local model.
+def resolve_local(m):
+    """Blow-up steps resolving the node x1 x2 = s^m, m >= 1.
 
     Each step is (multiplicity before the step, rule, exceptional divisors
     added); the list ends with the marker ("smooth").  The exceptional
     divisors added over the whole run total m - 1.
     """
+    if m < 1:
+        raise ValueError("multiplicity must be positive")
     steps = []
-    mult = model.multiplicity
-    while mult >= 3:
-        steps.append((mult, "blowup_intersection_surface", 2))
-        mult -= 2
-    if mult == 2:
+    while m >= 3:
+        steps.append((m, "blowup_intersection_surface", 2))
+        m -= 2
+    if m == 2:
         steps.append((2, "blowup_intersection_surface", 1))
     else:
         steps.append((1, "blowup_component_meeting_z1", 0))
     steps.append((SMOOTH,))
     return steps
-
-
-def _exceptional(steps):
-    return sum(step[2] for step in steps[:-1])
-
-
-def exceptional_count(m):
-    """Number of exceptional divisors in the resolution of x1 x2 = s^m."""
-    return _exceptional(resolve_local(LocalModel(m)))
 
 
 @dataclass(frozen=True)
@@ -111,23 +85,11 @@ def chain_members(m, h2_z1, h2_s, h2_c, h2_z2):
 class ChainReport:
     multiplicity: int
     members: list
-    intersection_count: int
     h2_total: int
     h2_crosscheck: int
     class_rank_bound: int
     bound_clamped: bool = False
     trace: list = field(default_factory=list)
-
-    def to_json(self):
-        return json.dumps({
-            "multiplicity": self.multiplicity,
-            "members": [{"kind": e.kind, "h2": e.h2} for e in self.members],
-            "intersections": self.intersection_count,
-            "h2_total": self.h2_total,
-            "h2_crosscheck": self.h2_crosscheck,
-            "class_rank_bound": self.class_rank_bound,
-            "bound_clamped": self.bound_clamped,
-        })
 
 
 def build_chain(m, h2_z1, h2_s, h2_c, h2_z2, seed=0):
@@ -161,8 +123,9 @@ def build_chain(m, h2_z1, h2_s, h2_c, h2_z2, seed=0):
         raise AssumptionViolated(
             "restriction from Z_2 cannot be onto: h2_z2 < h2_s")
     members = chain_members(m, h2_z1, h2_s, h2_c, h2_z2)
-    trace = resolve_local(LocalModel(m))
-    h2_total = h2_z1 + h2_z2 - h2_s + h2_c + _exceptional(trace)
+    trace = resolve_local(m)
+    exceptional = sum(step[2] for step in trace[:-1])
+    h2_total = h2_z1 + h2_z2 - h2_s + h2_c + exceptional
     crosscheck = sum(e.h2 for e in members) - m * h2_s
     if crosscheck != h2_total:
         raise AssumptionViolated(
@@ -172,7 +135,6 @@ def build_chain(m, h2_z1, h2_s, h2_c, h2_z2, seed=0):
     return ChainReport(
         multiplicity=m,
         members=members,
-        intersection_count=m,
         h2_total=h2_total,
         h2_crosscheck=crosscheck,
         class_rank_bound=bound,

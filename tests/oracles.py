@@ -34,20 +34,38 @@ by packed keys from the same rng calls.
 For the Fano section products, which the library ranks on packed integer
 columns, `tuple_product_rank` is the route on (side, exponent tuple)
 columns it replaced, with `mul_monomial_dicts` its product.
+
+Five helpers left the library for here, since only tests read them:
+
+- `parse_poly` reads `3*x1^2*t - x2` syntax into a `MultiPoly`; `test_poly`
+  builds its polynomials with it (the `P` helper and the parse tests).
+- `evaluate` substitutes scalars for every variable. It is the evaluation
+  route of `test_poly::test_trusted_arithmetic_is_normalised`, which checks
+  packed products and sums against products and sums of values.
+- `subs` substitutes polynomials for some variables. It sets s or t to 1 in
+  `test_poly::_two_variable_chart`, the chart oracle of
+  `test_blowup_chart_verify_both_charts`.
+- `h1_P` is dim H^1 of O(a, b) on P(r). `test_fano` checks h0_P - h1_P
+  against the Riemann-Roch count, and that H^1 vanishes on nef twists.
+- `mult_surjective` checks monomial by monomial that products of
+  `pr_basis` elements fill `pr_basis` of the sum degree
+  (`test_fano::test_mult_surjective`).
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
 
+from sncgeom.fano import pr_basis, sym_split
 from sncgeom.lattice import det_int, echelon_mod_p, sparse_rank
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, dot)
-from sncgeom.poly import (INT, RAT, SQUARE, DomainMismatch, MultiPoly,
+from sncgeom.poly import (INT, RAT, SQUARE, ZZ, DomainMismatch, MultiPoly,
                           PolyMatrix, divide_exact)
 
 
@@ -635,3 +653,139 @@ def tuple_product_rank(pairs, bound):
     if rank > bound:
         raise AssertionError("products leave the glued section space")
     return rank
+
+
+# -- helpers that read and substitute into MultiPoly ------------------------
+
+_TOKEN = re.compile(r"\s*([a-z][a-z0-9]*|\d+|[-+*^()])")
+
+
+def parse_poly(text, variables, domain=ZZ):
+    """Parse `3*x1^2*t - x2` style syntax into a MultiPoly."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"bad token at: {text[pos:]!r}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    tokens.append(None)
+    state = {"i": 0}
+
+    def peek():
+        return tokens[state["i"]]
+
+    def take():
+        t = tokens[state["i"]]
+        state["i"] += 1
+        return t
+
+    def atom():
+        t = take()
+        if t == "(":
+            e = expr()
+            if take() != ")":
+                raise ValueError("unbalanced parentheses")
+            return e
+        if t is None:
+            raise ValueError("unexpected end of input")
+        if t.isdigit():
+            base = MultiPoly.const(domain, variables, int(t))
+        else:
+            if t not in variables:
+                raise ValueError(f"unknown variable {t!r}")
+            base = MultiPoly.var(domain, variables, t)
+        if peek() == "^":
+            take()
+            n = take()
+            if n is None or not n.isdigit():
+                raise ValueError("exponent must be a nonnegative integer")
+            base = base ** int(n)
+        return base
+
+    def product():
+        out = atom()
+        while peek() == "*":
+            take()
+            out = out * atom()
+        return out
+
+    def expr():
+        sign = 1
+        if peek() in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+        out = product() * sign
+        while peek() in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+            out = out + product() * sign
+        return out
+
+    result = expr()
+    if peek() is not None:
+        raise ValueError("trailing input")
+    return result
+
+
+def evaluate(f, point):
+    """f with the scalars of the sequence `point` substituted for all its
+    variables, read off the exponent tuples of `f.terms`."""
+    if len(point) != len(f.variables):
+        raise ValueError("point dimension mismatch")
+    coerce = f.domain.coerce
+    total = coerce(0)
+    for e, c in f.terms.items():
+        val = c
+        for x, k in zip(point, e):
+            if k:
+                val = val * coerce(x) ** k
+        total = total + val
+    return coerce(total)
+
+
+def subs(f, mapping):
+    """f with polynomials (or scalars) substituted for some variables."""
+    out = MultiPoly.zero(f.domain, f.variables)
+    cache = {}
+    for e, c in f.terms.items():
+        term = MultiPoly.const(f.domain, f.variables, c)
+        for name, k in zip(f.variables, e):
+            if k == 0:
+                continue
+            if name in mapping:
+                key = (name, k)
+                if key not in cache:
+                    rep = mapping[name]
+                    if not isinstance(rep, MultiPoly):
+                        rep = MultiPoly.const(f.domain, f.variables, rep)
+                    cache[key] = rep ** k
+                term = term * cache[key]
+            else:
+                term = term * MultiPoly.var(f.domain, f.variables, name) ** k
+        out = out + term
+    return out
+
+
+# -- the cohomology and product checks of fano.h0_P and fano.pr_basis ------
+
+def h1_P(r, a, b):
+    """dim H^1(P(r), O(a, b)); zero for a < 0."""
+    if a < 0:
+        return 0
+    return sum(mult * max(0, -(d + b) - 1)
+               for d, mult in sym_split(a, r).items())
+
+
+def mult_surjective(r, d1, d2):
+    """Surjectivity of the multiplication map O(d1) x O(d2) -> O(d1 + d2)
+    on P(r), checked monomial by monomial."""
+    (a1, b1), (a2, b2) = d1, d2
+    if min(a1, b1, a2, b2) < 0:
+        raise ValueError("degrees must be nonnegative")
+    prods = set()
+    for m1 in pr_basis(r, a1, b1):
+        for m2 in pr_basis(r, a2, b2):
+            prods.add(tuple([x + y for x, y in zip(m1, m2)]))
+    return prods == set(pr_basis(r, a1 + a2, b1 + b2))

@@ -166,6 +166,14 @@ def test_fano_zrs_needs_s(capsys):
     assert cli.main(["fano", "--kind", "zrs", "--r", "1"]) == 1
 
 
+def test_fano_zr_rejects_s(capsys):
+    """ZR(r) has no second twist: --s is refused, not dropped."""
+    code = cli.main(["fano", "--kind", "zr", "--r", "1", "--s", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "zr takes no --s\n"
+
+
 def test_resolve(capsys):
     code, out = run(capsys, "--json", "resolve", "--m", "5",
                     "--h2", "1,2,1,2")
@@ -174,13 +182,12 @@ def test_resolve(capsys):
     assert data["h2_formula"] == data["h2_members"] == 6
 
 
-@pytest.mark.parametrize("variant", ["plain", "twisted"])
-def test_resolve_local_multiplicities(capsys, variant):
+def test_resolve_local_multiplicities(capsys):
     """m, m - 2, ... down to 2 or 1, the multiplicities the steps start
     from, for every m beyond the golden reports' m <= 7."""
     for m in range(1, 26):
         code, out = run(capsys, "--json", "resolve", "--m", str(m),
-                        "--variant", variant, "--h2", "1,2,1,2")
+                        "--h2", "1,2,1,2")
         assert code == 0
         data = json.loads(out)
         assert data["local_multiplicities"] == list(range(m, 0, -2))
@@ -188,6 +195,16 @@ def test_resolve_local_multiplicities(capsys, variant):
         assert steps[-1] == ("smooth",)
         assert [step[0] for step in steps[:-1]] \
             == data["local_multiplicities"]
+
+
+@pytest.mark.parametrize("variant", ["plain", "twisted"])
+def test_resolve_rejects_variant(capsys, variant):
+    """resolve models the node x1 x2 = s^m only; --variant is no option."""
+    code = cli.main(["resolve", "--m", "3", "--variant", variant,
+                     "--h2", "1,2,1,2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "--variant" in err
 
 
 def test_resolve_bad_h2(capsys):
@@ -278,7 +295,6 @@ OPTIONS = {
              "--s": NUMBER,
              "--mmax": st.sampled_from(["-1", "0", "1", "2", "4", "y"])},
     "resolve": {"--m": NUMBER,
-                "--variant": st.sampled_from(["plain", "twisted", "z"]),
                 "--h2": st.one_of(NUMBER, st.lists(
                     st.integers(-1, 6), max_size=5).map(
                         lambda xs: ",".join(map(str, xs)))),

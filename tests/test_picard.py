@@ -65,11 +65,6 @@ def test_fuzzed_blowups_preserve_anticanonical_sum(seed):
     s.validate()  # includes sum C_j = -K and the adjacency pattern
 
 
-def test_json_roundtrip():
-    s = picard.standard_schedule()
-    assert picard.CycleSurface.from_json(s.to_json()) == s
-
-
 def test_is_negative_definite():
     s = picard.standard_schedule()
     for j in range(s.length):
