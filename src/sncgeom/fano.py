@@ -59,14 +59,6 @@ def pr_basis(r, a, b):
     return out
 
 
-def s_basis(a, b):
-    """Monomial basis (i, j, al, be) of O(a, b) on S = P^1 x P^1."""
-    if a < 0 or b < 0:
-        return []
-    return [(i, a - i, al, b - al)
-            for i in range(a + 1) for al in range(b + 1)]
-
-
 def p3_basis(m):
     """Degree-m monomials on P^3 as exponent 4-tuples."""
     out = []
@@ -109,6 +101,8 @@ class GluedFano:
             raise ValueError("kind must be 'zr' or 'zrs'")
         if self.r < 0 or (self.kind == "zrs" and (self.s is None or self.s < 0)):
             raise ValueError("r and s must be nonnegative")
+        if self.kind == "zr" and self.s is not None:
+            raise ValueError("zr takes no s")
 
     def left_basis(self, m):
         return pr_basis(self.r, m, m)

@@ -201,10 +201,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, domain, variables):
-        return cls(domain, variables)
-
-    @classmethod
     def const(cls, domain, variables, c):
         return cls._trusted(Ring(domain, variables), {0: domain.coerce(c)})
 

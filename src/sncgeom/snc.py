@@ -39,8 +39,9 @@ class Triangulation:
         """Check that the triangles form a closed connected surface and
         return the ordered link cycle of every vertex."""
         edge_tris = {}
-        # vertex -> {link vertex: its two link neighbours}, one pass
-        nbrs = [{} for _ in range(self.vertex_count)]
+        # used vertex -> {link vertex: its two link neighbours}, one pass;
+        # nothing here is sized by the declared vertex_count
+        nbrs = {}
         for t, tri in enumerate(self.triangles):
             if len(set(tri)) != 3:
                 raise NonManifold(f"degenerate triangle {tri}")
@@ -49,14 +50,19 @@ class Triangulation:
             for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
                 e = frozenset((tri[a], tri[b]))
                 edge_tris.setdefault(e, []).append(t)
-                link = nbrs[tri[c]]
+                link = nbrs.setdefault(tri[c], {})
                 link.setdefault(tri[a], set()).add(tri[b])
                 link.setdefault(tri[b], set()).add(tri[a])
         for e, ts in edge_tris.items():
             if len(ts) != 2:
                 raise Boundary(
                     f"edge {sorted(e)} lies in {len(ts)} triangles, not 2")
-        links = [_link_cycle(v, link) for v, link in enumerate(nbrs)]
+        if len(nbrs) != self.vertex_count:
+            # the ids in use are all below vertex_count: find the first gap
+            gap = next((i for i, v in enumerate(sorted(nbrs)) if i != v),
+                       len(nbrs))
+            raise NonManifold(f"isolated vertex {gap}")
+        links = [_link_cycle(v, nbrs[v]) for v in range(self.vertex_count)]
         if not links:
             raise ValueError("no triangles")
         seen, stack = {0}, [0]
@@ -108,8 +114,6 @@ class Triangulation:
 def _link_cycle(v, nbrs):
     """Ordered cycle through the link of v, given each link vertex's link
     neighbours; NonManifold if the link is not one cycle."""
-    if not nbrs:
-        raise NonManifold(f"isolated vertex {v}")
     if any(len(s) != 2 for s in nbrs.values()):
         raise NonManifold(f"link of vertex {v} is not a cycle")
     start = min(nbrs)
@@ -188,55 +192,29 @@ def canonical_order(d):
     return 1
 
 
-def _boundary_matrices(d):
-    """Boundary matrices (d1, d2, edges) of the dual cell complex. Each row
-    is a sparse {column index: ±1} dict over the double curves `edges`: d1
-    has one row per triple point, d2 one row per polygon in sorted order
-    (the transpose of the boundary map, which has the same rank and Smith
-    invariants)."""
-    edges = sorted(d.side_gluing, key=sorted)
-    eidx = {e: i for i, e in enumerate(edges)}
-    d2 = [{eidx[edge]: s for edge, s in d.polygons[v].items()}
-          for v in sorted(d.polygons)]
-    d1 = [{} for _ in range(d.triangle_count)]
-    for edge, i in eidx.items():
-        fr, to = d.curves[edge]
-        d1[to][i] = 1
-        d1[fr][i] = -1
-    return d1, d2, edges
-
-
 def structure_cohomology(z):
     """(h0, h1, h2) of the structure sheaf of the glued surface.
 
-    Computed as the rational homology ranks of the dual cell complex,
-    which the component-by-component cohomology sequence reduces to when
-    every component is rational and every double curve is a cycle of
-    rational curves."""
+    These are the rational homology ranks of the dual cell complex, which
+    the component-by-component cohomology sequence reduces to when every
+    component is rational and every double curve is a cycle of rational
+    curves. Neither boundary needs elimination. d1 is the incidence matrix
+    of the dual graph, connected since `validate` rejects disconnected
+    surfaces, so its rank is n0 - 1. d2 has two ±1 entries per double
+    curve: it is a signed-graph incidence matrix, whose rank over Q is n2
+    minus the number of balanced components (Zaslavsky, "Signed graphs",
+    Discrete Appl. Math. 4, 1982), and balance is the coherent orientation
+    that `canonical_order` looks for."""
     d = z.dual if isinstance(z, SncSurface) else z
-    d1, d2, edges = _boundary_matrices(d)
-    n0 = d.triangle_count
-    n1 = len(edges)
-    n2 = len(d.polygons)
-    r1 = lattice.sparse_rank(d1)
-    r2 = lattice.sparse_rank(d2)
-    h0 = n0 - r1
-    h1 = n1 - r1 - r2
-    h2 = n2 - r2
-    return (h0, h1, h2)
+    h2 = 1 if canonical_order(d) == 1 else 0
+    n0, n1, n2 = d.triangle_count, len(d.side_gluing), len(d.polygons)
+    return (1, n1 - (n0 - 1) - (n2 - h2), h2)
 
 
 @dataclass(frozen=True)
 class GroupPresentation:
     generator_count: int
     relations: tuple  # words: tuples of nonzero signed generator indices
-
-    def validate(self):
-        for word in self.relations:
-            for letter in word:
-                if letter == 0 or abs(letter) > self.generator_count:
-                    raise ValueError("relation letter out of range")
-        return True
 
 
 def fundamental_group(z):

@@ -35,7 +35,12 @@ For the Fano section products, which the library ranks on packed integer
 columns, `tuple_product_rank` is the route on (side, exponent tuple)
 columns it replaced, with `mul_monomial_dicts` its product.
 
-Five helpers left the library for here, since only tests read them:
+For the cohomology of the dual complex, which the library reads off cell
+counts and the balance walk of `snc.canonical_order`, `dual_boundaries`
+builds both ±1 boundary matrices and `dual_cohomology` ranks them by
+elimination.
+
+Seven helpers left the library for here, since only tests read them:
 
 - `parse_poly` reads `3*x1^2*t - x2` syntax into a `MultiPoly`; `test_poly`
   builds its polynomials with it (the `P` helper and the parse tests).
@@ -50,6 +55,12 @@ Five helpers left the library for here, since only tests read them:
 - `mult_surjective` checks monomial by monomial that products of
   `pr_basis` elements fill `pr_basis` of the sum degree
   (`test_fano::test_mult_surjective`).
+- `s_basis` is the monomial basis of O(a, b) on the quadric S. `test_fano`
+  checks that restrictions land in it and indexes the rows of the dense
+  restriction system by it.
+- `validate_presentation` checks that every relation letter of a
+  `snc.GroupPresentation` names a generator
+  (`test_snc::test_abelianization_vs_oracle`).
 """
 
 from __future__ import annotations
@@ -747,7 +758,7 @@ def evaluate(f, point):
 
 def subs(f, mapping):
     """f with polynomials (or scalars) substituted for some variables."""
-    out = MultiPoly.zero(f.domain, f.variables)
+    out = MultiPoly(f.domain, f.variables)
     cache = {}
     for e, c in f.terms.items():
         term = MultiPoly.const(f.domain, f.variables, c)
@@ -789,3 +800,50 @@ def mult_surjective(r, d1, d2):
         for m2 in pr_basis(r, a2, b2):
             prods.add(tuple([x + y for x, y in zip(m1, m2)]))
     return prods == set(pr_basis(r, a1 + a2, b1 + b2))
+
+
+def s_basis(a, b):
+    """Monomial basis (i, j, al, be) of O(a, b) on S = P^1 x P^1."""
+    if a < 0 or b < 0:
+        return []
+    return [(i, a - i, al, b - al)
+            for i in range(a + 1) for al in range(b + 1)]
+
+
+# -- the elimination route of snc.structure_cohomology ---------------------
+
+def dual_boundaries(d):
+    """Boundary matrices (d1, d2, edges) of the dual cell complex. Each row
+    is a sparse {column index: ±1} dict over the double curves `edges`: d1
+    has one row per triple point, d2 one row per polygon in sorted order
+    (the transpose of the boundary map, which has the same rank and Smith
+    invariants)."""
+    edges = sorted(d.side_gluing, key=sorted)
+    eidx = {e: i for i, e in enumerate(edges)}
+    d2 = [{eidx[edge]: s for edge, s in d.polygons[v].items()}
+          for v in sorted(d.polygons)]
+    d1 = [{} for _ in range(d.triangle_count)]
+    for edge, i in eidx.items():
+        fr, to = d.curves[edge]
+        d1[to][i] = 1
+        d1[fr][i] = -1
+    return d1, d2, edges
+
+
+def dual_cohomology(d):
+    """(h0, h1, h2) of the dual cell complex from the ranks of both
+    boundaries, by elimination."""
+    d1, d2, edges = dual_boundaries(d)
+    r1, r2 = sparse_rank(d1), sparse_rank(d2)
+    return (d.triangle_count - r1, len(edges) - r1 - r2,
+            len(d.polygons) - r2)
+
+
+def validate_presentation(g):
+    """True when every relation letter of the `snc.GroupPresentation` g is
+    a nonzero signed index of one of its generators; ValueError if not."""
+    for word in g.relations:
+        for letter in word:
+            if letter == 0 or abs(letter) > g.generator_count:
+                raise ValueError("relation letter out of range")
+    return True

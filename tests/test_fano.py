@@ -47,9 +47,9 @@ def test_restrictions_land_in_s():
     for mono in fano.pr_basis(2, 2, 2):
         sm = fano.pr_restrict(mono)
         if sm is not None:
-            assert sm in set(fano.s_basis(2, 2 + 0))
+            assert sm in set(oracles.s_basis(2, 2 + 0))
     for mono in fano.p3_basis(2):
-        assert fano.p3_restrict(mono) in set(fano.s_basis(2, 2))
+        assert fano.p3_restrict(mono) in set(oracles.s_basis(2, 2))
 
 
 def test_glued_h0_series_values():
@@ -120,6 +120,8 @@ def test_glued_fano_validation():
         fano.ZR(-1)
     with pytest.raises(ValueError):
         fano.ZRS(0, None)
+    with pytest.raises(ValueError, match="zr takes no s"):
+        fano.GluedFano(kind="zr", r=1, s=3)  # ZR(r) has no second twist
 
 
 # -- dense oracle: the general linear-algebra route on the joint restriction
@@ -129,7 +131,7 @@ def dense_system(z, m):
     """Rows = S monomials of bidegree (m, m), cols = left basis then right
     basis; the kernel is the space of glued sections."""
     left, right = z.left_basis(m), z.right_basis(m)
-    srows = {sm: i for i, sm in enumerate(fano.s_basis(m, m))}
+    srows = {sm: i for i, sm in enumerate(oracles.s_basis(m, m))}
     rows = [[0] * (len(left) + len(right)) for _ in srows]
     for c, mono in enumerate(left):
         sm = fano.pr_restrict(mono)

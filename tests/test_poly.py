@@ -440,13 +440,13 @@ def test_minor_table_matches_oracles(seed, n, domain, shape):
 
     def entry():
         if rng.random() < 0.25:
-            return MultiPoly.zero(domain, vs)
+            return MultiPoly(domain, vs)
         e = poly._random_poly(rng, domain, vs, degree=1, nterms=2)
         return e * Fraction(1, rng.randint(1, 3)) if domain == QQ else e
 
     rows = [[entry() for _ in range(n)] for _ in range(n)]
     if shape == "zero row":
-        rows[rng.randrange(n)] = [MultiPoly.zero(domain, vs)] * n
+        rows[rng.randrange(n)] = [MultiPoly(domain, vs)] * n
     elif shape == "repeated row" and n > 1:
         i, k = rng.sample(range(n), 2)
         rows[k] = list(rows[i])

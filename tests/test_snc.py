@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,24 @@ def test_validate_rejects_nonmanifold():
         snc.dual_complex(t)
 
 
+def test_validate_names_smallest_isolated_vertex_in_bounded_memory():
+    """An isolated vertex is reported as the smallest unused id, and
+    nothing of the declared vertex count's size is built to find it."""
+    skip2 = tuple(tuple(v + (v >= 2) for v in tri)
+                  for tri in snc.tetrahedron().triangles)
+    with pytest.raises(snc.NonManifold, match="^isolated vertex 2$"):
+        snc.Triangulation(5, skip2).validate()
+    t = snc.Triangulation(10**6, snc.tetrahedron().triangles)
+    tracemalloc.start()
+    try:
+        with pytest.raises(snc.NonManifold, match="^isolated vertex 4$"):
+            t.validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_euler_characteristic_consistency(name):
     factory, (h0, h1, h2), _ = SURFACES[name]
@@ -82,7 +102,7 @@ def test_abelianization_vs_oracle(name):
     factory, _, _ = SURFACES[name]
     t = factory()
     pres = snc.fundamental_group(snc.dual_complex(t))
-    pres.validate()
+    assert oracles.validate_presentation(pres)
     ab = snc.abelianization(pres)
     _, oracle = snc.simplicial_homology(t)
     assert ab == oracle
@@ -92,13 +112,15 @@ def test_abelianization_vs_oracle(name):
 @given(name=st.sampled_from(sorted(SURFACES)), splits=st.integers(0, 12),
        seed=st.integers(0, 2**16))
 def test_dual_complex_readers_vs_simplicial_oracle(name, splits, seed):
-    """Orientability, loop group and cell counts read off the signed side
-    table agree with the simplicial chain complex on refined surfaces."""
+    """Orientability, loop group, cohomology and cell counts read off the
+    signed side table agree with the simplicial chain complex on refined
+    surfaces, and the cohomology with elimination on the dual boundaries."""
     factory, _, order = SURFACES[name]
     t = snc.refine_random(factory(), splits, seed)
     d = snc.dual_complex(t)
-    (_, _, h2), oracle = snc.simplicial_homology(t)
-    assert snc.canonical_order(d) == 2 - h2 == order
+    h, oracle = snc.simplicial_homology(t)
+    assert snc.canonical_order(d) == 2 - h[2] == order
+    assert snc.structure_cohomology(d) == oracles.dual_cohomology(d) == h
     assert snc.abelianization(snc.fundamental_group(d)) == oracle
     assert (len(d.polygons), len(d.side_gluing), d.triangle_count) == (
         t.vertex_count, len(t.edges()), len(t.triangles))
@@ -193,7 +215,7 @@ def _boundary_pairs(t):
     both dual-complex boundaries of a triangulation."""
     d = snc.dual_complex(t)
     s1, s2, s_edges = snc.simplicial_boundaries(t)
-    b1, b2, edges = snc._boundary_matrices(d)
+    b1, b2, edges = oracles.dual_boundaries(d)
     return [(s1, len(s_edges)), (s2, len(s_edges)),
             (b1, len(edges)), (b2, len(edges))]
 
