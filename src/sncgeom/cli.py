@@ -87,7 +87,8 @@ def cmd_glue(args):
         with open(args.triangulation) as fh:
             tri = snc.Triangulation.from_json(fh.read())
         tri.validate()
-    except (OSError, snc.NonManifold, snc.Boundary, ValueError) as exc:
+    # RecursionError: json.loads on deeply nested brackets
+    except (OSError, RecursionError, ValueError) as exc:
         return _fail(f"bad triangulation: {exc}")
     report = snc.glue_report(tri)
     ok = all(report[k] for k in ("cohomology_crosscheck",

@@ -203,11 +203,13 @@ def _reduced(num, den):
     return [x // g for x in num], den // g
 
 
-def _positive_direction(vectors):
-    """A rational combination of the given classes with positive square,
-    as (integer numerators, denominator), or None; exact symmetric
-    congruence diagonalization. A pivot B with q = B.B < 0 takes V / d to
-    ((V.B) B - q V) / (-q d)."""
+def _positive_direction(vectors, target):
+    """A rational combination x of the given classes along which
+    target + t x gets positive square for large t, as (integer numerators,
+    denominator), or None: x.x > 0, or else, where the form vanishes on what
+    the diagonalization leaves, a class x left over with x.x = 0 and
+    target.x > 0. Exact symmetric congruence diagonalization: a pivot B with
+    q = B.B < 0 takes V / d to ((V.B) B - q V) / (-q d)."""
     basis = [clear_denominators(v) for v in vectors]
     while basis:
         piv = next((i for i, (b, _) in enumerate(basis) if dot(b, b) != 0),
@@ -232,6 +234,10 @@ def _positive_direction(vectors):
             new.append(_reduced([f * y - q * x for x, y in zip(v, b)],
                                 -q * d))
         basis = new
+    for v, d in basis:
+        f = dot(target, v)
+        if f:
+            return [x if f > 0 else -x for x in v], d
     return None
 
 
@@ -240,9 +246,10 @@ def uniform_degree_seed(s):
     self-intersection; the default ample seed for the polarization solve.
 
     The solver's particular solution sol is corrected, if needed, inside
-    the subspace of degree-0 classes by t x, where x has positive square
-    (diagonalizing the intersection form) and t doubles while
-    sol^2 + 2t sol.x + t^2 x^2 <= 0; all in numerators over one denominator.
+    the subspace of degree-0 classes by t x, where x has positive square or
+    square 0 and sol.x > 0 (diagonalizing the intersection form) and t
+    doubles while sol^2 + 2t sol.x + t^2 x^2 <= 0; all in numerators over
+    one denominator.
     """
     rows = [[(1 if i == 0 else -1) * c[i] for i in range(s.dim)]
             for c in s.cycle]
@@ -251,7 +258,7 @@ def uniform_degree_seed(s):
         raise NoAmpleSeed("no class of uniform degree 1 on the cycle")
     num, den = clear_denominators(sol)
     if dot(num, num) <= 0:
-        found = _positive_direction(kernel)
+        found = _positive_direction(kernel, num)
         if found is None:
             raise NoAmpleSeed(
                 "no uniform-degree class has positive square")

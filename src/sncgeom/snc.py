@@ -37,43 +37,61 @@ class Triangulation:
 
     def validate(self):
         """Check that the triangles form a closed connected surface and
-        return the ordered link cycle of every vertex."""
+        return the umbrella of every vertex v: [(u_i, t_i), ...] around v,
+        where t_i is the triangle v u_i u_(i+1)."""
         edge_tris = {}
-        # used vertex -> {link vertex: its two link neighbours}, one pass;
-        # nothing here is sized by the declared vertex_count
-        nbrs = {}
+        # used vertex -> its triangles, one pass; nothing here is sized by
+        # the declared vertex_count
+        at = {}
         for t, tri in enumerate(self.triangles):
             if len(set(tri)) != 3:
                 raise NonManifold(f"degenerate triangle {tri}")
             if any(not 0 <= v < self.vertex_count for v in tri):
                 raise ValueError(f"vertex index out of range in {tri}")
-            for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1)):
-                e = frozenset((tri[a], tri[b]))
-                edge_tris.setdefault(e, []).append(t)
-                link = nbrs.setdefault(tri[c], {})
-                link.setdefault(tri[a], set()).add(tri[b])
-                link.setdefault(tri[b], set()).add(tri[a])
+            for a, b in ((0, 1), (1, 2), (0, 2)):
+                edge_tris.setdefault(frozenset((tri[a], tri[b])), []).append(t)
+            for v in tri:
+                at.setdefault(v, []).append(t)
         for e, ts in edge_tris.items():
             if len(ts) != 2:
                 raise Boundary(
                     f"edge {sorted(e)} lies in {len(ts)} triangles, not 2")
-        if len(nbrs) != self.vertex_count:
+        if len(at) != self.vertex_count:
             # the ids in use are all below vertex_count: find the first gap
-            gap = next((i for i, v in enumerate(sorted(nbrs)) if i != v),
-                       len(nbrs))
+            gap = next((i for i, v in enumerate(sorted(at)) if i != v),
+                       len(at))
             raise NonManifold(f"isolated vertex {gap}")
-        links = [_link_cycle(v, nbrs[v]) for v in range(self.vertex_count)]
-        if not links:
+        umbrellas = []
+        for v in range(self.vertex_count):
+            # every triangle has two edges at v and every edge two
+            # triangles, so crossing edges walks one cycle of triangles
+            start = at[v][0]
+            u, w = [x for x in self.triangles[start] if x != v]
+            umbrella, t = [(u, start)], start
+            while True:
+                a, b = edge_tris[frozenset((v, w))]
+                t = b if a == t else a
+                if t == start:
+                    break
+                umbrella.append((w, t))
+                w = next(x for x in self.triangles[t] if x != v and x != w)
+            if len(umbrella) == 2:  # two triangles on the same three edges
+                raise NonManifold(
+                    f"triangle {sorted(self.triangles[start])} is repeated")
+            if len(umbrella) != len(at[v]):
+                raise NonManifold(f"link of vertex {v} is disconnected")
+            umbrellas.append(umbrella)
+        if not umbrellas:
             raise ValueError("no triangles")
         seen, stack = {0}, [0]
         while stack:
-            for w in links[stack.pop()]:
+            for w, _ in umbrellas[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         if len(seen) != self.vertex_count:
             raise ValueError("the surface is not connected")
-        return links
+        return umbrellas
 
     def edges(self):
         out = set()
@@ -111,64 +129,37 @@ class Triangulation:
         return cls(vertex_count=n, triangles=tuple(tuple(t) for t in tris))
 
 
-def _link_cycle(v, nbrs):
-    """Ordered cycle through the link of v, given each link vertex's link
-    neighbours; NonManifold if the link is not one cycle."""
-    if any(len(s) != 2 for s in nbrs.values()):
-        raise NonManifold(f"link of vertex {v} is not a cycle")
-    start = min(nbrs)
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        step = next(x for x in nbrs[cur] if x != prev)
-        if step == start:
-            break
-        cycle.append(step)
-        prev, cur = cur, step
-    if len(cycle) != len(nbrs):
-        raise NonManifold(f"link of vertex {v} is disconnected")
-    return cycle
-
-
 @dataclass
 class DualComplex:
     # polygon per triangulation vertex: {edge_key: +1 or -1} over its sides
-    # in boundary-traversal order, +1 where the side runs along its curve
+    # in boundary-traversal order, +1 where the side runs along its curve;
+    # the two polygons glued along a side are the two vertices of its key
     polygons: dict
-    side_gluing: dict        # edge_key -> (vertex, vertex)
     curves: dict             # edge_key -> its direction (from_tri, to_tri)
     triangle_count: int
 
     def euler_characteristic(self):
-        return (len(self.polygons) - len(self.side_gluing)
-                + self.triangle_count)
+        return len(self.polygons) - len(self.curves) + self.triangle_count
 
 
 def dual_complex(t):
     """Polygonal subdivision dual to a closed-manifold triangulation. The
     first polygon to cross a double curve (the smaller vertex) sets the
     curve's direction; each side records whether it runs along it."""
-    links = t.validate()
-    tri_of = {frozenset(tri): i for i, tri in enumerate(t.triangles)}
     polygons = {}
-    owners = {}
     curves = {}
-    for v, link in enumerate(links):
+    for v, umbrella in enumerate(t.validate()):
         signs = {}
-        for i, u in enumerate(link):
-            edge = frozenset((v, u))
-            # the side dual to edge {v,u} runs between the two triangles
-            # adjacent to it, crossed in link order
-            step = (tri_of[frozenset((v, link[i - 1], u))],
-                    tri_of[frozenset((v, u, link[(i + 1) % len(link)]))])
+        prev = umbrella[-1][1]
+        for u, tri in umbrella:
+            # the side dual to edge {v, u_i} runs from t_(i-1) to t_i, the
+            # two triangles on it, crossed in umbrella order
+            edge, step = frozenset((v, u)), (prev, tri)
             signs[edge] = 1 if curves.setdefault(edge, step) == step else -1
-            owners.setdefault(edge, []).append(v)
+            prev = tri
         polygons[v] = signs
-    # validate makes every link one cycle of distinct vertices, so edge
-    # {v, u} has exactly the two owners v and u
-    return DualComplex(polygons=polygons,
-                       side_gluing={e: tuple(p) for e, p in owners.items()},
-                       curves=curves, triangle_count=len(t.triangles))
+    return DualComplex(polygons=polygons, curves=curves,
+                       triangle_count=len(t.triangles))
 
 
 def canonical_order(d):
@@ -180,7 +171,7 @@ def canonical_order(d):
     while queue:
         v = queue.pop()
         for edge, s in d.polygons[v].items():
-            u, w = d.side_gluing[edge]
+            u, w = edge
             other = w if v == u else u
             # sides running opposite ways are coherent for equal signs
             want = -signs[v] * s * d.polygons[other][edge]
@@ -192,7 +183,7 @@ def canonical_order(d):
     return 1
 
 
-def structure_cohomology(z):
+def structure_cohomology(d):
     """(h0, h1, h2) of the structure sheaf of the glued surface.
 
     These are the rational homology ranks of the dual cell complex, which
@@ -205,9 +196,8 @@ def structure_cohomology(z):
     minus the number of balanced components (Zaslavsky, "Signed graphs",
     Discrete Appl. Math. 4, 1982), and balance is the coherent orientation
     that `canonical_order` looks for."""
-    d = z.dual if isinstance(z, SncSurface) else z
     h2 = 1 if canonical_order(d) == 1 else 0
-    n0, n1, n2 = d.triangle_count, len(d.side_gluing), len(d.polygons)
+    n0, n1, n2 = d.triangle_count, len(d.curves), len(d.polygons)
     return (1, n1 - (n0 - 1) - (n2 - h2), h2)
 
 
@@ -217,10 +207,9 @@ class GroupPresentation:
     relations: tuple  # words: tuples of nonzero signed generator indices
 
 
-def fundamental_group(z):
+def fundamental_group(d):
     """Presentation of pi_1 from the dual complex: generators are the dual
     edges outside a spanning tree, relations the polygon boundary words."""
-    d = z.dual if isinstance(z, SncSurface) else z
     adj = {i: [] for i in range(d.triangle_count)}
     for edge, (fr, to) in d.curves.items():
         adj[fr].append((to, edge))
@@ -236,7 +225,7 @@ def fundamental_group(z):
                 order.append(w)
     if len(seen) != d.triangle_count:
         raise ValueError("dual complex is not connected")
-    gens = [e for e in sorted(d.side_gluing, key=sorted) if e not in tree]
+    gens = [e for e in sorted(d.curves, key=sorted) if e not in tree]
     gidx = {e: i + 1 for i, e in enumerate(gens)}
     relations = [tuple([s * gidx[edge] for edge, s in d.polygons[v].items()
                         if edge not in tree]) for v in sorted(d.polygons)]
@@ -334,9 +323,9 @@ def assemble(d, component_factory=None, refinement=3, node_markings=None):
     # (vertex, edge_key) -> the middle cycle curve of that side
     pos = {(v, edge): refinement * i + refinement // 2
            for v, signs in d.polygons.items() for i, edge in enumerate(signs)}
-    identifications = {edge: ((u, pos[u, edge]), (w, pos[w, edge]))
-                       for edge, (u, w) in d.side_gluing.items()}
-    marks = set(d.side_gluing) if node_markings is None else set(node_markings)
+    identifications = {edge: tuple([(v, pos[v, edge]) for v in sorted(edge)])
+                       for edge in d.curves}
+    marks = set(d.curves) if node_markings is None else set(node_markings)
     return SncSurface(dual=d, components=components,
                       curve_identifications=identifications,
                       refinement=refinement, node_markings=marks)
@@ -354,7 +343,7 @@ def loop_kernel_classes(z):
         return x
 
     for edge in z.node_markings:
-        u, w = z.dual.side_gluing[edge]
+        u, w = edge
         parent[find(u)] = find(w)
     return len({find(v) for v in parent})
 
@@ -479,13 +468,12 @@ def refine_random(t, splits, seed=0):
     return Triangulation(nv, tuple(tris))
 
 
-def glue_report(t, refinement=3):
+def glue_report(t):
     """Full invariant report for the surface glued from a triangulation."""
     d = dual_complex(t)
-    z = assemble(d, refinement=refinement)
-    coh = structure_cohomology(z)
-    pres = fundamental_group(z)
-    ab = abelianization(pres)
+    z = assemble(d)
+    coh = structure_cohomology(d)
+    ab = abelianization(fundamental_group(d))
     (oh, oab) = simplicial_homology(t)
     return {
         "euler_characteristic": d.euler_characteristic(),
@@ -496,9 +484,10 @@ def glue_report(t, refinement=3):
                            "torsion": list(ab.torsion)},
         "abelianization_crosscheck": (ab.free_rank == oab.free_rank
                                       and ab.torsion == oab.torsion),
-        "canonical_order": canonical_order(d),
+        # h2 is 1 exactly when the balance walk finds an orientation
+        "canonical_order": 2 - coh[2],
         "loop_kernel_classes": loop_kernel_classes(z),
         "components": len(d.polygons),
-        "double_curves": len(d.side_gluing),
+        "double_curves": len(d.curves),
         "triple_points": d.triangle_count,
     }

@@ -553,9 +553,10 @@ def thomas_path_sweep(sq, j, deg):
     return path, a[::-1]
 
 
-def positive_direction(vectors):
-    """A rational combination of the given classes with positive square,
-    or None; exact symmetric congruence diagonalization."""
+def positive_direction(vectors, target):
+    """A rational combination x of the given classes with x.x > 0, or else
+    a class x the diagonalization leaves with x.x = 0 and target.x > 0, or
+    None; exact symmetric congruence diagonalization."""
     basis = [list(map(Fraction, v)) for v in vectors]
     done = []
     while basis:
@@ -576,6 +577,9 @@ def positive_direction(vectors):
         basis = [[x - dot(v, b) / q * y for x, y in zip(v, b)]
                  for v in basis]
         done.append(b)
+    for v in basis:
+        if dot(target, v):
+            return v if dot(target, v) > 0 else [-x for x in v]
     return None
 
 
@@ -589,7 +593,7 @@ def uniform_degree_seed(s):
     if sol is None:
         raise NoAmpleSeed("no class of uniform degree 1 on the cycle")
     if dot(sol, sol) <= 0:
-        x = positive_direction(kernel_basis(rows))
+        x = positive_direction(kernel_basis(rows), sol)
         if x is None:
             raise NoAmpleSeed(
                 "no uniform-degree class has positive square")
@@ -818,7 +822,7 @@ def dual_boundaries(d):
     has one row per triple point, d2 one row per polygon in sorted order
     (the transpose of the boundary map, which has the same rank and Smith
     invariants)."""
-    edges = sorted(d.side_gluing, key=sorted)
+    edges = sorted(d.curves, key=sorted)
     eidx = {e: i for i, e in enumerate(edges)}
     d2 = [{eidx[edge]: s for edge, s in d.polygons[v].items()}
           for v in sorted(d.polygons)]

@@ -74,6 +74,14 @@ def test_glue_rejects_malformed_json(tmp_path, capsys, blob):
     assert err.startswith("bad triangulation: ") and len(err.splitlines()) == 1
 
 
+def test_glue_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(["glue", "--triangulation", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad triangulation: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("path", ["missing.json", "."])
 def test_glue_rejects_unreadable_path(tmp_path, capsys, path):
     code = cli.main(["glue", "--triangulation", str(tmp_path / path)])

@@ -80,6 +80,19 @@ def test_uniform_degree_seed():
     assert len(mult) == 1 and next(iter(mult)) > 0
 
 
+def test_uniform_degree_seed_on_isotropic_kernel():
+    """On cycle_surface(4) the solver's class has square 0 and the
+    degree-0 classes carry no positive square; -K is isotropic there and
+    meets it positively, so it corrects the seed."""
+    s = picard.cycle_surface(4)
+    seed = picard.uniform_degree_seed(s)
+    assert all(picard.dot(seed, c) == 1 for c in s.cycle)
+    assert picard.dot(seed, seed) > 0
+    h = picard.degree_one_polarization(s, seed)
+    assert all(picard.dot(h, c) == 1 for c in s.cycle)
+    assert picard.dot(h, h) > 0
+
+
 def test_degree_one_polarization_standard():
     s = picard.standard_schedule()
     h = picard.degree_one_polarization(s, picard.uniform_degree_seed(s))
@@ -294,17 +307,25 @@ def test_path_sweep_matches_thomas_sweep(data):
         assert (path, [Fraction(x, theta) for x in a]) == expected
 
 
+def _class(n):
+    return st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n,
+                    max_size=n)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n),
-    max_size=5)))
-@example([[1, 1, 0], [Fraction(1, 2), 0, Fraction(1, 2)]])  # both isotropic
-def test_positive_direction_matches_fraction_route(vectors):
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(_class(n), max_size=5), _class(n))))
+@example(([[1, 1, 0], [Fraction(1, 2), 0, Fraction(1, 2)]], [1, 0, 0]))
+@example(([[1, 1, 0], [0, 0, 1]], [-1, 0, 0]))
+@example(([[1, 1, 0], [0, 0, 1]], [0, 0, 1]))
+def test_positive_direction_matches_fraction_route(case):
     """Integer numerators over one denominator against the Fraction
-    congruence diagonalization; the example takes the pairing branch,
-    where every vector left is isotropic."""
-    found = picard._positive_direction(vectors)
-    expected = oracles.positive_direction(vectors)
+    congruence diagonalization. The first example takes the pairing
+    branch, where both vectors are isotropic; in the others the isotropic
+    class is left over and meets the target negatively, or not at all."""
+    vectors, target = case
+    found = picard._positive_direction(vectors, target)
+    expected = oracles.positive_direction(vectors, target)
     if expected is None:
         assert found is None
     else:

@@ -47,6 +47,23 @@ def test_validate_rejects_nonmanifold():
         snc.dual_complex(t)
 
 
+_TETRA = snc.tetrahedron().triangles
+
+
+@pytest.mark.parametrize("t, message", [
+    # a bowtie: two tetrahedra sharing vertex 0, whose link is two triangles
+    (snc.Triangulation(7, _TETRA + tuple(tuple(v and v + 3 for v in tri)
+                                         for tri in _TETRA)),
+     r"^link of vertex 0 is disconnected$"),
+    # the pillow: every edge lies in two triangles, both the same one
+    (snc.Triangulation(3, ((0, 1, 2), (0, 1, 2))),
+     r"^triangle \[0, 1, 2\] is repeated$"),
+], ids=["bowtie", "pillow"])
+def test_validate_rejects_pinched_links(t, message):
+    with pytest.raises(snc.NonManifold, match=message):
+        t.validate()
+
+
 def test_validate_names_smallest_isolated_vertex_in_bounded_memory():
     """An isolated vertex is reported as the smallest unused id, and
     nothing of the declared vertex count's size is built to find it."""
@@ -122,8 +139,13 @@ def test_dual_complex_readers_vs_simplicial_oracle(name, splits, seed):
     assert snc.canonical_order(d) == 2 - h[2] == order
     assert snc.structure_cohomology(d) == oracles.dual_cohomology(d) == h
     assert snc.abelianization(snc.fundamental_group(d)) == oracle
-    assert (len(d.polygons), len(d.side_gluing), d.triangle_count) == (
+    assert (len(d.polygons), len(d.curves), d.triangle_count) == (
         t.vertex_count, len(t.edges()), len(t.triangles))
+    # each double curve is a side of exactly the two polygons at its ends
+    assert set(d.curves) == t.edges()
+    assert all(v in edge for v, signs in d.polygons.items()
+               for edge in signs)
+    assert sum(map(len, d.polygons.values())) == 2 * len(d.curves)
 
 
 def test_rp2_torsion():
@@ -146,7 +168,7 @@ def test_assemble_components_and_identifications():
         from sncgeom import picard
         assert all(picard.dot(h, c) == 1 for c in surf.cycle)
     for edge, ((u, i), (w, j)) in z.curve_identifications.items():
-        assert {u, w} == set(d.side_gluing[edge])
+        assert (u, w) == tuple(sorted(edge))
         assert i % 3 == 1 and j % 3 == 1  # middle curve of each side
 
 
@@ -184,7 +206,7 @@ def test_loop_kernel_classes_no_markings():
 
 def test_loop_kernel_classes_partial_markings():
     d = snc.dual_complex(snc.tetrahedron())
-    some_edge = next(iter(d.side_gluing))
+    some_edge = next(iter(d.curves))
     z = snc.assemble(d, node_markings=[some_edge])
     assert snc.loop_kernel_classes(z) == len(d.polygons) - 1
 
