@@ -8,7 +8,10 @@ pairs agreeing on S. The joint restriction matrix has at most one nonzero
 per column, so its rank and kernel come from bucketing columns by their
 restriction. Products of sections are ranked exactly on packed integer
 columns: each exponent in a field wide enough for twice the largest exponent
-of the factors, the side above them, so a product column is one int add.
+of the factors, so a product column is one int add. A section is packed as
+its left terms and its right terms, and left terms multiply only left terms,
+right only right; a right column carries a tag bit above every field, so the
+two sides of a product never share a column.
 """
 
 from __future__ import annotations
@@ -191,56 +194,64 @@ def glued_basis(z, m):
     return out
 
 
-def _pack(section, width, side_shift):
-    """A glued section as one {column: int} dict. A column holds the
-    exponents in `width`-bit fields, the first exponent highest, and the
-    side (0 left, 1 right) in the field from bit `side_shift` up, so column
-    order is (side, monomial) order. A product column is one add, and a
-    product of right-side terms carries side 2."""
-    out = {}
-    for side, poly in enumerate(section):
+def _pack(section, width, tag):
+    """A glued section as (left terms, right terms), each a tuple of
+    (column, int). A column holds the exponents in `width`-bit fields, the
+    first exponent highest; a right column also carries the bit `tag` above
+    every field, so a left and a right product never share a column."""
+    out = []
+    for side_bit, poly in zip((0, tag), section):
+        terms = []
         for mono, c in poly.items():
             col = 0
             for e in mono:
                 col = (col << width) | e
-            out[(side << side_shift) | col] = c
-    return out
+            terms.append((col | side_bit, c))
+        out.append(tuple(terms))
+    return tuple(out)
 
 
-def _product_rank(pairs, bound):
-    """Exact rank of the products of pairs of glued sections, each product
-    a sparse {column: int} vector over packed columns; exact duplicates are
-    dropped. A rank above `bound`, the glued h0 of the target degree, means
-    the products left the glued section space.
+def _product_rank(first, second, bound):
+    """Exact rank of the products f * g of glued sections, f from `first`
+    and g from `second`, or each unordered pair of `first` once when
+    `second` is None; a product is a sparse {column: int} vector and exact
+    duplicates are dropped. A rank above `bound`, the glued h0 of the target
+    degree, means the products left the glued section space.
 
-    Each distinct section is packed once. The field width holds twice the
-    largest exponent, so no product carries into the next field."""
-    sections = {id(s): s for pair in pairs for s in pair}
-    monos = [mono for section in sections.values() for poly in section
-             for mono in poly]
+    Each section is packed once. The field width holds twice the largest
+    exponent, so no product carries into the next field; left terms
+    multiply left terms and right terms right terms, one int add each. Two
+    terms of a product share a column only when both factors have two terms
+    on the same side, so their coefficients are summed only when both bases
+    hold a section with two terms on a side."""
+    bases = (first,) if second is None else (first, second)
+    monos = [mono for basis in bases for section in basis
+             for poly in section for mono in poly]
     width = (2 * max(map(max, monos), default=0)).bit_length()
-    side_shift = width * max(map(len, monos), default=0)
-    packed = {key: _pack(s, width, side_shift)
-              for key, s in sections.items()}
-    vectors = {}
-    for f, g in pairs:
-        vec = {}
-        for e1, c1 in packed[id(f)].items():
-            for e2, c2 in packed[id(g)].items():
-                if e1 >> side_shift == e2 >> side_shift:
-                    e = e1 + e2
-                    vec[e] = vec.get(e, 0) + c1 * c2
-        vec = {e: c for e, c in vec.items() if c}
-        vectors[frozenset(vec.items())] = vec
-    rank = lattice.sparse_rank(vectors.values())
+    tag = 1 << width * max(map(len, monos), default=0)
+    packed = [[_pack(s, width, tag) for s in basis] for basis in bases]
+    merge = all(any(len(left) > 1 or len(right) > 1 for left, right in basis)
+                for basis in packed)
+    vectors = set()
+    for i, (l1, r1) in enumerate(packed[0]):
+        for l2, r2 in packed[0][i:] if second is None else packed[1]:
+            terms = []
+            for e1, c1 in l1:
+                for e2, c2 in l2:
+                    terms.append((e1 + e2, c1 * c2))
+            for e1, c1 in r1:
+                for e2, c2 in r2:
+                    terms.append((e1 + e2, c1 * c2))
+            if merge:
+                vec = {}
+                for e, c in terms:
+                    vec[e] = vec.get(e, 0) + c
+                terms = [(e, c) for e, c in vec.items() if c]
+            vectors.add(frozenset(terms))
+    rank = lattice.sparse_rank(map(dict, vectors))
     if rank > bound:
         raise AssertionError("products leave the glued section space")
     return rank
-
-
-def _unordered_pairs(basis):
-    n = len(basis)
-    return [(basis[i], basis[j]) for i in range(n) for j in range(i, n)]
 
 
 def degree_one_generation(z, m_max):
@@ -248,22 +259,22 @@ def degree_one_generation(z, m_max):
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     b1 = glued_basis(z, 1)
-    pairs = _unordered_pairs(b1)
+    bm = None   # degree 2: each unordered pair of b1 once
     for m in range(2, m_max + 1):
         target = glued_h0(z, m)
-        if _product_rank(pairs, target) != target:
+        if _product_rank(b1, bm, target) != target:
             return False
         if m < m_max:
             bm = glued_basis(z, m)
-            pairs = [(s1, s2) for s1 in b1 for s2 in bm]
     return True
 
 
 def quadric_kernel_dim(z):
     """dim ker(Sym^2 H^0(L) -> H^0(L^2)): the number of independent
     quadrics through the image of the degree-1 embedding."""
-    pairs = _unordered_pairs(glued_basis(z, 1))
-    return len(pairs) - _product_rank(pairs, glued_h0(z, 2))
+    b1 = glued_basis(z, 1)
+    n = len(b1)
+    return n * (n + 1) // 2 - _product_rank(b1, None, glued_h0(z, 2))
 
 
 def restriction_surjective(r, a, b):

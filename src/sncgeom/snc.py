@@ -112,7 +112,10 @@ class Triangulation:
         """Parse {"vertices": n, "triangles": [[a, b, c], ...]}; ValueError
         unless n is an int >= 0 and each triangle is three distinct ints in
         range(n)."""
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(d, dict) or not {"vertices", "triangles"} <= set(d):
             raise ValueError('expected keys "vertices" and "triangles"')
         n, tris = d["vertices"], d["triangles"]

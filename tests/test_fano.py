@@ -237,6 +237,9 @@ def small_configs():
         yield fano.ZR(r)
         for s in range(4 - r):
             yield fano.ZRS(r, s)
+    # the P^1 factors exchanged in the gluing
+    yield fano.ZR(1, swap=True)
+    yield fano.ZRS(1, 1, swap=True)
 
 
 def test_generation_and_quadrics_match_dense_route():
@@ -254,10 +257,18 @@ def test_generation_and_quadrics_match_dense_route():
         assert fano.degree_one_generation(z, 3) == generated
 
 
+def triangle_pairs(sections):
+    return [(f, g) for i, f in enumerate(sections) for g in sections[i:]]
+
+
 def test_product_rank_drops_only_exact_duplicates():
-    # s1 * s1 and s1 * s2 share their support but not their coefficients
+    # s1 * s1, s1 * s2 and s2 * s2 share their support; s2 * s2 repeats
+    # s1 * s1 exactly, s1 * s2 differs from it in one coefficient
     s1, s2 = ({(1, 0): 1}, {(0, 1): 1}), ({(1, 0): 1}, {(0, 1): -1})
-    assert fano._product_rank([(s1, s1), (s1, s2), (s1, s1)], 2) == 2
+    assert fano._product_rank([s1, s2], None, 2) == 2
+    assert oracles.tuple_product_rank(triangle_pairs([s1, s2]), 2) == 2
+    assert fano._product_rank([s1], [s1, s2, s1], 2) == 2
+    assert oracles.tuple_product_rank([(s1, s1), (s1, s2), (s1, s1)], 2) == 2
 
 
 # exponents near 0, across 2^8 and across 2^12, so that sums cross field
@@ -268,9 +279,11 @@ COEFFICIENT = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
 
 @st.composite
-def section_lists(draw):
-    """1-5 glued sections; each side draws its at most two terms from a
-    small pool of 4- or 5-tuple exponents, so that products meet."""
+def product_bases(draw):
+    """A list of 1-5 glued sections, and either None (the unordered pairs
+    of the list) or a second such list. Each side draws its at most two
+    terms from one small pool of 4- or 5-tuple exponents, so that products
+    meet."""
     sides = []
     for _ in range(2):
         n = draw(st.sampled_from([4, 5]))
@@ -278,14 +291,19 @@ def section_lists(draw):
                              max_size=4))
         sides.append(st.dictionaries(st.sampled_from(pool), COEFFICIENT,
                                      max_size=2))
-    return draw(st.lists(st.tuples(*sides), min_size=1, max_size=5))
+    sections = st.lists(st.tuples(*sides), min_size=1, max_size=5)
+    return draw(sections), draw(st.none() | sections)
 
 
 @settings(max_examples=150, deadline=None)
-@given(section_lists())
-def test_product_rank_matches_tuple_route(sections):
-    pairs = [(f, g) for f in sections for g in sections]
-    assert (fano._product_rank(pairs, len(pairs))
+@given(product_bases())
+def test_product_rank_matches_tuple_route(bases):
+    first, second = bases
+    if second is None:
+        pairs = triangle_pairs(first)
+    else:
+        pairs = [(f, g) for f in first for g in second]
+    assert (fano._product_rank(first, second, len(pairs))
             == oracles.tuple_product_rank(pairs, len(pairs)))
 
 
@@ -294,15 +312,52 @@ def unit_section(side, mono):
 
 
 def test_product_exponents_past_8_bits_keep_their_columns():
-    # 200 + 100 = 300 would carry out of an 8-bit field and land on the
-    # column of (44, 1), or of (1, 44) with the fields in the other order
-    pairs = []
-    for side in (0, 1):
-        pairs += [(unit_section(side, a), unit_section(side, b))
-                  for a, b in (((200, 0), (100, 0)), ((0, 200), (0, 100)),
-                               ((44, 1), (0, 0)), ((1, 44), (0, 0)))]
-    assert fano._product_rank(pairs, 8) == 8
-    assert oracles.tuple_product_rank(pairs, 8) == 8
+    # 200 + 100 = 300 would carry out of an 8-bit field: (0, 300) would land
+    # on the column of (1, 44), and (300, 0) on that of (44, 1) shifted
+    first = [unit_section(side, a) for side in (0, 1)
+             for a in ((200, 0), (0, 200), (44, 1), (1, 44))]
+    second = [unit_section(side, b) for side in (0, 1)
+              for b in ((100, 0), (0, 100), (0, 0))]
+    pairs = [(f, g) for f in first for g in second]
+    # 12 distinct columns a side; a left times a right section is zero
+    assert fano._product_rank(first, second, 24) == 24
+    assert oracles.tuple_product_rank(pairs, 24) == 24
+
+
+def test_side_tag_keeps_left_and_right_columns_apart():
+    # the 4-field right monomial packs to the int of the first 5-field left
+    # one untagged, and to that of the second with a tag bit below the top
+    # field; either way f * f and f * g would land on one column, as 2 and 0
+    for left in ((0, 1, 0, 0, 1), (1, 1, 0, 0, 1)):
+        f = ({left: 1}, {(1, 0, 0, 1): 1})
+        g = ({left: 1}, {(1, 0, 0, 1): -1})
+        assert fano._product_rank([f, g], None, 3) == 2
+        assert oracles.tuple_product_rank(triangle_pairs([f, g]), 3) == 2
+        assert fano._product_rank([f], [g], 1) == 1
+    # a left-only section times a right-only one is zero
+    assert fano._product_rank([unit_section(0, (1, 0))],
+                              [unit_section(1, (1, 0))], 0) == 0
+    # 2 * 127 = 254 sets 8-bit fields; a right x right product fills them up
+    # to 254 right below its two tag bits, which add to one bit above them
+    monos = ((127, 127), (127, 0), (0, 127), (0, 0))
+    sections = [unit_section(side, e) for side in (0, 1) for e in monos]
+    columns = {(side, (a1 + a2, b1 + b2)) for side in (0, 1)
+               for a1, b1 in monos for a2, b2 in monos}
+    n = len(columns)
+    assert fano._product_rank(sections, None, n) == n == 18
+    assert oracles.tuple_product_rank(triangle_pairs(sections), n) == n
+
+
+def test_product_rank_sums_terms_on_a_shared_column():
+    # (x - y)(x + y) = x^2 - y^2: the two xy terms cancel, so the product
+    # equals the degree-2 section x^2 - y^2 times 1
+    f = ({}, {(1, 0): 1, (0, 1): -1})
+    h = ({}, {(1, 0): 1, (0, 1): 1})
+    g = ({}, {(2, 0): 1, (0, 2): -1})
+    one = ({}, {(0, 0): 1})
+    pairs = [(s1, s2) for s1 in (f, g) for s2 in (h, one)]
+    assert fano._product_rank([f, g], [h, one], 4) == 3
+    assert oracles.tuple_product_rank(pairs, 4) == 3
 
 
 def test_glued_h0_guard_fires(monkeypatch):

@@ -159,6 +159,12 @@ def test_triangulation_json_roundtrip():
     assert snc.Triangulation.from_json(t.to_json()).triangles == t.triangles
 
 
+def test_from_json_rejects_deeply_nested_brackets():
+    # json.loads raises RecursionError here; from_json promises ValueError
+    with pytest.raises(ValueError, match="nested too deeply"):
+        snc.Triangulation.from_json("[" * 100_000)
+
+
 def test_assemble_components_and_identifications():
     d = snc.dual_complex(snc.tetrahedron())
     z = snc.assemble(d)
