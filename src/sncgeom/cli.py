@@ -191,14 +191,17 @@ def cmd_verify(args):
     if args.suite in ("charts", "all"):
         results["chart_failures"] = poly.fuzz_blowup_charts(seed=seed)
     if args.suite in ("detvar", "all"):
-        results["codim_2x2_determinant"] = poly.rank_locus_codim_estimate(
-            2, poly.SQUARE, ambient_dim=4, p=101, trials=20000, seed=seed)
-        for n in (2, 3):
-            results[f"codim_{n}x{n - 1}_rank_drop"] = (
-                poly.rank_locus_codim_estimate(
-                    n, poly.N_BY_N_MINUS_1,
-                    ambient_dim=max(4, n * (n - 1)),
-                    p=101, trials=20000, seed=seed))
+        try:
+            results["codim_2x2_determinant"] = poly.rank_locus_codim_estimate(
+                2, poly.SQUARE, ambient_dim=4, p=101, trials=20000, seed=seed)
+            for n in (2, 3):
+                results[f"codim_{n}x{n - 1}_rank_drop"] = (
+                    poly.rank_locus_codim_estimate(
+                        n, poly.N_BY_N_MINUS_1,
+                        ambient_dim=max(4, n * (n - 1)),
+                        p=101, trials=20000, seed=seed))
+        except poly.Indeterminate as exc:
+            return _fail(f"verify seed={seed}: {exc}")
     ok = (results.get("adjugate_failures", 0) == 0
           and results.get("adjoint_relation_failures", 0) == 0
           and results.get("chart_failures", 0) == 0

@@ -1,8 +1,8 @@
-"""Exact sparse multivariate polynomial arithmetic over Z, Q or F_p.
+"""Exact sparse multivariate polynomial arithmetic over Z.
 
-A polynomial lives in a `Ring`, one shared object per (coefficient domain,
-variables), so two polynomials are compatible exactly when their rings are
-the same object. Its terms are a {monomial: coefficient} dict that never
+A polynomial lives in a `Ring`, one shared object per tuple of variables,
+so two polynomials are compatible exactly when their rings are the same
+object. Its terms are a {monomial: int coefficient} dict that never
 stores a zero coefficient. A monomial is one packed int: each variable owns
 a FIELD_BITS = 16 bit field holding its exponent, the first variable in the
 highest field, so int order is lexicographic order in the declared variable
@@ -32,9 +32,6 @@ from types import MappingProxyType
 
 from . import lattice
 
-INT = "int"
-RAT = "rat"
-PRIME_FIELD = "gf"
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -45,37 +42,18 @@ class DomainMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoeffDomain:
-    tag: str
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.tag == PRIME_FIELD:
-            if self.p is None or self.p < 2 or not _is_prime(self.p):
-                raise ValueError("p must be prime for a prime field")
-        elif self.p is not None:
-            raise ValueError("p only allowed for prime fields")
-
-    def coerce(self, c):
-        """Exact coefficient of this domain for c; floats are refused, since
-        a binary fraction is never the coefficient that was meant."""
-        if isinstance(c, float):
-            raise TypeError("floating-point coefficient; use int or Fraction")
-        if type(c) is int:
-            if self.tag == INT:
-                return c
-            if self.tag == PRIME_FIELD:
-                return c % self.p
-        f = Fraction(c)
-        if self.tag == RAT:
-            return f
-        if self.tag == INT:
-            if f.denominator != 1:
-                raise ValueError("non-integral coefficient over Z")
-            return int(f)
-        # pow raises ValueError when p divides the denominator
-        return f.numerator * pow(f.denominator, -1, self.p) % self.p
+def _coerce(c):
+    """The int coefficient for c. Floats are refused, since a binary
+    fraction is never the coefficient that was meant, and so are rationals
+    that are not integers."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError("floating-point coefficient; use int or Fraction")
+    f = Fraction(c)
+    if f.denominator != 1:
+        raise ValueError("non-integral coefficient over Z")
+    return int(f)
 
 
 def _is_prime(n):
@@ -89,41 +67,30 @@ def _is_prime(n):
     return True
 
 
-ZZ = CoeffDomain(INT)
-QQ = CoeffDomain(RAT)
-
-
-def GF(p):
-    return CoeffDomain(PRIME_FIELD, p)
-
-
 class Ring:
-    """The polynomial ring domain[variables] and its monomial packing.
+    """The polynomial ring Z[variables] and its monomial packing.
 
-    `Ring(domain, variables)` returns the one Ring of that pair, so rings
+    `Ring(variables)` returns the one Ring of that variable tuple, so rings
     compare by identity. Variable i owns the FIELD_BITS wide field at
     `shifts[i]`; `guard` has the top bit of every field set.
     """
 
-    __slots__ = ("domain", "variables", "p", "shifts", "guard")
+    __slots__ = ("variables", "shifts", "guard")
 
-    def __new__(cls, domain, variables):
+    def __new__(cls, variables):
         variables = tuple(variables)
-        key = (domain, variables)
-        self = _RINGS.get(key)
+        self = _RINGS.get(variables)
         if self is None:
             self = object.__new__(cls)
-            self.domain = domain
             self.variables = variables
-            self.p = domain.p
             n = len(variables)
             self.shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
             self.guard = sum(1 << s + FIELD_BITS - 1 for s in self.shifts)
-            self = _RINGS.setdefault(key, self)
+            self = _RINGS.setdefault(variables, self)
         return self
 
     def __reduce__(self):  # unpickled and copied rings stay the interned one
-        return Ring, (self.domain, self.variables)
+        return Ring, (self.variables,)
 
     def pack(self, exps):
         """The monomial of an exponent vector, checked."""
@@ -145,7 +112,7 @@ class Ring:
         return 1 << self.shifts[self.variables.index(name)]
 
 
-_RINGS = {}  # (domain, variables) -> its Ring; only ever grows
+_RINGS = {}  # variables -> their Ring; only ever grows
 
 
 class MultiPoly:
@@ -153,20 +120,20 @@ class MultiPoly:
 
     __slots__ = ("ring", "_terms")
 
-    def __init__(self, domain, variables, terms=None):
-        ring = self.ring = Ring(domain, variables)
+    def __init__(self, variables, terms=None):
+        ring = self.ring = Ring(variables)
         clean = {}
         for exps, c in (terms or {}).items():
             key = ring.pack(exps)
-            c = domain.coerce(c)
+            c = _coerce(c)
             if c != 0:
                 clean[key] = c
         self._terms = clean
 
     @staticmethod
     def _wrap(ring, terms):
-        """Wrap {monomial: coefficient} terms that are already normalised:
-        coefficients of the domain, nonzero, and in [1, p) over F_p."""
+        """Wrap {monomial: int} terms that are already normalised: no
+        coefficient is zero."""
         self = object.__new__(MultiPoly)
         self.ring = ring
         self._terms = terms
@@ -174,19 +141,9 @@ class MultiPoly:
 
     @staticmethod
     def _trusted(ring, terms):
-        """Wrap {monomial: coefficient} terms whose coefficients are already
-        of the domain (ints for Z and F_p, Fractions for Q): zero
-        coefficients are dropped and F_p ones reduced, nothing is checked
-        or coerced."""
-        p = ring.p
-        if p is None:
-            return MultiPoly._wrap(ring, {e: c for e, c in terms.items() if c})
-        return MultiPoly._wrap(ring, {e: r for e, c in terms.items()
-                                      if (r := c % p)})
-
-    @property
-    def domain(self):
-        return self.ring.domain
+        """Wrap {monomial: int} terms, dropping zero coefficients; nothing
+        is checked or coerced."""
+        return MultiPoly._wrap(ring, {e: c for e, c in terms.items() if c})
 
     @property
     def variables(self):
@@ -201,13 +158,13 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, domain, variables, c):
-        return cls._trusted(Ring(domain, variables), {0: domain.coerce(c)})
+    def const(cls, variables, c):
+        return cls._trusted(Ring(variables), {0: _coerce(c)})
 
     @classmethod
-    def var(cls, domain, variables, name):
-        ring = Ring(domain, variables)
-        return cls._trusted(ring, {ring.unit(name): domain.coerce(1)})
+    def var(cls, variables, name):
+        ring = Ring(variables)
+        return cls._wrap(ring, {ring.unit(name): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -216,20 +173,16 @@ class MultiPoly:
             if other.ring is not self.ring:
                 raise DomainMismatch("incompatible polynomial rings")
             return other
-        ring = self.ring
-        return MultiPoly._trusted(ring, {0: ring.domain.coerce(other)})
+        return MultiPoly._trusted(self.ring, {0: _coerce(other)})
 
     def _plus(self, other, sign):
         """self + sign * other in one pass over the terms of other, the
-        only ones that can cancel or leave [0, p)."""
+        only ones that can cancel."""
         other = self._compat(other)
-        p = self.ring.p
         terms = dict(self._terms)
         get = terms.get
         for e, c in other._terms.items():
             s = get(e, 0) + sign * c
-            if p is not None:
-                s %= p
             if s:
                 terms[e] = s
             else:
@@ -242,12 +195,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.p
-        if p is None:
-            terms = {e: -c for e, c in self._terms.items()}
-        else:
-            terms = {e: p - c for e, c in self._terms.items()}
-        return MultiPoly._wrap(self.ring, terms)
+        return MultiPoly._wrap(self.ring,
+                               {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -263,7 +212,7 @@ class MultiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative exponent")
-        out = MultiPoly.const(self.domain, self.variables, 1)
+        out = MultiPoly.const(self.variables, 1)
         for _ in range(n):
             out = out * self
         return out
@@ -286,7 +235,7 @@ class MultiPoly:
 
     def extend_vars(self, variables):
         """Reinterpret in a larger ring containing the old variables."""
-        ring = Ring(self.domain, variables)
+        ring = Ring(variables)
         shifts = [ring.shifts[ring.variables.index(v)]
                   for v in self.variables]
         unpack = self.ring.exponents
@@ -371,7 +320,7 @@ def divide_exact(f, g):
         raise DomainMismatch("incompatible polynomial rings")
     if g.is_zero():
         return MultiPoly._wrap(ring, {}) if f.is_zero() else None
-    guard, p, tag = ring.guard, ring.p, ring.domain.tag
+    guard = ring.guard
     q_terms = {}
     rem = dict(f._terms)
     get = rem.get
@@ -385,27 +334,20 @@ def divide_exact(f, g):
         if diff & guard != guard:
             return None
         diff ^= guard
-        if tag == INT:
-            if rc % lt_c != 0:
-                return None
-            qc = rc // lt_c
-        elif tag == RAT:
-            qc = rc / lt_c
-        else:
-            qc = rc * pow(lt_c, -1, p) % p
+        if rc % lt_c:
+            return None
+        qc = rc // lt_c
         q_terms[diff] = qc
         for e, c in tail:
             e += diff
             if e & guard:
                 raise OverflowError(_OVERFLOW)
             s = get(e, 0) - qc * c
-            if p is not None:
-                s %= p
             if s:
                 rem[e] = s
             else:
                 del rem[e]
-    return MultiPoly._trusted(ring, q_terms)
+    return MultiPoly._wrap(ring, q_terms)
 
 
 # -- polynomial matrices ---------------------------------------------------
@@ -468,7 +410,7 @@ def _minor_table(m):
         raise ValueError("empty matrix")
     entries = m.entries
     ring = entries[0][0].ring
-    memo = {((), ()): MultiPoly.const(ring.domain, ring.variables, 1)}
+    memo = {((), ()): MultiPoly.const(ring.variables, 1)}
 
     def minor(rows, cols):
         key = (rows, cols)
@@ -564,13 +506,13 @@ class BlowupChart:
         hj = h.drop_col(j)
         hcol = h.column(j)
         det, adj = self._det, self._adj
-        domain, variables = f[0].domain, f[0].variables
+        variables = f[0].variables
         if self.chart == "s":
-            t = MultiPoly.var(domain, variables, "t")
+            t = MultiPoly.var(variables, "t")
             f_sub = list(f)
             f_sub[j] = t * det
         else:
-            s = MultiPoly.var(domain, variables, "s")
+            s = MultiPoly.var(variables, "s")
             f_sub = [s * fi for fi in f]
             f_sub[j] = det
         others = [fi for k, fi in enumerate(f_sub) if k != j]
@@ -604,8 +546,8 @@ def blowup_chart(f, h, j, chart="s"):
     jj = j - 1
     det, adj = _det_adj(hx.drop_col(jj))
     ring = fx[0].ring
-    u = MultiPoly.var(ring.domain, variables, other)
-    one = MultiPoly.const(ring.domain, variables, 1)
+    u = MultiPoly.var(variables, other)
+    one = MultiPoly.const(variables, 1)
     # chart s: f' + u adj(H_j) h_col and f_j - u det(H_j);
     # chart t: u f' + adj(H_j) h_col and u f_j - det(H_j)
     a, b = (one, u) if chart == "s" else (u, one)
@@ -706,27 +648,26 @@ def _nearest_log(total, p):
 # -- fuzz suites (shared by tests and the CLI verify command) ---------------
 
 
-def _random_poly(rng, domain, variables, degree=2, nterms=3, coeff=5):
-    """nterms random terms of degree <= degree on packed monomials; sums
-    start at the domain's zero, so they are Fractions over Q."""
-    ring = Ring(domain, variables)
-    shifts, nvars, zero = ring.shifts, len(variables), domain.coerce(0)
+def _random_poly(rng, variables, degree=2, nterms=3, coeff=5):
+    """nterms random terms of degree <= degree on packed monomials."""
+    ring = Ring(variables)
+    shifts, nvars = ring.shifts, len(variables)
     terms = {}
     for _ in range(nterms):
         e = 0
         for _ in range(rng.randrange(degree + 1)):
             e += 1 << shifts[rng.randrange(nvars)]
-        terms[e] = terms.get(e, zero) + rng.randint(-coeff, coeff)
+        terms[e] = terms.get(e, 0) + rng.randint(-coeff, coeff)
     return MultiPoly._trusted(ring, terms)
 
 
 def _random_system(rng, variables, n):
-    """(f, h) over ZZ: n polynomials f of degree <= 2 and an (n-1) x n
-    matrix h of entries of degree <= 1, h drawn first."""
+    """(f, h): n polynomials f of degree <= 2 and an (n-1) x n matrix h of
+    entries of degree <= 1, h drawn first."""
     h = PolyMatrix.from_rows(
-        [[_random_poly(rng, ZZ, variables, degree=1, nterms=2)
+        [[_random_poly(rng, variables, degree=1, nterms=2)
           for _ in range(n)] for _ in range(n - 1)])
-    f = [_random_poly(rng, ZZ, variables, degree=2, nterms=2)
+    f = [_random_poly(rng, variables, degree=2, nterms=2)
          for _ in range(n)]
     return f, h
 
@@ -741,7 +682,7 @@ def fuzz_adjugate(cases=200, seed=0, max_size=4):
         nv = rng.randint(1, len(variables))
         vs = variables[:nv]
         m = PolyMatrix.from_rows(
-            [[_random_poly(rng, ZZ, vs, degree=2, nterms=2)
+            [[_random_poly(rng, vs, degree=2, nterms=2)
               for _ in range(n)] for _ in range(n)])
         det, adj = _det_adj(m)
         failures += sum(e != (det if i == j else 0)

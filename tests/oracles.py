@@ -25,9 +25,9 @@ around it, and `uniform_degree_seed` the seed on the dense `solve` and
 `positive_direction`.
 
 For `MultiPoly`, whose monomials are packed ints in one interned ring,
-`TuplePoly` is the arithmetic on {exponent tuple: coefficient} dicts it
-replaced (`+`, `-`, `*`, negation), with no exponent limit, and
-`tuple_divide_exact` the division on it. `random_poly` is the fuzz suites'
+`TuplePoly` is the arithmetic on {exponent tuple: int} dicts it replaced
+(`+`, `-`, `*`, negation), with no exponent limit, and `tuple_divide_exact`
+the division over Z on it. `random_poly` is the fuzz suites'
 draw through the validating constructor, which `poly._random_poly` replaced
 by packed keys from the same rng calls.
 
@@ -71,13 +71,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
+from operator import index
 
 from sncgeom.fano import pr_basis, sym_split
 from sncgeom.lattice import det_int, echelon_mod_p, sparse_rank
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, dot)
-from sncgeom.poly import (INT, RAT, SQUARE, ZZ, DomainMismatch, MultiPoly,
-                          PolyMatrix, divide_exact)
+from sncgeom.poly import (SQUARE, DomainMismatch, MultiPoly, PolyMatrix,
+                          divide_exact)
 
 
 def _integerize_rows(rows):
@@ -342,7 +343,7 @@ def rank_mod_p(rows, p):
 def det_bareiss(m):
     n = m.rows
     a = [row[:] for row in m.entries]
-    one = MultiPoly.const(a[0][0].domain, a[0][0].variables, 1)
+    one = MultiPoly.const(a[0][0].variables, 1)
     sign = 1
     prev = one
     for c in range(n):
@@ -385,7 +386,7 @@ def cofactor_adjugate(m):
     row j and column i."""
     n = m.rows
     ref = m.entries[0][0]
-    one = MultiPoly.const(ref.domain, ref.variables, 1)
+    one = MultiPoly.const(ref.variables, 1)
 
     def cofactor(i, j):
         sub = [[e for c, e in enumerate(row) if c != i]
@@ -397,36 +398,29 @@ def cofactor_adjugate(m):
 
 
 class TuplePoly:
-    """A polynomial as {exponent tuple: coefficient}, compared with the
+    """A polynomial over Z as {exponent tuple: int}, compared with the
     packed `MultiPoly` through its `terms` view."""
 
-    __slots__ = ("domain", "variables", "terms")
+    __slots__ = ("variables", "terms")
 
     @classmethod
     def of(cls, f):
-        return cls._trusted(f.domain, f.variables, dict(f.terms))
+        return cls._trusted(f.variables, dict(f.terms))
 
     @classmethod
-    def _trusted(cls, domain, variables, terms):
+    def _trusted(cls, variables, terms):
         self = object.__new__(cls)
-        self.domain = domain
         self.variables = variables
-        p = domain.p
-        if p is None:
-            self.terms = {e: c for e, c in terms.items() if c}
-        else:
-            self.terms = {e: r for e, c in terms.items() if (r := c % p)}
+        self.terms = {e: c for e, c in terms.items() if c}
         return self
 
     def _compat(self, other):
         if isinstance(other, TuplePoly):
-            if (other.domain != self.domain
-                    or other.variables != self.variables):
+            if other.variables != self.variables:
                 raise DomainMismatch("incompatible polynomial rings")
             return other
-        return TuplePoly._trusted(self.domain, self.variables,
-                                  {(0,) * len(self.variables):
-                                   self.domain.coerce(other)})
+        return TuplePoly._trusted(self.variables,
+                                  {(0,) * len(self.variables): index(other)})
 
     def is_zero(self):
         return not self.terms
@@ -436,12 +430,12 @@ class TuplePoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return TuplePoly._trusted(self.domain, self.variables, terms)
+        return TuplePoly._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TuplePoly._trusted(self.domain, self.variables,
+        return TuplePoly._trusted(self.variables,
                                   {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -454,17 +448,16 @@ class TuplePoly:
             for e2, c2 in other.terms.items():
                 e = tuple([a + b for a, b in zip(e1, e2)])
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return TuplePoly._trusted(self.domain, self.variables, terms)
+        return TuplePoly._trusted(self.variables, terms)
 
     __rmul__ = __mul__
 
 
 def tuple_divide_exact(f, g):
     """Quotient q with f = q*g of TuplePolys, or None when g does not divide
-    f exactly."""
+    f exactly over Z."""
     if g.is_zero():
-        return TuplePoly._trusted(f.domain, f.variables, {}) \
-            if f.is_zero() else None
+        return TuplePoly._trusted(f.variables, {}) if f.is_zero() else None
     q_terms = {}
     rem = f
     lt_e, lt_c = max(g.terms.items(), key=lambda t: t[0])
@@ -473,20 +466,15 @@ def tuple_divide_exact(f, g):
         diff = tuple([a - b for a, b in zip(re_, lt_e)])
         if any(d < 0 for d in diff):
             return None
-        if f.domain.tag == INT:
-            if rc % lt_c != 0:
-                return None
-            qc = rc // lt_c
-        elif f.domain.tag == RAT:
-            qc = Fraction(rc) / lt_c
-        else:
-            qc = rc * pow(lt_c, -1, f.domain.p)
+        if rc % lt_c != 0:
+            return None
+        qc = rc // lt_c
         q_terms[diff] = q_terms.get(diff, 0) + qc
-        rem = rem - TuplePoly._trusted(f.domain, f.variables, {diff: qc}) * g
-    return TuplePoly._trusted(f.domain, f.variables, q_terms)
+        rem = rem - TuplePoly._trusted(f.variables, {diff: qc}) * g
+    return TuplePoly._trusted(f.variables, q_terms)
 
 
-def random_poly(rng, domain, variables, degree=2, nterms=3, coeff=5):
+def random_poly(rng, variables, degree=2, nterms=3, coeff=5):
     terms = {}
     for _ in range(nterms):
         e = [0] * len(variables)
@@ -494,7 +482,7 @@ def random_poly(rng, domain, variables, degree=2, nterms=3, coeff=5):
             e[rng.randrange(len(variables))] += 1
         c = rng.randint(-coeff, coeff)
         terms[tuple(e)] = terms.get(tuple(e), 0) + c
-    return MultiPoly(domain, variables, terms)
+    return MultiPoly(variables, terms)
 
 
 def gaussian_binomial(n, k, p):
@@ -675,7 +663,7 @@ def tuple_product_rank(pairs, bound):
 _TOKEN = re.compile(r"\s*([a-z][a-z0-9]*|\d+|[-+*^()])")
 
 
-def parse_poly(text, variables, domain=ZZ):
+def parse_poly(text, variables):
     """Parse `3*x1^2*t - x2` style syntax into a MultiPoly."""
     tokens = []
     pos = 0
@@ -708,11 +696,11 @@ def parse_poly(text, variables, domain=ZZ):
         if t is None:
             raise ValueError("unexpected end of input")
         if t.isdigit():
-            base = MultiPoly.const(domain, variables, int(t))
+            base = MultiPoly.const(variables, int(t))
         else:
             if t not in variables:
                 raise ValueError(f"unknown variable {t!r}")
-            base = MultiPoly.var(domain, variables, t)
+            base = MultiPoly.var(variables, t)
         if peek() == "^":
             take()
             n = take()
@@ -749,23 +737,22 @@ def evaluate(f, point):
     variables, read off the exponent tuples of `f.terms`."""
     if len(point) != len(f.variables):
         raise ValueError("point dimension mismatch")
-    coerce = f.domain.coerce
-    total = coerce(0)
+    total = 0
     for e, c in f.terms.items():
         val = c
         for x, k in zip(point, e):
             if k:
-                val = val * coerce(x) ** k
+                val = val * x ** k
         total = total + val
-    return coerce(total)
+    return total
 
 
 def subs(f, mapping):
     """f with polynomials (or scalars) substituted for some variables."""
-    out = MultiPoly(f.domain, f.variables)
+    out = MultiPoly(f.variables)
     cache = {}
     for e, c in f.terms.items():
-        term = MultiPoly.const(f.domain, f.variables, c)
+        term = MultiPoly.const(f.variables, c)
         for name, k in zip(f.variables, e):
             if k == 0:
                 continue
@@ -774,11 +761,11 @@ def subs(f, mapping):
                 if key not in cache:
                     rep = mapping[name]
                     if not isinstance(rep, MultiPoly):
-                        rep = MultiPoly.const(f.domain, f.variables, rep)
+                        rep = MultiPoly.const(f.variables, rep)
                     cache[key] = rep ** k
                 term = term * cache[key]
             else:
-                term = term * MultiPoly.var(f.domain, f.variables, name) ** k
+                term = term * MultiPoly.var(f.variables, name) ** k
         out = out + term
     return out
 

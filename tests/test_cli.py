@@ -247,6 +247,19 @@ def test_verify_rejects_non_integer_env_seed(capsys, monkeypatch):
     assert capsys.readouterr().err == "SNC_SEED must be an integer\n"
 
 
+@pytest.mark.parametrize("suite, seed", [("detvar", "68"), ("detvar", "150"),
+                                         ("all", "80")])
+def test_verify_seed_without_locus_points_fails_in_one_line(
+        capsys, monkeypatch, suite, seed):
+    """A seed whose random forms leave the rank locus without an F_p point
+    ends in one line naming the seed, not in a traceback."""
+    monkeypatch.setenv("SNC_SEED", seed)
+    assert cli.main(["--json", "verify", "--suite", suite]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"verify seed={seed}: no point of the rank locus over F_p\n"
+
+
 # -- fuzz: every input ends in a report or one line, exit 0 or 1 -------------
 
 REFERENCE = [json.loads(f().to_json()) for f in (
@@ -292,8 +305,9 @@ TRIANGULATION_TEXT = st.one_of(
 NUMBER = st.one_of(st.integers(-3, 14).map(str),
                    st.sampled_from(["", "x", "1.5", "-", "1,2", "--json"]))
 
-# --suite is always drawn for verify: `adjugate`, `detvar` and `all` take
-# seconds each and run in their own tests.
+# --suite is always drawn for verify: `charts` and `detvar` take
+# milliseconds, while `adjugate` and `all` take a quarter of a second or
+# more each and run in their own tests.
 OPTIONS = {
     "surface": {"--corners": NUMBER,
                 "--schedule": st.sampled_from(["standard", "other"])},
@@ -318,7 +332,8 @@ def argvs(draw):
     if command is not None:
         argv.append(command)
     if command == "verify":
-        argv += ["--suite", draw(st.sampled_from(["charts", "none"]))]
+        argv += ["--suite", draw(st.sampled_from(["charts", "detvar",
+                                                  "none"]))]
     options = OPTIONS.get(command, {})
     for name in draw(st.lists(st.sampled_from([*options, "--junk",
                                                "--help"]),
@@ -356,6 +371,7 @@ def test_glue_fuzz_ends_in_report_or_one_line(tmp_path, capsys, text):
 @FUZZ
 @given(argv=argvs())
 @example(argv=["resolve", "--m", "3", "--h2", "1,2,1,2", "--seed", "1"])
+@example(argv=["verify", "--suite", "detvar", "--seed", "68"])
 def test_cli_fuzz_ends_in_report_or_one_line(tmp_path, capsys, argv):
     path = tmp_path / "rp2.json"
     path.write_text(snc.rp2_6().to_json())
