@@ -87,15 +87,33 @@ def test_divide_exact_integer_content():
     assert poly.divide_exact(P("4*x1^2 - 6*x1"), P("-2*x1")) == P("3 - 2*x1")
 
 
-def test_divide_exact_raises_when_a_shifted_term_leaves_the_field():
-    """x*y^20000 / (x + y^20000): the first quotient term y^20000 shifts the
-    non-leading term y^20000 of g to y^40000, past its field."""
-    f = MultiPoly(("x", "y"), {(1, 20000): 1})
-    g = MultiPoly(("x", "y"), {(1, 0): 1, (0, 20000): 1})
+def monomial(variables, **exps):
+    """The exponent tuple of a monomial of Z[variables], given by name."""
+    return tuple(exps.get(v, 0) for v in variables)
+
+
+# y in the lowest field, in a middle field, and below two fields; x always
+# precedes y, so x leads x + y^20000 in each.
+@pytest.mark.parametrize("domain", [
+    poly.Ring(("x", "y")), poly.Ring(("x", "y", "z")),
+    poly.Ring(("z", "x", "y"))])
+def test_divide_exact_raises_when_a_shifted_term_leaves_the_field(domain):
+    """x*y^20000 / (x + y^20000) in the ring `domain`: the first quotient
+    term y^20000 shifts the non-leading term y^20000 of g to y^40000, past
+    its field."""
+    vs = domain.variables
+    f = MultiPoly(vs, {monomial(vs, x=1, y=20000): 1})
+    g = MultiPoly(vs, {monomial(vs, x=1): 1, monomial(vs, y=20000): 1})
     with pytest.raises(OverflowError):
         poly.divide_exact(f, g)
 
 
+# Exact divisibility does not depend on the monomial order, so each pair
+# fails in every ring: both variable orders, and with an idle variable in
+# the highest or the lowest field.
+@pytest.mark.parametrize("domain", [
+    poly.Ring(("x", "y")), poly.Ring(("y", "x")),
+    poly.Ring(("x", "y", "z")), poly.Ring(("z", "y", "x"))])
 @pytest.mark.parametrize("f, g", [
     ("x^2 + 1", "x + y"),          # stops at the remainder y^2 + 1
     ("x*y + 1", "y + 1"),          # stops at the remainder 1 - x
@@ -103,8 +121,8 @@ def test_divide_exact_raises_when_a_shifted_term_leaves_the_field():
     ("x^3*y + x*y^2 + y", "x*y + 1"),
     ("x^2 + x", "2*x"),            # x divides x^2, but 2 does not divide 1
 ])
-def test_failing_division_matches_tuple_oracle(f, g):
-    f, g = P(f, ("x", "y")), P(g, ("x", "y"))
+def test_failing_division_matches_tuple_oracle(domain, f, g):
+    f, g = P(f, domain.variables), P(g, domain.variables)
     assert poly.divide_exact(f, g) is None
     tf, tg = oracles.TuplePoly.of(f), oracles.TuplePoly.of(g)
     assert oracles.tuple_divide_exact(tf, tg) is None
@@ -330,12 +348,17 @@ def test_domain_mismatch(a, b):
 # -- coefficients are exact ------------------------------------------------
 
 
-def test_coerce_refuses_floats():
+@pytest.mark.parametrize("domain", [
+    poly.Ring(("x",)), poly.Ring(("x", "y")), poly.Ring(("y", "z", "x"))])
+def test_coerce_refuses_floats(domain):
+    vs = domain.variables
     with pytest.raises(TypeError):
-        MultiPoly(("x",), {(1,): 0.1})
+        MultiPoly(vs, {monomial(vs, x=1): 0.1})
     with pytest.raises(TypeError):
-        MultiPoly.const(("x",), 2.0)
-    x = MultiPoly.var(("x",), "x")
+        MultiPoly(vs, {monomial(vs): 1, monomial(vs, x=1): 0.1})
+    with pytest.raises(TypeError):
+        MultiPoly.const(vs, 2.0)
+    x = MultiPoly.var(vs, "x")
     with pytest.raises(TypeError):
         x * 0.5
     with pytest.raises(TypeError):
