@@ -11,7 +11,10 @@ columns: each exponent in a field wide enough for twice the largest exponent
 of the factors, so a product column is one int add. A section is packed as
 its left terms and its right terms, and left terms multiply only left terms,
 right only right; a right column carries a tag bit above every field, so the
-two sides of a product never share a column.
+two sides of a product never share a column. A single-term section (a
+monomial vanishing on S) times a one-term part on its side is one column, a
+unit vector over Q: these columns are counted as a sumset of packed ints,
+and only the other products are eliminated, with the unit columns dropped.
 """
 
 from __future__ import annotations
@@ -220,35 +223,68 @@ def _product_rank(first, second, bound):
 
     Each section is packed once. The field width holds twice the largest
     exponent, so no product carries into the next field; left terms
-    multiply left terms and right terms right terms, one int add each. Two
-    terms of a product share a column only when both factors have two terms
-    on the same side, so their coefficients are summed only when both bases
-    hold a section with two terms on a side."""
+    multiply left terms and right terms right terms, one int add each.
+
+    A single-term section times a one-term part on its side is one column,
+    a unit vector over Q, so these unit columns are a sumset of packed ints
+    and count one rank each; a left times a right column is zero. A
+    single-term section times a part of more terms is a shifted copy of that
+    part. Only products of two sections of several terms each are formed
+    term by term, with terms summed per column. The rank is the number of
+    unit columns plus the rank of the other vectors with their unit-column
+    entries dropped, exact because every unit column lies in the span: the
+    unit pivots of Dumas, Heckenbach, Saunders and Welker (2003), read off
+    the structure instead of searched for."""
     bases = (first,) if second is None else (first, second)
     monos = [mono for basis in bases for section in basis
              for poly in section for mono in poly]
     width = (2 * max(map(max, monos), default=0)).bit_length()
     tag = 1 << width * max(map(len, monos), default=0)
-    packed = [[_pack(s, width, tag) for s in basis] for basis in bases]
-    merge = all(any(len(left) > 1 or len(right) > 1 for left, right in basis)
-                for basis in packed)
+    # per basis: the columns of its single-term sections, the columns of
+    # the one-term parts of its other sections, their parts of more terms
+    # by side (a column at or above `tag` is a right one), and those others
+    split = []
+    for basis in bases:
+        singles, ones, many, multi = [], [], ([], []), []
+        for section in basis:
+            left, right = packed = _pack(section, width, tag)
+            if len(left) + len(right) == 1:
+                singles.append((*left, *right)[0][0])
+                continue
+            multi.append(packed)
+            for side, part in enumerate(packed):
+                if len(part) == 1:
+                    ones.append(part[0][0])
+                elif part:
+                    many[side].append(part)
+        split.append((singles, ones, many, multi))
+    # (single-term columns, the columns they meet, the parts they shift)
+    if second is None:
+        (s1, o1, p1, m1), = split
+        crosses = ((s1, s1 + o1, p1),)
+        pairs = [(f, g) for i, f in enumerate(m1) for g in m1[i:]]
+    else:
+        (s1, o1, p1, m1), (s2, o2, p2, m2) = split
+        crosses = ((s1, s2 + o2, p2), (s2, o1, p1))
+        pairs = [(f, g) for f in m1 for g in m2]
+    units = {a + b for singles, ends, _ in crosses for a in singles
+             for b in ends if (a ^ b) < tag}
     vectors = set()
-    for i, (l1, r1) in enumerate(packed[0]):
-        for l2, r2 in packed[0][i:] if second is None else packed[1]:
-            terms = []
-            for e1, c1 in l1:
-                for e2, c2 in l2:
-                    terms.append((e1 + e2, c1 * c2))
-            for e1, c1 in r1:
-                for e2, c2 in r2:
-                    terms.append((e1 + e2, c1 * c2))
-            if merge:
-                vec = {}
-                for e, c in terms:
-                    vec[e] = vec.get(e, 0) + c
-                terms = [(e, c) for e, c in vec.items() if c]
-            vectors.add(frozenset(terms))
-    rank = lattice.sparse_rank(map(dict, vectors))
+    for singles, _, many in crosses:
+        for a in singles:
+            for part in many[a >= tag]:
+                vectors.add(frozenset((a + e, c) for e, c in part
+                                      if a + e not in units))
+    for (l1, r1), (l2, r2) in pairs:
+        vec = {}
+        for f, g in ((l1, l2), (r1, r2)):
+            for e1, c1 in f:
+                for e2, c2 in g:
+                    e = e1 + e2
+                    vec[e] = vec.get(e, 0) + c1 * c2
+        vectors.add(frozenset((e, c) for e, c in vec.items()
+                              if c and e not in units))
+    rank = len(units) + lattice.sparse_rank(map(dict, vectors))
     if rank > bound:
         raise AssertionError("products leave the glued section space")
     return rank
@@ -279,10 +315,12 @@ def quadric_kernel_dim(z):
 
 def restriction_surjective(r, a, b):
     """Surjectivity of restriction to S, by rank and by the vanishing of
-    H^1 of the kernel twist."""
+    H^1 of the kernel twist. The rank counts the images of the w-free
+    monomials (k = 0) of O(a, b), the only ones with an image on S."""
     if a < 0 or b < 0:
         raise ValueError("degrees must be nonnegative")
-    images = {pr_restrict(mono) for mono in pr_basis(r, a, b)} - {None}
+    images = {pr_restrict((i, a - i, 0, al, b - al))
+              for i in range(a + 1) for al in range(b + 1)}
     by_rank = len(images) == (a + 1) * (b + 1)
     by_count = h0_P(r, a, b) - h0_P(r, a - 1, b + r) == (a + 1) * (b + 1)
     if by_rank != by_count:

@@ -33,7 +33,10 @@ by packed keys from the same rng calls.
 
 For the Fano section products, which the library ranks on packed integer
 columns, `tuple_product_rank` is the route on (side, exponent tuple)
-columns it replaced, with `mul_monomial_dicts` its product.
+columns it replaced, with `mul_monomial_dicts` its product. For the
+surjectivity of restriction to S, which the library counts on the w-free
+monomials alone, `enumerated_restriction_surjective` restricts all of
+`pr_basis`.
 
 For the cohomology of the dual complex, which the library reads off cell
 counts and the balance walk of `snc.canonical_order`, `dual_boundaries`
@@ -73,7 +76,7 @@ from itertools import permutations, product
 from math import lcm
 from operator import index
 
-from sncgeom.fano import pr_basis, sym_split
+from sncgeom.fano import pr_basis, pr_restrict, sym_split
 from sncgeom.lattice import det_int, echelon_mod_p, sparse_rank
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, dot)
@@ -791,6 +794,14 @@ def mult_surjective(r, d1, d2):
         for m2 in pr_basis(r, a2, b2):
             prods.add(tuple([x + y for x, y in zip(m1, m2)]))
     return prods == set(pr_basis(r, a1 + a2, b1 + b2))
+
+
+def enumerated_restriction_surjective(r, a, b):
+    """Surjectivity of restriction of O(a, b) on P(r) to S: the restrictions
+    of every monomial of `pr_basis` fill the (a + 1)(b + 1) monomials of
+    O(a, b) on S."""
+    images = {pr_restrict(mono) for mono in pr_basis(r, a, b)} - {None}
+    return len(images) == (a + 1) * (b + 1)
 
 
 def s_basis(a, b):

@@ -1,7 +1,7 @@
 from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -97,6 +97,14 @@ def test_restriction_surjective():
     for r in range(4):
         assert fano.restriction_surjective(r, 1, 1)
         assert fano.restriction_surjective(r, 2, 2)
+
+
+def test_restriction_surjective_matches_enumeration():
+    for r in range(11):
+        for a in range(5):
+            for b in range(5):
+                assert (fano.restriction_surjective(r, a, b)
+                        == oracles.enumerated_restriction_surjective(r, a, b))
 
 
 def test_mult_surjective():
@@ -295,8 +303,24 @@ def product_bases(draw):
     return draw(sections), draw(st.none() | sections)
 
 
+X, Y = (1, 0, 0, 0), (0, 1, 0, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(product_bases())
+# single-term sections only, on both sides; a left times a right one is 0
+@example(([({X: 1}, {}), ({}, {Y: 1})],
+          [({Y: 1}, {}), ({}, {X: 1}), ({}, {Y: 1})]))
+@example(([({X: 1}, {}), ({Y: 1}, {}), ({}, {X: 1})], None))
+# the unit column XY also lies in X * (X + Y) and in (X, Y) * (Y, X)
+@example(([({X: 1}, {})], [({Y: 1}, {}), ({X: 1, Y: 1}, {})]))
+@example(([({X: 1}, {}), ({X: 1}, {Y: 1})], [({Y: 1}, {}), ({Y: 1}, {X: 1})]))
+# single-term sections with coefficients other than 1
+@example(([({X: 2}, {}), ({}, {Y: -3})],
+          [({Y: -2}, {}), ({}, {X: 3}), ({X: 3, Y: -2}, {Y: 2})]))
+# two-term sections, left-only against right-only: their products are 0
+@example(([({X: 1, Y: -1}, {})], [({}, {X: 2, Y: 3})]))
+@example(([({X: 1, Y: -1}, {}), ({}, {X: 2, Y: 3})], None))
 def test_product_rank_matches_tuple_route(bases):
     first, second = bases
     if second is None:

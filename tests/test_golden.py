@@ -37,7 +37,12 @@ CASES = {"glue": {name: ["glue", name] for name in SURFACES},
                   "zrs_r6_s0": ["fano", "--kind", "zrs", "--r", "6",
                                 "--s", "0"],
                   "zrs_r0_s4": ["fano", "--kind", "zrs", "--r", "0",
-                                "--s", "4"]},
+                                "--s", "4"],
+                  # products of b1 with b3 and b4, past the workload's degree 3
+                  "zr_r8_mmax5": ["fano", "--kind", "zr", "--r", "8",
+                                  "--mmax", "5"],
+                  "zrs_r3_s3_mmax5": ["fano", "--kind", "zrs", "--r", "3",
+                                      "--s", "3", "--mmax", "5"]},
          "verify": {"all_seed0": ["verify", "--suite", "all", "--seed", "0"]},
          "surface": {"schedule_standard": ["surface", "--schedule",
                                            "standard"],
