@@ -5,16 +5,17 @@ Sections of O(a, b) are modeled by monomials p^i q^j w^k u^al v^be with
 i + j + k = a and al + be = b + k r; the divisor S = (w = 0) is P^1 x P^1.
 The glued 3-folds identify S across two components and their sections are
 pairs agreeing on S. The joint restriction matrix has at most one nonzero
-per column, so its rank and kernel come from bucketing columns by their
-restriction. Products of sections are ranked exactly on packed integer
-columns: each exponent in a field wide enough for twice the largest exponent
-of the factors, so a product column is one int add. A section is packed as
-its left terms and its right terms, and left terms multiply only left terms,
-right only right; a right column carries a tag bit above every field, so the
-two sides of a product never share a column. A single-term section (a
-monomial vanishing on S) times a one-term part on its side is one column, a
-unit vector over Q: these columns are counted as a sumset of packed ints,
-and only the other products are eliminated, with the unit columns dropped.
+per column, so `glued_basis` reads its kernel off one bucketing of the
+columns by their restriction, and h0 is the size of that basis. Products of
+sections are ranked exactly on packed integer columns: each exponent in a
+field wide enough for twice the largest exponent of the factors, so a
+product column is one int add. A section is packed as its left terms and
+its right terms, and left terms multiply only left terms, right only right;
+a right column carries a tag bit above every field, so the two sides of a
+product never share a column. A single-term section (a monomial vanishing
+on S) times a one-term part on its side is one column, a unit vector over
+Q: these columns are counted as a sumset of packed ints, and only the other
+products are eliminated, with the unit columns dropped.
 """
 
 from __future__ import annotations
@@ -132,69 +133,54 @@ def ZRS(r, s, swap=False):
     return GluedFano(kind="zrs", r=r, s=s, swap=swap)
 
 
-def _buckets(z, m):
-    """Restriction buckets of the glued system in degree m.
+def glued_basis(z, m):
+    """Integral basis of the glued sections of degree m, each a pair of
+    monomial dicts: one unit section per column that vanishes on S, then
+    the signed consecutive differences inside each restriction bucket.
 
     A column is a (side, monomial) pair, side 0 for the left basis and 1
-    for the right one. Each S-monomial of bidegree (m, m) that gets hit maps
-    to the signed columns restricting to it (+1 left, -1 right); columns
-    that vanish on S are listed separately. Every column has at most one
-    nonzero, so the rank of the system is the number of buckets.
+    for the right one. Each S-monomial of bidegree (m, m) that gets hit
+    collects the signed columns restricting to it (+1 left, -1 right), so
+    the basis has one section per column less one per bucket. Both
+    restrictions are onto O(m, m) on S: the w-free monomials of P(r)
+    restrict to all (m + 1)^2 monomials of S, and P^3 restricts onto the
+    quadric (H^1(O(m - 2)) = 0). So the basis size is checked against the
+    fiber-product dimension h0_left + h0_right - (m + 1)^2.
     """
-    left = z.left_basis(m)
-    right = z.right_basis(m)
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    out = []
     buckets = {}
-    vanishing = []
-    for side, basis, restrict, sign in ((0, left, pr_restrict, 1),
-                                        (1, right, z.right_restrict, -1)):
+    for side, basis, restrict, sign in (
+            (0, z.left_basis(m), pr_restrict, 1),
+            (1, z.right_basis(m), z.right_restrict, -1)):
         for mono in basis:
             sm = restrict(mono)
             if sm is None:
-                vanishing.append((side, mono))
+                section = ({}, {})
+                section[side][mono] = 1
+                out.append(section)
                 continue
             if side and z.swap:
                 sm = swap_factors(sm)
-            buckets.setdefault(sm, []).append(((side, mono), sign))
-    return left, right, buckets, vanishing
-
-
-def glued_h0(z, m):
-    """dim H^0 of the m-th power of the polarization on the glued 3-fold."""
-    if m < 1:
-        raise ValueError("power must be >= 1")
-    left, right, buckets, _ = _buckets(z, m)
-    dim = len(left) + len(right) - len(buckets)
-    # P^3 restricts onto every O(m, m) of the quadric (H^1(O(m - 2)) = 0)
-    if z.kind == "zr":
-        h0_right, right_onto = comb(m + 3, 3), True
-    else:
-        h0_right = h0_P(z.s, m, m)
-        right_onto = restriction_surjective(z.s, m, m)
-    if right_onto and restriction_surjective(z.r, m, m):
-        # both restrictions surjective: fiber-product dimension count
-        if dim != h0_P(z.r, m, m) + h0_right - (m + 1) ** 2:
-            raise AssertionError("glued h0 disagrees with the fiber-product "
-                                 "dimension count")
-    return dim
-
-
-def glued_basis(z, m):
-    """Integral basis of glued sections, each a pair of monomial dicts: one
-    unit section per column that vanishes on S, then the signed consecutive
-    differences inside each restriction bucket."""
-    _, _, buckets, vanishing = _buckets(z, m)
-    out = []
-    for side, mono in vanishing:
-        section = ({}, {})
-        section[side][mono] = 1
-        out.append(section)
+            buckets.setdefault(sm, []).append((side, mono, sign))
     for cols in buckets.values():
-        for ((side1, mono1), s1), ((side2, mono2), s2) in zip(cols, cols[1:]):
+        for (side1, mono1, s1), (side2, mono2, s2) in zip(cols, cols[1:]):
             section = ({}, {})
             section[side1][mono1] = s1
             section[side2][mono2] = -s2
             out.append(section)
+    h0_right = comb(m + 3, 3) if z.kind == "zr" else h0_P(z.s, m, m)
+    if len(out) != h0_P(z.r, m, m) + h0_right - (m + 1) ** 2:
+        raise AssertionError("glued h0 disagrees with the fiber-product "
+                             "dimension count")
     return out
+
+
+def glued_h0(z, m):
+    """dim H^0 of the m-th power of the polarization on the glued 3-fold:
+    the size of its glued basis."""
+    return len(glued_basis(z, m))
 
 
 def _pack(section, width, tag):
@@ -291,17 +277,17 @@ def _product_rank(first, second, bound):
 
 
 def degree_one_generation(z, m_max):
-    """True when multiplication out of degree 1 is onto through m_max."""
+    """True when multiplication out of degree 1 is onto through m_max. Each
+    degree's glued basis is built once; its size is the target rank."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     b1 = glued_basis(z, 1)
     bm = None   # degree 2: each unordered pair of b1 once
     for m in range(2, m_max + 1):
-        target = glued_h0(z, m)
-        if _product_rank(b1, bm, target) != target:
+        target = glued_basis(z, m)
+        if _product_rank(b1, bm, len(target)) != len(target):
             return False
-        if m < m_max:
-            bm = glued_basis(z, m)
+        bm = target
     return True
 
 
@@ -311,21 +297,6 @@ def quadric_kernel_dim(z):
     b1 = glued_basis(z, 1)
     n = len(b1)
     return n * (n + 1) // 2 - _product_rank(b1, None, glued_h0(z, 2))
-
-
-def restriction_surjective(r, a, b):
-    """Surjectivity of restriction to S, by rank and by the vanishing of
-    H^1 of the kernel twist. The rank counts the images of the w-free
-    monomials (k = 0) of O(a, b), the only ones with an image on S."""
-    if a < 0 or b < 0:
-        raise ValueError("degrees must be nonnegative")
-    images = {pr_restrict((i, a - i, 0, al, b - al))
-              for i in range(a + 1) for al in range(b + 1)}
-    by_rank = len(images) == (a + 1) * (b + 1)
-    by_count = h0_P(r, a, b) - h0_P(r, a - 1, b + r) == (a + 1) * (b + 1)
-    if by_rank != by_count:
-        raise AssertionError("restriction surjectivity crosscheck failed")
-    return by_rank
 
 
 def cover_degree(r_omega, m):

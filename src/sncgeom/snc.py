@@ -272,11 +272,12 @@ class SncSurface:
     dual: DualComplex
     components: dict          # vertex -> (CycleSurface, polarization tuple)
     curve_identifications: dict  # edge_key -> ((v, middle pos), (w, middle pos))
-    refinement: int
     node_markings: set = field(default_factory=set)
 
 
 _FACTORY_CACHE = {}
+# cycle curves per polygon side; odd, so the middle one carries the gluing
+REFINEMENT = 3
 
 
 def _check_degree_one(surf, h):
@@ -298,23 +299,20 @@ def default_component_factory(cycle_length):
     return _FACTORY_CACHE[cycle_length]
 
 
-def assemble(d, component_factory=None, refinement=3, node_markings=None):
+def assemble(d, node_markings=None):
     """Glue one anticanonical-cycle surface per polygon.
 
-    Each polygon side is refined into `refinement` consecutive cycle
-    curves (the middle one carries the identification), so the factory is
-    asked for cycles of length refinement * side_count with all
+    Each polygon side is refined into REFINEMENT consecutive cycle curves
+    (the middle one carries the identification), so the component factory
+    is asked for cycles of length REFINEMENT * side_count with all
     self-intersections <= -2 and a degree-1 polarization.
     """
-    if refinement < 1 or refinement % 2 == 0:
-        raise ValueError("refinement must be a positive odd number")
-    factory = component_factory or default_component_factory
     components = {}
     cache = {}
     for v, signs in d.polygons.items():
-        want = refinement * len(signs)
+        want = REFINEMENT * len(signs)
         if want not in cache:  # check each factory result once
-            result = surf, h = factory(want)
+            result = surf, h = default_component_factory(want)
             if surf.length != want:
                 raise CycleLengthMismatch(
                     f"factory returned cycle length {surf.length}, "
@@ -324,14 +322,14 @@ def assemble(d, component_factory=None, refinement=3, node_markings=None):
             cache[want] = (surf, h)
         components[v] = cache[want]
     # (vertex, edge_key) -> the middle cycle curve of that side
-    pos = {(v, edge): refinement * i + refinement // 2
+    pos = {(v, edge): REFINEMENT * i + REFINEMENT // 2
            for v, signs in d.polygons.items() for i, edge in enumerate(signs)}
     identifications = {edge: tuple([(v, pos[v, edge]) for v in sorted(edge)])
                        for edge in d.curves}
     marks = set(d.curves) if node_markings is None else set(node_markings)
     return SncSurface(dual=d, components=components,
                       curve_identifications=identifications,
-                      refinement=refinement, node_markings=marks)
+                      node_markings=marks)
 
 
 def loop_kernel_classes(z):

@@ -33,9 +33,10 @@ by packed keys from the same rng calls.
 
 For the Fano section products, which the library ranks on packed integer
 columns, `tuple_product_rank` is the route on (side, exponent tuple)
-columns it replaced, with `mul_monomial_dicts` its product. For the
-surjectivity of restriction to S, which the library counts on the w-free
-monomials alone, `enumerated_restriction_surjective` restricts all of
+columns it replaced, with `mul_monomial_dicts` its product. The
+surjectivity of restriction to S, on which the fiber-product count in
+`fano.glued_basis` rests, is a fact the library no longer tests;
+`enumerated_restriction_surjective` checks it by restricting all of
 `pr_basis`.
 
 For the cohomology of the dual complex, which the library reads off cell

@@ -93,18 +93,65 @@ def test_degree_one_generation_small():
     assert fano.degree_one_generation(fano.ZRS(0, 1), 3)
 
 
+def test_degree_one_generation_builds_each_degree_once(monkeypatch):
+    calls = []
+    glued_basis = fano.glued_basis
+
+    def counted(z, m):
+        calls.append(m)
+        return glued_basis(z, m)
+
+    monkeypatch.setattr(fano, "glued_basis", counted)
+    monkeypatch.setattr(fano, "glued_h0", None)  # never called
+    assert fano.degree_one_generation(fano.ZRS(1, 2), 3)
+    assert calls == [1, 2, 3]
+
+
+def restricts_onto_s(r, a, b):
+    # glued_basis checks its size against the fiber-product dimension
+    # unconditionally: every O(a, b) on P(r) restricts onto O(a, b) on S,
+    # and the kernel twist O(a - 1, b + r) leaves the count (a + 1)(b + 1)
+    return (fano.h0_P(r, a, b) - fano.h0_P(r, a - 1, b + r)
+            == (a + 1) * (b + 1))
+
+
 def test_restriction_surjective():
     for r in range(4):
-        assert fano.restriction_surjective(r, 1, 1)
-        assert fano.restriction_surjective(r, 2, 2)
+        for a, b in ((1, 1), (2, 2)):
+            assert restricts_onto_s(r, a, b)
+            assert oracles.enumerated_restriction_surjective(r, a, b)
 
 
 def test_restriction_surjective_matches_enumeration():
     for r in range(11):
         for a in range(5):
             for b in range(5):
-                assert (fano.restriction_surjective(r, a, b)
-                        == oracles.enumerated_restriction_surjective(r, a, b))
+                assert restricts_onto_s(r, a, b)
+                assert oracles.enumerated_restriction_surjective(r, a, b)
+
+
+def bench_configs():
+    """The 68 configurations of the `fano` benchmark workload."""
+    for swap in (False, True):
+        for r in range(9):
+            yield fano.ZR(r, swap=swap)
+        for s in range(5):
+            for r in range(7 - s):
+                yield fano.ZRS(r, s, swap=swap)
+
+
+def test_hilbert_function_of_a_del_pezzo_threefold():
+    # h0(mL) = d m(m + 1)(m + 2)/6 + m + 1 with d = h0(L) - 2, and the
+    # image of the degree-1 map lies on d(d - 3)/2 independent quadrics
+    # (Iskovskikh-Prokhorov, Fano Varieties, 1999)
+    configs = list(bench_configs())
+    assert len(set(configs)) == 68
+    for z in configs:
+        d = fano.glued_h0(z, 1) - 2
+        for m in range(1, 5):
+            hilbert = d * m * (m + 1) * (m + 2) // 6 + m + 1
+            assert fano.glued_h0(z, m) == hilbert
+        assert fano.quadric_kernel_dim(z) == d * (d - 3) // 2
 
 
 def test_mult_surjective():
@@ -389,8 +436,8 @@ def test_glued_h0_guard_fires(monkeypatch):
     with pytest.raises(AssertionError, match="fiber-product"):
         fano.glued_h0(fano.ZR(0), 1)
     monkeypatch.undo()
-    # one monomial lost from the enumeration, one vanishing on S so the
-    # surjectivity check still holds
+    # the last monomial of each P(r) basis lost from the enumeration; it
+    # vanishes on S, so only the dimension count can see it
     pr_basis = fano.pr_basis
     monkeypatch.setattr(fano, "pr_basis",
                         lambda r, a, b: pr_basis(r, a, b)[:-1])
@@ -399,8 +446,10 @@ def test_glued_h0_guard_fires(monkeypatch):
 
 
 def test_product_rank_guard_fires(monkeypatch):
-    glued_h0 = fano.glued_h0
-    monkeypatch.setattr(fano, "glued_h0", lambda z, m: glued_h0(z, m) - 1)
+    # one section short in every degree past 1 lowers each target rank
+    glued_basis = fano.glued_basis
+    monkeypatch.setattr(fano, "glued_basis", lambda z, m: (
+        glued_basis(z, m)[:-1] if m >= 2 else glued_basis(z, m)))
     with pytest.raises(AssertionError, match="leave the glued section"):
         fano.degree_one_generation(fano.ZR(0), 2)
     with pytest.raises(AssertionError, match="leave the glued section"):

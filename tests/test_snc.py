@@ -178,13 +178,7 @@ def test_assemble_components_and_identifications():
         assert i % 3 == 1 and j % 3 == 1  # middle curve of each side
 
 
-def test_assemble_rejects_even_refinement():
-    d = snc.dual_complex(snc.tetrahedron())
-    with pytest.raises(ValueError):
-        snc.assemble(d, refinement=2)
-
-
-def test_assemble_rejects_bad_factory():
+def test_assemble_rejects_bad_factory(monkeypatch):
     d = snc.dual_complex(snc.tetrahedron())
     from sncgeom import picard
 
@@ -193,8 +187,9 @@ def test_assemble_rejects_bad_factory():
         return s, picard.degree_one_polarization(
             s, picard.uniform_degree_seed(s))
 
+    monkeypatch.setattr(snc, "default_component_factory", bad_factory)
     with pytest.raises(snc.CycleLengthMismatch):
-        snc.assemble(d, component_factory=bad_factory)
+        snc.assemble(d)
 
 
 def test_loop_kernel_classes_fully_marked():
