@@ -3,7 +3,7 @@
 Dense matrices are plain lists of rows with int or fractions.Fraction
 entries; sparse vectors are {column: int} dicts. `_echelon` is the one
 elimination over Q: `rank`, `sparse_rank`, `solve`, `kernel_basis` and
-`solve_and_kernel` read its pivot rows. `echelon_mod_p` is the one
+`sparse_solve_and_kernel` read its pivot rows. `echelon_mod_p` is the one
 elimination over F_p, read by `rank_mod_p` and the codimension estimator.
 `invariant_factors` clears unit pivots sparsely and leaves a small core to
 the diagonal-only `smith_normal_form`; `det_int` is a dense Bareiss
@@ -89,32 +89,37 @@ def sparse_rank(vectors):
     return len(_echelon(vectors))
 
 
-def _augmented_echelon(rows, b):
-    """Echelon of the rows of M augmented by the column b."""
-    if len(b) != len(rows):
-        raise ValueError("dimension mismatch")
-    return _echelon(_sparse([*row, b[i]]) for i, row in enumerate(rows))
+def _lowest_terms(x, den, m):
+    """x / den on the first m columns as (numerators, denominator) with no
+    common factor and den > 0; the lcm of the denominators of the
+    entries' Fractions is den."""
+    num = [x.get(c, 0) for c in range(m)]
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    return [v // g for v in num], den // g
 
 
 def _particular(pivots, m):
     """The solution with zero free variables from the echelon of M
-    augmented in column m, or None when m is a pivot column."""
+    augmented in column m, in lowest terms, or None when m is a pivot
+    column."""
     if m in pivots:
         return None
-    x, den = _back_substitute(pivots, {m: -1})
-    return [Fraction(x.get(c, 0), den) for c in range(m)]
+    return _lowest_terms(*_back_substitute(pivots, {m: -1}), m)
 
 
 def _null_space(pivots, m):
-    """Kernel basis on the first m columns: one vector per free column.
-    Back substitution never reads a column past m, so an echelon of M
-    augmented in column m serves as well as one of M."""
-    basis = []
-    for free in range(m):
-        if free not in pivots:
-            x, den = _back_substitute(pivots, {free: 1})
-            basis.append([Fraction(x.get(c, 0), den) for c in range(m)])
-    return basis
+    """Kernel basis on the first m columns in lowest terms: one vector per
+    free column. Back substitution never reads a column past m, so an
+    echelon of M augmented in column m serves as well as one of M."""
+    return [_lowest_terms(*_back_substitute(pivots, {free: 1}), m)
+            for free in range(m) if free not in pivots]
+
+
+def _fractions(vector):
+    num, den = vector
+    return [Fraction(v, den) for v in num]
 
 
 def solve(rows, b):
@@ -122,24 +127,32 @@ def solve(rows, b):
 
     Free variables are set to zero.
     """
+    if len(b) != len(rows):
+        raise ValueError("dimension mismatch")
     m = len(rows[0]) if rows else 0
-    return _particular(_augmented_echelon(rows, b), m)
+    sol = _particular(
+        _echelon([_sparse([*row, x]) for row, x in zip(rows, b)]), m)
+    return None if sol is None else _fractions(sol)
 
 
 def kernel_basis(rows):
     """Basis of the rational null space of M: one vector per free column,
     in column order, with 1 there and 0 on the other free columns."""
     m = len(rows[0]) if rows else 0
-    return _null_space(_echelon(map(_sparse, rows)), m)
+    return [_fractions(v)
+            for v in _null_space(_echelon(map(_sparse, rows)), m)]
 
 
-def solve_and_kernel(rows, b):
-    """(solve(rows, b), kernel_basis(rows)) from one echelon of M augmented
-    by b. Its pivot rows below column m, read on the first m columns, are
-    an echelon basis of the row space of M with the same pivot columns, so
-    they give the same kernel basis."""
-    m = len(rows[0]) if rows else 0
-    pivots = _augmented_echelon(rows, b)
+def sparse_solve_and_kernel(vectors, m):
+    """(solution, kernel basis) of M x = b from one echelon of the rows of
+    M augmented by b in column m, sparse integer {column: int} dicts. The
+    solution is the one `solve` gives, None when b is not in the column
+    span, and the kernel the one `kernel_basis` gives, each vector as
+    (integer numerators, denominator) in lowest terms. The pivot rows below
+    column m, read on the first m columns, are an echelon basis of the row
+    space of M with the same pivot columns, so they give the same kernel
+    basis."""
+    pivots = _echelon(vectors)
     return _particular(pivots, m), _null_space(pivots, m)
 
 

@@ -2,14 +2,19 @@
 
 The lattice basis is (H, E_1, ..., E_k) with intersection form
 diag(+1, -1, ..., -1); the canonical class is K = -3H + sum E_i.
-Blow-ups return new immutable surfaces. The degree-one polarization runs
-on integer continuants and numerators over one denominator; Fractions are
-built only for the returned class.
+Blow-ups return new immutable surfaces with dense classes. Each surface
+also reads its cycle classes as sparse supports {index: coefficient}, and
+a basis index meets at most three cycle curves on a blow-up schedule, so
+validation, the seed's degree conditions and the polarization's degrees
+and assembly cost O(nonzeros), not O(m dim) per pairing. The degree-one
+polarization runs on integer continuants and numerators over one
+denominator; Fractions are built only for the returned class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -35,6 +40,27 @@ def dot(a, b):
     return a[0] * b[0] - sum([x * y for x, y in zip(a[1:], b[1:])])
 
 
+def _pair(u, v):
+    """Intersection pairing of two supports, {index: coefficient} dicts."""
+    if len(v) < len(u):
+        u, v = v, u
+    return (2 * u.get(0, 0) * v.get(0, 0)
+            - sum([x * v[t] for t, x in u.items() if t in v]))
+
+
+def _degree(h, c):
+    """(h.C) for a dense class h and the support c of C."""
+    return 2 * h[0] * c.get(0, 0) - sum([h[t] * x for t, x in c.items()])
+
+
+def _meeting(i, j, m):
+    """(C_i.C_j) for i < j on a cycle of length m: 2 on a 2-cycle, else 1
+    for neighbours and 0 otherwise."""
+    if m == 2:
+        return 2
+    return 1 if j - i == 1 or (i == 0 and j == m - 1) else 0
+
+
 @dataclass(frozen=True)
 class CycleSurface:
     blowup_count: int
@@ -49,29 +75,46 @@ class CycleSurface:
     def dim(self):
         return self.blowup_count + 1
 
+    @cached_property
+    def supports(self):
+        """Each cycle class as {index: coefficient} on its nonzero entries,
+        in index order; derived once from the immutable `cycle`."""
+        return tuple([{t: x for t, x in enumerate(c) if x}
+                      for c in self.cycle])
+
     def self_intersections(self):
-        return tuple([dot(c, c) for c in self.cycle])
+        return tuple([_pair(c, c) for c in self.supports])
 
     def validate(self):
-        k = self.blowup_count
-        m = self.length
-        want_k = tuple([-3] + [1] * k)
-        if self.canonical != want_k:
+        """True, or InvariantError at the first broken invariant: K, every
+        class length, sum C_i = -K, then per member i its genus and its
+        intersections with C_j, j > i ascending. A basis index meets few
+        curves, so only pairs that share one, and neighbours, are paired;
+        every other pair meets in 0."""
+        k, m = self.blowup_count, self.length
+        if self.canonical != tuple([-3] + [1] * k):
             raise InvariantError("canonical class is not -3H + sum E_i")
-        total = [sum(c[i] for c in self.cycle) for i in range(k + 1)]
-        if tuple(total) != tuple([-x for x in self.canonical]):
+        if any([len(c) != k + 1 for c in self.cycle]):
+            raise InvariantError("class length mismatch")
+        sup = self.supports
+        total = [0] * (k + 1)
+        meets = {}  # basis index -> members with a nonzero entry there
+        for i, c in enumerate(sup):
+            for t, x in c.items():
+                total[t] += x
+                meets.setdefault(t, []).append(i)
+        if total != [3] + [-1] * k:
             raise InvariantError("cycle does not sum to -K")
-        for i, ci in enumerate(self.cycle):
-            if len(ci) != k + 1:
-                raise InvariantError("class length mismatch")
-            g2 = dot(ci, ci) + dot(self.canonical, ci)
-            if g2 != -2:
+        for i, c in enumerate(sup):
+            # C.C + K.C with K.C = -3 c_0 - sum of the other c_t
+            if _pair(c, c) - sum(c.values()) - 2 * c.get(0, 0) != -2:
                 raise InvariantError(f"cycle member {i} has genus != 0")
-            for j in range(i + 1, m):
-                expected = 1 if (j - i == 1 or (i == 0 and j == m - 1)) else 0
-                if m == 2 and j - i == 1:
-                    expected = 2
-                if dot(ci, self.cycle[j]) != expected:
+            near = {j for t in c for j in meets[t] if j > i}
+            near.update([j for j in (i + 1, m - 1)
+                         if i < j < m and _meeting(i, j, m)])
+            for j in sorted(near):
+                expected = _meeting(i, j, m)
+                if _pair(c, sup[j]) != expected:
                     raise InvariantError(
                         f"intersection (C_{i}.C_{j}) != {expected}")
         return True
@@ -204,13 +247,13 @@ def _reduced(num, den):
 
 
 def _positive_direction(vectors, target):
-    """A rational combination x of the given classes along which
-    target + t x gets positive square for large t, as (integer numerators,
-    denominator), or None: x.x > 0, or else, where the form vanishes on what
-    the diagonalization leaves, a class x left over with x.x = 0 and
-    target.x > 0. Exact symmetric congruence diagonalization: a pivot B with
-    q = B.B < 0 takes V / d to ((V.B) B - q V) / (-q d)."""
-    basis = [clear_denominators(v) for v in vectors]
+    """A rational combination x of the given classes, each as (integer
+    numerators, denominator), along which target + t x gets positive square
+    for large t, in the same form, or None: x.x > 0, or else, where the form
+    vanishes on what the diagonalization leaves, a class x left over with
+    x.x = 0 and target.x > 0. Exact symmetric congruence diagonalization: a
+    pivot B with q = B.B < 0 takes V / d to ((V.B) B - q V) / (-q d)."""
+    basis = list(vectors)
     while basis:
         piv = next((i for i, (b, _) in enumerate(basis) if dot(b, b) != 0),
                    None)
@@ -251,12 +294,13 @@ def uniform_degree_seed(s):
     doubles while sol^2 + 2t sol.x + t^2 x^2 <= 0; all in numerators over
     one denominator.
     """
-    rows = [[(1 if i == 0 else -1) * c[i] for i in range(s.dim)]
-            for c in s.cycle]
-    sol, kernel = lattice.solve_and_kernel(rows, [Fraction(1)] * s.length)
+    # (x.C) = 1 for every cycle curve C, the right-hand side in column dim
+    rows = [{**{t: x if t == 0 else -x for t, x in c.items()}, s.dim: 1}
+            for c in s.supports]
+    sol, kernel = lattice.sparse_solve_and_kernel(rows, s.dim)
     if sol is None:
         raise NoAmpleSeed("no class of uniform degree 1 on the cycle")
-    num, den = clear_denominators(sol)
+    num, den = sol
     if dot(num, num) <= 0:
         found = _positive_direction(kernel, num)
         if found is None:
@@ -285,11 +329,13 @@ def degree_one_polarization(s, seed_ample):
     numerators over lcm(D_j).
     """
     s.validate()  # the cycle pattern is what makes each Gram a path
-    m, sq = s.length, s.self_intersections()
+    m, sup, sq = s.length, s.supports, s.self_intersections()
     if any(c2 > -2 for c2 in sq):
         raise NegativeDefiniteViolation(
             "all cycle self-intersections must be <= -2")
-    degs = [dot(seed_ample, c) for c in s.cycle]
+    if len(seed_ample) != s.dim:
+        raise ValueError("classes live on different surfaces")
+    degs = [_degree(seed_ample, c) for c in sup]
     if any(d <= 0 for d in degs) or dot(seed_ample, seed_ample) <= 0:
         raise NoAmpleSeed("seed must have positive degree on every C_j "
                           "and positive self-intersection")
@@ -313,10 +359,12 @@ def degree_one_polarization(s, seed_ample):
         weight += tn * f
         for i, ai in zip(path, a):
             coef[i] += ai * f
-    num = [weight * x + sum([ci * c[t] for ci, c in zip(coef, s.cycle)])
-           for t, x in enumerate(seed_ample)]
-    for c in s.cycle:
-        if dot(num, c) != den:
+    num = [weight * x for x in seed_ample]
+    for ci, c in zip(coef, sup):
+        for t, x in c.items():
+            num[t] += ci * x
+    for c in sup:
+        if _degree(num, c) != den:
             raise InvariantError("polarization degree is not 1 on the cycle")
     if dot(num, num) <= 0:
         raise InvariantError("polarization has non-positive square")

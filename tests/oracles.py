@@ -22,7 +22,9 @@ continuants over one denominator, `thomas_path_sweep` is the Fraction
 Thomas sweep it replaced, `thomas_polarization` the Fraction accumulation
 around it, and `uniform_degree_seed` the seed on the dense `solve` and
 `kernel_basis` with the Fraction congruence diagonalization
-`positive_direction`.
+`positive_direction`. `validate_cycle_surface` checks a cycle surface by
+dense pairings of all pairs of classes, where the library pairs sparse
+supports only where two classes share a basis index or are neighbours.
 
 For `MultiPoly`, whose monomials are packed ints in one interned ring,
 `TuplePoly` is the arithmetic on {exponent tuple: int} dicts it replaced
@@ -601,11 +603,35 @@ def uniform_degree_seed(s):
     return seed
 
 
+def validate_cycle_surface(s):
+    """`picard.CycleSurface.validate` by dense pairings of every pair of
+    cycle classes, with the same messages in the same order."""
+    k, m = s.blowup_count, s.length
+    if s.canonical != tuple([-3] + [1] * k):
+        raise InvariantError("canonical class is not -3H + sum E_i")
+    if any(len(c) != k + 1 for c in s.cycle):
+        raise InvariantError("class length mismatch")
+    total = [sum(c[i] for c in s.cycle) for i in range(k + 1)]
+    if total != [-x for x in s.canonical]:
+        raise InvariantError("cycle does not sum to -K")
+    for i, ci in enumerate(s.cycle):
+        if dot(ci, ci) + dot(s.canonical, ci) != -2:
+            raise InvariantError(f"cycle member {i} has genus != 0")
+        for j in range(i + 1, m):
+            expected = 1 if (j - i == 1 or (i == 0 and j == m - 1)) else 0
+            if m == 2 and j - i == 1:
+                expected = 2
+            if dot(ci, s.cycle[j]) != expected:
+                raise InvariantError(
+                    f"intersection (C_{i}.C_{j}) != {expected}")
+    return True
+
+
 def thomas_polarization(s, seed_ample):
-    """`picard.degree_one_polarization` on `thomas_path_sweep`, with every
-    weight and coefficient a Fraction."""
-    s.validate()  # the cycle pattern is what makes each Gram a path
-    m, sq = s.length, s.self_intersections()
+    """`picard.degree_one_polarization` on `validate_cycle_surface` and
+    `thomas_path_sweep`, with every weight and coefficient a Fraction."""
+    validate_cycle_surface(s)  # the cycle pattern makes each Gram a path
+    m, sq = s.length, [dot(c, c) for c in s.cycle]
     if any(c2 > -2 for c2 in sq):
         raise NegativeDefiniteViolation(
             "all cycle self-intersections must be <= -2")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -260,25 +261,40 @@ def test_readers_match_oracles(rows, combos, draws, consistent):
         assert lattice.solve(rows, b) is not None
     assert lattice.kernel_basis(rows) == oracles.kernel_basis(rows)
     # one augmented echelon gives both, whether or not b is in the span
-    assert lattice.solve_and_kernel(rows, b) == (
+    assert _sparse_solve_and_kernel(rows, b) == (
         lattice.solve(rows, b), lattice.kernel_basis(rows))
     ints = oracles._integerize_rows(rows)
     assert lattice.smith_normal_form(ints) == \
         oracles.smith_normal_form(ints).diagonal
 
 
+def _sparse_solve_and_kernel(rows, b):
+    """`lattice.sparse_solve_and_kernel` on dense rows augmented by b, its
+    vectors as Fractions after checking that each is in lowest terms."""
+    m = len(rows[0]) if rows else 0
+    sol, kernel = lattice.sparse_solve_and_kernel(
+        [lattice._sparse([*row, x]) for row, x in zip(rows, b)], m)
+    vectors = kernel if sol is None else [sol, *kernel]
+    for num, den in vectors:
+        assert len(num) == m and den > 0 and gcd(den, *num) == 1
+    return (None if sol is None else [Fraction(x, sol[1]) for x in sol[0]],
+            [[Fraction(x, den) for x in num] for num, den in kernel])
+
+
 def test_solve_dimension_mismatch():
-    for route in (lattice.solve, lattice.solve_and_kernel):
-        with pytest.raises(ValueError):
-            route([[1, 2]], [1, 2])
-        with pytest.raises(ValueError):
-            route([], [1])
+    with pytest.raises(ValueError):
+        lattice.solve([[1, 2]], [1, 2])
+    with pytest.raises(ValueError):
+        lattice.solve([], [1])
 
 
 def test_solve_and_kernel_when_b_is_a_pivot():
     rows = [[1, 2, 0], [2, 4, 0]]
-    assert lattice.solve_and_kernel(rows, [1, 3]) == (
+    assert _sparse_solve_and_kernel(rows, [1, 3]) == (
         None, lattice.kernel_basis(rows))
+    assert lattice.sparse_solve_and_kernel(
+        [{0: 1, 1: 2, 3: 1}, {0: 2, 1: 4, 3: 3}], 3) == (
+        None, [([-2, 1, 0], 1), ([0, 0, 1], 1)])
 
 
 @settings(max_examples=200, deadline=None)

@@ -46,6 +46,35 @@ def test_cycle_surface_lengths():
         assert all(c2 <= -2 for c2 in s.self_intersections())
 
 
+def test_validate_checks_every_class_length_first():
+    """A class one entry short or long is a length mismatch, found before
+    the -K sum reads past the end of the short one."""
+    s = picard.standard_schedule()
+    for c0 in (s.cycle[0][:-1], s.cycle[0] + (0,)):
+        broken = picard.CycleSurface(
+            s.blowup_count, (c0,) + s.cycle[1:], s.canonical)
+        with pytest.raises(picard.InvariantError,
+                           match="class length mismatch"):
+            broken.validate()
+
+
+def test_validate_pairs_o_of_m_classes(monkeypatch):
+    """Each basis index meets at most 3 cycle curves, so validation pairs
+    O(m) classes: m self-pairings and the pairs that share an index or are
+    neighbours, not all m(m - 1) / 2 pairs."""
+    s = picard.cycle_surface(480)
+    calls = []
+    real = picard._pair
+
+    def counting(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(picard, "_pair", counting)
+    assert s.validate()
+    assert len(calls) <= 4 * s.length
+
+
 def test_cycle_surface_rejects_short():
     with pytest.raises(ValueError):
         picard.cycle_surface(2)
@@ -162,14 +191,17 @@ def test_polarization_matches_dense_oracle(m):
     _assert_matches_oracle(s, picard.uniform_degree_seed(s))
 
 
+# C_0 = H - E_1..E_4 and C_1 = 2H - E_5..E_10 meet twice
+TWO_CYCLE = picard.CycleSurface(
+    10, ((1, -1, -1, -1, -1) + (0,) * 6, (2,) + (0,) * 4 + (-1,) * 6),
+    (-3,) + (1,) * 10)
+
+
 def test_polarization_matches_dense_oracle_on_a_two_cycle():
-    # C_0 = H - E_1..E_4 and C_1 = 2H - E_5..E_10 meet twice; removing one
-    # leaves a single curve that meets the other at both path ends
-    c0 = (1, -1, -1, -1, -1) + (0,) * 6
-    c1 = (2,) + (0,) * 4 + (-1,) * 6
-    s = picard.CycleSurface(10, (c0, c1), (-3,) + (1,) * 10)
-    s.validate()
-    _assert_matches_oracle(s, (10, -1, -1, -1, -1) + (-2,) * 6)
+    # removing one curve leaves a single curve that meets the other at
+    # both path ends
+    assert TWO_CYCLE.validate()
+    _assert_matches_oracle(TWO_CYCLE, (10, -1, -1, -1, -1) + (-2,) * 6)
 
 
 def _random_surface(rng, steps):
@@ -181,6 +213,58 @@ def _random_surface(rng, steps):
         else:
             s = picard.blowup_on_curve(s, j)
     return s
+
+
+CORRUPTIONS = ("none", "swap", "entry", "compensated", "canonical", "short",
+               "long")
+
+
+def _corrupt(s, kind, data):
+    """s with one corruption of the given kind, its places drawn."""
+    cycle, canonical = [list(c) for c in s.cycle], list(s.canonical)
+    i, j = (data.draw(st.integers(0, s.length - 1)) for _ in range(2))
+    t = data.draw(st.integers(0, s.dim - 1))
+    e = data.draw(st.sampled_from([1, -1]))
+    if kind == "swap":
+        cycle[i], cycle[j] = cycle[j], cycle[i]
+    elif kind == "entry":
+        cycle[i][t] += e
+    elif kind == "compensated":  # keeps sum C_i = -K
+        cycle[i][t] += e
+        cycle[j][t] -= e
+    elif kind == "canonical":
+        canonical[t] += e
+    elif kind == "short":
+        cycle[i].pop()
+    elif kind == "long":
+        cycle[i].append(data.draw(st.integers(-1, 1)))
+    return picard.CycleSurface(s.blowup_count,
+                               tuple([tuple(c) for c in cycle]),
+                               tuple(canonical))
+
+
+def _verdict(route, s):
+    """True, or the type and message of what the route raised."""
+    try:
+        return route(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_matches_dense_oracle_on_corruptions(data):
+    """Sparse validation against every pair densely paired, on random
+    schedules and the 2-cycle, each left intact or corrupted once: both
+    return True or raise the same exception with the same message."""
+    if data.draw(st.booleans()):
+        s = TWO_CYCLE
+    else:
+        s = _random_surface(random.Random(data.draw(st.integers(0, 10**6))),
+                            data.draw(st.integers(0, 14)))
+    s = _corrupt(s, data.draw(st.sampled_from(CORRUPTIONS)), data)
+    assert _verdict(picard.CycleSurface.validate, s) == \
+        _verdict(oracles.validate_cycle_surface, s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,8 +317,8 @@ def test_uniform_degree_seed_runs_one_echelon(monkeypatch):
     real = lattice._echelon
 
     def counting(vectors):
-        calls.append(1)
-        return real(vectors)
+        calls.append(list(vectors))
+        return real(calls[-1])
 
     monkeypatch.setattr(lattice, "_echelon", counting)
     corrected = 0
@@ -242,12 +326,15 @@ def test_uniform_degree_seed_runs_one_echelon(monkeypatch):
         s = picard.cycle_surface(m)
         calls.clear()
         seed = _seed_or_error(s)
-        assert len(calls) == 1
-        rows = [[(1 if i == 0 else -1) * c[i] for i in range(s.dim)]
-                for c in s.cycle]
-        sol, kernel = lattice.solve_and_kernel(rows, [1] * s.length)
-        assert kernel == lattice.kernel_basis(rows)
-        corrected += picard.dot(sol, sol) <= 0
+        (rows,) = calls  # (x.C) = 1 per curve, sparse, 1 in column dim
+        assert rows == [{**{i: (1 if i == 0 else -1) * x
+                            for i, x in enumerate(c) if x}, s.dim: 1}
+                        for c in s.cycle]
+        sol, kernel = lattice.sparse_solve_and_kernel(rows, s.dim)
+        dense = [[row.get(i, 0) for i in range(s.dim)] for row in rows]
+        assert [[Fraction(x, d) for x in v] for v, d in kernel] == \
+            lattice.kernel_basis(dense)
+        corrected += picard.dot(sol[0], sol[0]) <= 0
         assert seed == _oracle_seed(s)
     assert corrected > 0
 
@@ -324,7 +411,8 @@ def test_positive_direction_matches_fraction_route(case):
     branch, where both vectors are isotropic; in the others the isotropic
     class is left over and meets the target negatively, or not at all."""
     vectors, target = case
-    found = picard._positive_direction(vectors, target)
+    found = picard._positive_direction(
+        [picard.clear_denominators(v) for v in vectors], target)
     expected = oracles.positive_direction(vectors, target)
     if expected is None:
         assert found is None
