@@ -2,11 +2,11 @@
 
 The lattice basis is (H, E_1, ..., E_k) with intersection form
 diag(+1, -1, ..., -1); the canonical class is K = -3H + sum E_i.
-Blow-ups return new immutable surfaces with dense classes. Each surface
-also reads its cycle classes as sparse supports {index: coefficient}, and
-a basis index meets at most three cycle curves on a blow-up schedule, so
-validation, the seed's degree conditions and the polarization's degrees
-and assembly cost O(nonzeros), not O(m dim) per pairing. The degree-one
+Surfaces store each cycle class as a sparse support {index: coefficient},
+and a blow-up shares the supports it leaves alone with its parent; K and
+the dense classes are derived. A basis index meets at most three cycle
+curves on a blow-up schedule, so blow-ups, validation, the seed's degree
+conditions and the polarization cost O(nonzeros). The degree-one
 polarization runs on integer continuants and numerators over one
 denominator; Fractions are built only for the returned class.
 """
@@ -64,39 +64,41 @@ def _meeting(i, j, m):
 @dataclass(frozen=True)
 class CycleSurface:
     blowup_count: int
-    cycle: tuple          # cyclically ordered divisor classes
-    canonical: tuple      # K
+    supports: tuple  # cyclically ordered classes, {index: nonzero coeff}
 
     @property
     def length(self):
-        return len(self.cycle)
+        return len(self.supports)
 
     @property
     def dim(self):
         return self.blowup_count + 1
 
+    @property
+    def canonical(self):
+        return tuple([-3] + [1] * self.blowup_count)
+
     @cached_property
-    def supports(self):
-        """Each cycle class as {index: coefficient} on its nonzero entries,
-        in index order; derived once from the immutable `cycle`."""
-        return tuple([{t: x for t, x in enumerate(c) if x}
-                      for c in self.cycle])
+    def cycle(self):
+        """The classes as dense tuples, derived once from `supports`."""
+        dense = [[0] * self.dim for _ in self.supports]
+        for row, c in zip(dense, self.supports):
+            for t, x in c.items():
+                row[t] = x
+        return tuple([tuple(row) for row in dense])
 
     def self_intersections(self):
         return tuple([_pair(c, c) for c in self.supports])
 
     def validate(self):
-        """True, or InvariantError at the first broken invariant: K, every
-        class length, sum C_i = -K, then per member i its genus and its
+        """True, or InvariantError at the first broken invariant: every
+        index in 0..k, sum C_i = -K, then per member i its genus and its
         intersections with C_j, j > i ascending. A basis index meets few
         curves, so only pairs that share one, and neighbours, are paired;
         every other pair meets in 0."""
-        k, m = self.blowup_count, self.length
-        if self.canonical != tuple([-3] + [1] * k):
-            raise InvariantError("canonical class is not -3H + sum E_i")
-        if any([len(c) != k + 1 for c in self.cycle]):
-            raise InvariantError("class length mismatch")
-        sup = self.supports
+        k, m, sup = self.blowup_count, self.length, self.supports
+        if any([not 0 <= t <= k for c in sup for t in c]):
+            raise InvariantError("class index out of range")
         total = [0] * (k + 1)
         meets = {}  # basis index -> members with a nonzero entry there
         for i, c in enumerate(sup):
@@ -122,24 +124,19 @@ class CycleSurface:
 
 def triangle_surface():
     """Three lines in the plane: cycle (H, H, H), K = -3H."""
-    h = (1,)
-    return CycleSurface(blowup_count=0, cycle=(h, h, h), canonical=(-3,))
+    return CycleSurface(blowup_count=0, supports=({0: 1},) * 3)
 
 
 def _blowup(s, j, corner):
     if not 0 <= j < s.length:
         raise IndexError("invalid cycle position")
     k = s.blowup_count + 1
-    e = tuple([0] * k + [1])
-    cycle = [tuple(c) + (0,) for c in s.cycle]
-    # from lists: tuple(generator) resizes, and the freed tuples fill
-    # CPython's free lists instead of being reused
+    sup = list(s.supports)
     for i in ((j, (j + 1) % s.length) if corner else (j,)):
-        cycle[i] = tuple([a - b for a, b in zip(cycle[i], e)])
+        sup[i] = {**sup[i], k: -1}  # a new dict: parents share theirs
     if corner:
-        cycle.insert(j + 1, e)  # between C_j and C_{j+1}, last if j = m - 1
-    canonical = tuple([a + b for a, b in zip(tuple(s.canonical) + (0,), e)])
-    return CycleSurface(k, tuple(cycle), canonical)
+        sup.insert(j + 1, {k: 1})  # between C_j and C_{j+1}, last if j = m - 1
+    return CycleSurface(k, tuple(sup))
 
 
 def blowup_corner(s, j):

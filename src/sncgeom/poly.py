@@ -81,6 +81,8 @@ class Ring:
         variables = tuple(variables)
         self = _RINGS.get(variables)
         if self is None:
+            if len(set(variables)) < len(variables):
+                raise ValueError(f"repeated variable name in {variables}")
             self = object.__new__(cls)
             self.variables = variables
             n = len(variables)

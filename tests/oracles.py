@@ -25,6 +25,9 @@ around it, and `uniform_degree_seed` the seed on the dense `solve` and
 `positive_direction`. `validate_cycle_surface` checks a cycle surface by
 dense pairings of all pairs of classes, where the library pairs sparse
 supports only where two classes share a basis index or are neighbours.
+`dense_blowup` is the blow-up on dense classes and a stored K, copying
+every class, where the library stores sparse supports, shares those a
+blow-up leaves alone, and derives K and the dense classes.
 
 For `MultiPoly`, whose monomials are packed ints in one interned ring,
 `TuplePoly` is the arithmetic on {exponent tuple: int} dicts it replaced
@@ -607,10 +610,8 @@ def validate_cycle_surface(s):
     """`picard.CycleSurface.validate` by dense pairings of every pair of
     cycle classes, with the same messages in the same order."""
     k, m = s.blowup_count, s.length
-    if s.canonical != tuple([-3] + [1] * k):
-        raise InvariantError("canonical class is not -3H + sum E_i")
-    if any(len(c) != k + 1 for c in s.cycle):
-        raise InvariantError("class length mismatch")
+    if any(not 0 <= t <= k for c in s.supports for t in c):
+        raise InvariantError("class index out of range")
     total = [sum(c[i] for c in s.cycle) for i in range(k + 1)]
     if total != [-x for x in s.canonical]:
         raise InvariantError("cycle does not sum to -K")
@@ -625,6 +626,20 @@ def validate_cycle_surface(s):
                 raise InvariantError(
                     f"intersection (C_{i}.C_{j}) != {expected}")
     return True
+
+
+def dense_blowup(cycle, canonical, j, corner):
+    """`picard.blowup_corner` (corner) or `blowup_on_curve` at position j
+    on dense classes and K: (cycle, canonical) of the blown-up surface,
+    with every class copied one entry longer."""
+    k = len(canonical)
+    e = tuple([0] * k + [1])
+    cycle = [tuple(c) + (0,) for c in cycle]
+    for i in ((j, (j + 1) % len(cycle)) if corner else (j,)):
+        cycle[i] = tuple([a - b for a, b in zip(cycle[i], e)])
+    if corner:
+        cycle.insert(j + 1, e)  # between C_j and C_{j+1}, last if j = m - 1
+    return tuple(cycle), tuple([a + b for a, b in zip(canonical + (0,), e)])
 
 
 def thomas_polarization(s, seed_ample):

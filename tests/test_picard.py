@@ -46,15 +46,15 @@ def test_cycle_surface_lengths():
         assert all(c2 <= -2 for c2 in s.self_intersections())
 
 
-def test_validate_checks_every_class_length_first():
-    """A class one entry short or long is a length mismatch, found before
-    the -K sum reads past the end of the short one."""
+def test_validate_checks_every_class_index_first():
+    """An index outside 0..k is found before the -K sum, where -1 would
+    read the last entry and dim would read past the end."""
     s = picard.standard_schedule()
-    for c0 in (s.cycle[0][:-1], s.cycle[0] + (0,)):
+    for t in (-1, s.dim):
         broken = picard.CycleSurface(
-            s.blowup_count, (c0,) + s.cycle[1:], s.canonical)
+            s.blowup_count, ({**s.supports[0], t: 1},) + s.supports[1:])
         with pytest.raises(picard.InvariantError,
-                           match="class length mismatch"):
+                           match="class index out of range"):
             broken.validate()
 
 
@@ -193,8 +193,8 @@ def test_polarization_matches_dense_oracle(m):
 
 # C_0 = H - E_1..E_4 and C_1 = 2H - E_5..E_10 meet twice
 TWO_CYCLE = picard.CycleSurface(
-    10, ((1, -1, -1, -1, -1) + (0,) * 6, (2,) + (0,) * 4 + (-1,) * 6),
-    (-3,) + (1,) * 10)
+    10, ({0: 1, **dict.fromkeys(range(1, 5), -1)},
+         {0: 2, **dict.fromkeys(range(5, 11), -1)}))
 
 
 def test_polarization_matches_dense_oracle_on_a_two_cycle():
@@ -215,32 +215,83 @@ def _random_surface(rng, steps):
     return s
 
 
-CORRUPTIONS = ("none", "swap", "entry", "compensated", "canonical", "short",
-               "long")
+def _scheduled(build):
+    """What build() returns, and the (position, corner) of each blow-up
+    it made, in order."""
+    steps, real = [], picard._blowup
+
+    def recording(s, j, corner):
+        steps.append((j, corner))
+        return real(s, j, corner)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(picard, "_blowup", recording)
+        return build(), steps
+
+
+def _assert_matches_dense_blowups(s, steps):
+    """The same steps on dense classes and a stored K from the triangle of
+    lines give s's dense cycle, K and self-intersections."""
+    cycle, canonical = ((1,),) * 3, (-3,)
+    for j, corner in steps:
+        cycle, canonical = oracles.dense_blowup(cycle, canonical, j, corner)
+    assert s.cycle == cycle and s.canonical == canonical
+    assert s.self_intersections() == tuple([oracles.dot(c, c)
+                                            for c in cycle])
+
+
+def test_blowups_match_dense_oracle_on_reference_schedules():
+    for m in range(3, 61):
+        _assert_matches_dense_blowups(
+            *_scheduled(lambda: picard.cycle_surface(m)))
+    _assert_matches_dense_blowups(*_scheduled(picard.standard_schedule))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 20))
+def test_blowups_match_dense_oracle_on_random_schedules(seed, steps):
+    _assert_matches_dense_blowups(*_scheduled(
+        lambda: _random_surface(random.Random(seed), steps)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 14), st.data())
+def test_blowups_share_the_supports_they_leave_alone(seed, steps, data):
+    """A blow-up builds new dicts only for the curves it changes and the
+    exceptional curve; the rest are the parent's, which stay as they
+    were."""
+    s = _random_surface(random.Random(seed), steps)
+    m, j = s.length, data.draw(st.integers(0, s.length - 1))
+    before = [dict(c) for c in s.supports]
+    corner = list(picard.blowup_corner(s, j).supports)
+    assert corner.pop(j + 1) == {s.dim: 1}
+    interior = picard.blowup_on_curve(s, j).supports
+    for i in range(m):
+        assert (corner[i] is s.supports[i]) == (i not in (j, (j + 1) % m))
+        assert (interior[i] is s.supports[i]) == (i != j)
+    assert list(s.supports) == before
+
+
+CORRUPTIONS = ("none", "swap", "entry", "compensated", "index")
 
 
 def _corrupt(s, kind, data):
     """s with one corruption of the given kind, its places drawn."""
-    cycle, canonical = [list(c) for c in s.cycle], list(s.canonical)
+    sup = [dict(c) for c in s.supports]
     i, j = (data.draw(st.integers(0, s.length - 1)) for _ in range(2))
     t = data.draw(st.integers(0, s.dim - 1))
     e = data.draw(st.sampled_from([1, -1]))
     if kind == "swap":
-        cycle[i], cycle[j] = cycle[j], cycle[i]
+        sup[i], sup[j] = sup[j], sup[i]
     elif kind == "entry":
-        cycle[i][t] += e
+        sup[i][t] = sup[i].get(t, 0) + e
     elif kind == "compensated":  # keeps sum C_i = -K
-        cycle[i][t] += e
-        cycle[j][t] -= e
-    elif kind == "canonical":
-        canonical[t] += e
-    elif kind == "short":
-        cycle[i].pop()
-    elif kind == "long":
-        cycle[i].append(data.draw(st.integers(-1, 1)))
-    return picard.CycleSurface(s.blowup_count,
-                               tuple([tuple(c) for c in cycle]),
-                               tuple(canonical))
+        sup[i][t] = sup[i].get(t, 0) + e
+        sup[j][t] = sup[j].get(t, 0) - e
+    elif kind == "index":
+        sup[i][data.draw(st.sampled_from([-1, s.dim]))] = e
+    return picard.CycleSurface(s.blowup_count, tuple(
+        [{t: c[t] for t in sorted(c) if c[t]} for c in sup]))
 
 
 def _verdict(route, s):
@@ -439,7 +490,7 @@ def test_definiteness_negative_cases_match_oracle():
 def test_definiteness_rejects_a_broken_cycle():
     s = picard.standard_schedule()
     broken = picard.CycleSurface(
-        s.blowup_count, (s.cycle[1], s.cycle[0]) + s.cycle[2:], s.canonical)
+        s.blowup_count, (s.supports[1], s.supports[0]) + s.supports[2:])
     with pytest.raises(picard.InvariantError):
         picard.is_negative_definite(broken, 0)
     with pytest.raises(picard.InvariantError):

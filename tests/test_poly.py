@@ -564,6 +564,19 @@ def test_blowup_chart_bad_dimensions():
         poly.blowup_chart([P("x1")], h, 1)
 
 
+def test_ring_rejects_repeated_variable_names():
+    """A ring with a repeated name would let `blowup_chart` on a ring that
+    has t already take t as the new chart coordinate: f = [x1, t] and
+    h = [[x1, t]] in chart s gave the exceptional equation x1 - t^2 in
+    the ring (x1, t, t), and a chart that verified."""
+    with pytest.raises(ValueError, match="repeated variable name"):
+        poly.Ring(("x", "y", "x"))
+    xt = ("x1", "t")
+    x1, t = MultiPoly.var(xt, "x1"), MultiPoly.var(xt, "t")
+    with pytest.raises(ValueError, match="repeated variable name"):
+        poly.blowup_chart([x1, t], PolyMatrix.from_rows([[x1, t]]), 1, "s")
+
+
 @pytest.mark.parametrize("degree", (1, 2))
 def test_packed_draws_match_constructor_draws(degree):
     """`_random_poly` draws what the constructor route in `oracles` draws,
