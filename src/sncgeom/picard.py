@@ -6,9 +6,12 @@ Surfaces store each cycle class as a sparse support {index: coefficient},
 and a blow-up shares the supports it leaves alone with its parent; K and
 the dense classes are derived. A basis index meets at most three cycle
 curves on a blow-up schedule, so blow-ups, validation, the seed's degree
-conditions and the polarization cost O(nonzeros). The degree-one
-polarization runs on integer continuants and numerators over one
-denominator; Fractions are built only for the returned class.
+conditions and the polarization cost O(nonzeros); `cycle_surface` blows
+up one list of supports. The degree-one polarization is one integer
+solve on the cycle's cyclic tridiagonal Gram matrix, O(m) operations: its
+diagonal minors from a rolled transfer product, adj(G) by shooting two
+unknowns around the cycle, and a closed form where G is singular (every
+C^2 = -2). Fractions are built only for the returned class.
 """
 
 from __future__ import annotations
@@ -127,16 +130,21 @@ def triangle_surface():
     return CycleSurface(blowup_count=0, supports=({0: 1},) * 3)
 
 
-def _blowup(s, j, corner):
-    if not 0 <= j < s.length:
-        raise IndexError("invalid cycle position")
-    k = s.blowup_count + 1
-    sup = list(s.supports)
-    for i in ((j, (j + 1) % s.length) if corner else (j,)):
+def _blow_up(sup, k, j, corner):
+    """Blow up position j of a list of supports in place; k is the new
+    basis index."""
+    for i in ((j, (j + 1) % len(sup)) if corner else (j,)):
         sup[i] = {**sup[i], k: -1}  # a new dict: parents share theirs
     if corner:
         sup.insert(j + 1, {k: 1})  # between C_j and C_{j+1}, last if j = m - 1
-    return CycleSurface(k, tuple(sup))
+
+
+def _blowup(s, j, corner):
+    if not 0 <= j < s.length:
+        raise IndexError("invalid cycle position")
+    sup = list(s.supports)
+    _blow_up(sup, s.blowup_count + 1, j, corner)
+    return CycleSurface(s.blowup_count + 1, tuple(sup))
 
 
 def blowup_corner(s, j):
@@ -176,56 +184,88 @@ def standard_schedule():
 
 
 def cycle_surface(m):
-    """An anticanonical cycle of length m >= 3 with all C^2 <= -2."""
+    """An anticanonical cycle of length m >= 3 with all C^2 <= -2: corner
+    blow-ups to length m, then passes of interior blow-ups, each lowering
+    every curve still above -2 once, on one list of supports."""
     if m < 3:
         raise ValueError("cycle length must be at least 3")
-    s = triangle_surface()
+    sup, k = list(triangle_surface().supports), 0
     for i in range(m - 3):
-        s = blowup_corner(s, (2 * i) % s.length)
-    changed = True
-    while changed:
-        changed = False
-        for j, c2 in enumerate(s.self_intersections()):
-            if c2 > -2:
-                s = blowup_on_curve(s, j)
-                changed = True
-    return s
-
-
-def _path_sweep(sq, j, deg):
-    """Integer sweep on the Gram matrix T of the path C_{j+1}, ..., C_{j-1}
-    (diagonal d_k = C^2, off-diagonal 1 on a validated cycle).
-
-    The continuants theta_0 = 1, theta_k = d_k theta_{k-1} - theta_{k-2}
-    are T's leading minors: None unless every theta_k / theta_{k-1} < 0
-    (Sylvester's criterion). Else (path, A, theta_n), T.(A / theta_n) = r
-    for r_k = -deg: Y_k = r_k theta_{k-1} - Y_{k-1}, A_n = Y_n and
-    A_k = (Y_k theta_n - A_{k+1} theta_{k-1}) / theta_k, an exact division
-    as theta_n T^-1 = adj T is integral (Usmani, Linear Algebra Appl. 1994).
-    """
-    m = len(sq)
-    path = [(j + k) % m for k in range(1, m)]
-    theta, ys, y = [0, 1], [], 0  # from theta_{-1} = 0, theta_0 = 1
-    for i in path:
-        theta.append(sq[i] * theta[-1] - theta[-2])
-        if theta[-1] * theta[-2] >= 0:
-            return None
-        y = -deg[i] * theta[-2] - y
-        ys.append(y)
-    tn = theta[-1]
-    a = [ys[-1]]
-    for k in range(m - 3, -1, -1):
-        a.append((ys[k] * tn - a[-1] * theta[k + 1]) // theta[k + 2])
-    a.reverse()
-    return path, a, tn
+        k += 1
+        _blow_up(sup, k, (2 * i) % len(sup), corner=True)
+    need = [_pair(c, c) + 2 for c in sup]  # interior blow-ups per curve
+    for rnd in range(max(need)):
+        for j, n in enumerate(need):
+            if n > rnd:
+                k += 1
+                _blow_up(sup, k, j, corner=False)
+    return CycleSurface(k, tuple(sup))
 
 
 def is_negative_definite(s, exclude):
     """True iff the Gram matrix of {C_i : i != exclude} is negative
-    definite (Sylvester's criterion on the path's continuants)."""
+    definite: by Sylvester's criterion, iff every ratio of consecutive
+    continuants theta_k = d_k theta_{k-1} - theta_{k-2} (the leading minors)
+    of the path C_{exclude+1}, ..., C_{exclude-1} is negative."""
     s.validate()
-    return _path_sweep(s.self_intersections(), exclude,
-                       [0] * s.length) is not None
+    sq, m = s.self_intersections(), s.length
+    prev, theta = 0, 1
+    for k in range(1, m):
+        prev, theta = theta, sq[(exclude + k) % m] * theta - prev
+        if theta * prev >= 0:
+            return False
+    return True
+
+
+def _diagonal_minors(sq):
+    """adj(G)_jj for every j, G the Gram matrix of a validated cycle: the
+    continuant of the path C_{j+1}, ..., C_{j-1}, the top-left entry of
+    P_j = M(d_{j-1}) ... M(d_{j+1}) with M(d) = [[d, -1], [1, 0]]. Each
+    M has determinant 1, so P_{j+1} = M(d_j) P_j M(d_{j+1})^-1 is one
+    multiplication on each side."""
+    m = len(sq)
+    p00, p01, p10, p11 = 1, 0, 0, 1
+    for d in sq[1:]:
+        p00, p01, p10, p11 = d * p00 - p10, d * p01 - p11, p00, p01
+    minors = []
+    for j in range(m):
+        minors.append(p00)
+        d, e = sq[j], sq[(j + 1) % m]  # M(e)^-1 = [[0, 1], [-1, e]]
+        p00, p01, p10, p11 = d * p00 - p10, d * p01 - p11, p00, p01
+        p00, p01, p10, p11 = -p01, p00 + e * p01, -p11, p10 + e * p11
+    return minors
+
+
+def _cyclic_adjugate(sq, rhs):
+    """(det G, [adj(G) b for b in rhs]) for G the Gram matrix of a
+    validated cycle: diagonal sq, 1 between neighbours (a 2-cycle's two
+    meetings give its 2). Rows 1..m-2 of G x = b shoot each x_i as
+    p_i + x_0 q_i + x_1 r_i; rows 0 and m-1 close in a 2x2 system N in
+    (x_0, x_1), solved by Cramer's rule in integers. The shooting rows
+    have unit pivots, so det G = (-1)^m det N and adj(G) b = det G x."""
+    m = len(sq)
+    q, r, ps = [1, 0], [0, 1], [[0, 0] for _ in rhs]
+    for i in range(1, m - 1):
+        d = sq[i]
+        q.append(-d * q[i] - q[i - 1])
+        r.append(-d * r[i] - r[i - 1])
+        for p, b in zip(ps, rhs):
+            p.append(b[i] - d * p[i] - p[i - 1])
+
+    def close(v):  # rows 0 and m - 1 of G v
+        return (v[-1] + sq[0] * v[0] + v[1],
+                v[-2] + sq[-1] * v[-1] + v[0])
+
+    (n00, n10), (n01, n11) = close(q), close(r)
+    det_n, sign = n00 * n11 - n01 * n10, (-1) ** m
+    out = []
+    for p, b in zip(ps, rhs):
+        g0, g1 = close(p)
+        f0, f1 = b[0] - g0, b[-1] - g1
+        x0, x1 = f0 * n11 - n01 * f1, n00 * f1 - n10 * f0  # times det N
+        out.append([sign * (pi * det_n + qi * x0 + ri * x1)
+                    for pi, qi, ri in zip(p, q, r)])
+    return sign * det_n, out
 
 
 def clear_denominators(h):
@@ -319,13 +359,25 @@ def uniform_degree_seed(s):
 def degree_one_polarization(s, seed_ample):
     """Rational class H with (H.C_j) = 1 for every j.
 
-    Per cycle position j the seed is corrected inside the negative-definite
-    sublattice spanned by the other curves so that it meets only C_j, then
-    the corrected classes are averaged with weights 1/(H'_j.C_j) =
-    theta_n / D_j, D_j = deg_j theta_n + A_0 + A_last, in integer
-    numerators over lcm(D_j).
+    Per cycle position j, correcting the seed by A^(j) / theta_j inside the
+    negative-definite span of the other curves leaves a class that meets
+    only C_j, with degree D_j / theta_j; H is the average of these with
+    weights theta_j / D_j. With G the cycle's Gram matrix and d the seed's
+    degrees, theta_j = adj(G)_jj (the path's continuant) and
+    G A^(j) = D_j e_j - theta_j d, so D = adj(G) d. Summed with the
+    weights, H = lambda seed + sum c_i C_i with lambda = sum_j theta_j / D_j
+    and G c = 1 - lambda d, all in integer numerators over lcm(D_j). Once
+    every C^2 <= -2, each path's negated Gram matrix is a nonsingular
+    M-matrix (Berman-Plemmons, ch. 6): every path is negative definite and
+    every D_j / theta_j > 0, so no position needs a check of its own.
+
+    G is singular exactly when every C^2 = -2 (it is irreducibly
+    diagonally dominant otherwise; Taussky 1949): the affine A_{m-1}
+    Cartan matrix, adj(G) = (-1)^(m-1) m 11^T. Then lambda = m / sum d, and
+    summing the path inverses min(p, q)(m - max(p, q)) / m over j gives
+    c_i = sum_t f(t) d_{i+t} / sum d with 6 f(t) = m^2 - 1 - 3t(m - t).
     """
-    s.validate()  # the cycle pattern is what makes each Gram a path
+    s.validate()  # the cycle pattern is what makes G cyclic tridiagonal
     m, sup, sq = s.length, s.supports, s.self_intersections()
     if any(c2 > -2 for c2 in sq):
         raise NegativeDefiniteViolation(
@@ -336,26 +388,17 @@ def degree_one_polarization(s, seed_ample):
     if any(d <= 0 for d in degs) or dot(seed_ample, seed_ample) <= 0:
         raise NoAmpleSeed("seed must have positive degree on every C_j "
                           "and positive self-intersection")
-    sweeps = []
-    for j in range(m):
-        swept = _path_sweep(sq, j, degs)
-        if swept is None:
-            raise NegativeDefiniteViolation(
-                f"curves other than C_{j} are not negative definite")
-        path, a, tn = swept  # only the path's ends meet C_j, once each
-        dj = degs[j] * tn + a[0] + a[-1]
-        if dj * tn <= 0:  # degree D_j / theta_n <= 0
-            raise NoAmpleSeed(f"corrected class has degree "
-                              f"{Fraction(dj, tn)} on C_{j}")
-        sweeps.append((path, a, tn, dj))
-    den = lcm(*[dj for _, _, _, dj in sweeps])
     # numerators over den of the weight of the seed and of each C_i
-    weight, coef = 0, [0] * m
-    for path, a, tn, dj in sweeps:
-        f = den // dj
-        weight += tn * f
-        for i, ai in zip(path, a):
-            coef[i] += ai * f
+    if all(c2 == -2 for c2 in sq):
+        den, weight = 6 * sum(degs), 6 * m
+        coef = [sum([(m * m - 1 - 3 * t * (m - t)) * degs[(i + t) % m]
+                     for t in range(m)]) for i in range(m)]
+    else:
+        det, (adj_d, adj_1) = _cyclic_adjugate(sq, [degs, [1] * m])
+        den = lcm(*adj_d)
+        weight = sum([tn * (den // d)
+                      for tn, d in zip(_diagonal_minors(sq), adj_d)])
+        coef = [(den * e - weight * d) // det for e, d in zip(adj_1, adj_d)]
     num = [weight * x for x in seed_ample]
     for ci, c in zip(coef, sup):
         for t, x in c.items():

@@ -282,10 +282,10 @@ REFINEMENT = 3
 
 def _check_degree_one(surf, h):
     num, den = picard.clear_denominators(h)  # h.C = 1 in integers
-    for c in surf.cycle:
-        if picard.dot(num, c) != den:
-            raise PolarizationDegreeMismatch(
-                "polarization does not have degree 1 on the cycle")
+    if len(num) != surf.dim or any(picard._degree(num, c) != den
+                                   for c in surf.supports):
+        raise PolarizationDegreeMismatch(
+            "polarization does not have degree 1 on the cycle")
 
 
 def default_component_factory(cycle_length):

@@ -17,17 +17,21 @@ For the determinantal codimensions, which the library counts over kernel
 directions, `locus_incidence_count` visits every point of the ambient
 space instead.
 
-For the degree-one polarization, which the library sweeps in integer
-continuants over one denominator, `thomas_path_sweep` is the Fraction
-Thomas sweep it replaced, `thomas_polarization` the Fraction accumulation
-around it, and `uniform_degree_seed` the seed on the dense `solve` and
-`kernel_basis` with the Fraction congruence diagonalization
+For the degree-one polarization, which the library takes from one
+integer solve on the cycle's Gram matrix (a closed form when every
+C^2 = -2), `path_sweep` and `sweep_polarization` are the integer route of
+one path sweep per cycle position it replaced, `thomas_path_sweep` the
+Fraction Thomas sweep before that, `thomas_polarization` the Fraction
+accumulation around it, and `uniform_degree_seed` the seed on the dense
+`solve` and `kernel_basis` with the Fraction congruence diagonalization
 `positive_direction`. `validate_cycle_surface` checks a cycle surface by
 dense pairings of all pairs of classes, where the library pairs sparse
 supports only where two classes share a basis index or are neighbours.
 `dense_blowup` is the blow-up on dense classes and a stored K, copying
 every class, where the library stores sparse supports, shares those a
 blow-up leaves alone, and derives K and the dense classes.
+`blowup_cycle_surface` builds `cycle_surface` one surface per blow-up,
+where the library blows up one list of supports.
 
 For `MultiPoly`, whose monomials are packed ints in one interned ring,
 `TuplePoly` is the arithmetic on {exponent tuple: int} dicts it replaced
@@ -85,7 +89,8 @@ from operator import index
 from sncgeom.fano import pr_basis, pr_restrict, sym_split
 from sncgeom.lattice import det_int, echelon_mod_p, sparse_rank
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
-                            NoAmpleSeed, dot)
+                            NoAmpleSeed, blowup_corner, blowup_on_curve, dot,
+                            triangle_surface)
 from sncgeom.poly import (SQUARE, DomainMismatch, MultiPoly, PolyMatrix,
                           divide_exact)
 
@@ -550,6 +555,34 @@ def thomas_path_sweep(sq, j, deg):
     return path, a[::-1]
 
 
+def path_sweep(sq, j, deg):
+    """Integer sweep on the Gram matrix T of the path C_{j+1}, ..., C_{j-1}
+    (diagonal d_k = C^2, off-diagonal 1 on a validated cycle).
+
+    The continuants theta_0 = 1, theta_k = d_k theta_{k-1} - theta_{k-2}
+    are T's leading minors: None unless every theta_k / theta_{k-1} < 0
+    (Sylvester's criterion). Else (path, A, theta_n), T.(A / theta_n) = r
+    for r_k = -deg: Y_k = r_k theta_{k-1} - Y_{k-1}, A_n = Y_n and
+    A_k = (Y_k theta_n - A_{k+1} theta_{k-1}) / theta_k, an exact division
+    as theta_n T^-1 = adj T is integral (Usmani, Linear Algebra Appl. 1994).
+    """
+    m = len(sq)
+    path = [(j + k) % m for k in range(1, m)]
+    theta, ys, y = [0, 1], [], 0  # from theta_{-1} = 0, theta_0 = 1
+    for i in path:
+        theta.append(sq[i] * theta[-1] - theta[-2])
+        if theta[-1] * theta[-2] >= 0:
+            return None
+        y = -deg[i] * theta[-2] - y
+        ys.append(y)
+    tn = theta[-1]
+    a = [ys[-1]]
+    for k in range(m - 3, -1, -1):
+        a.append((ys[k] * tn - a[-1] * theta[k + 1]) // theta[k + 2])
+    a.reverse()
+    return path, a, tn
+
+
 def positive_direction(vectors, target):
     """A rational combination x of the given classes with x.x > 0, or else
     a class x the diagonalization leaves with x.x = 0 and target.x > 0, or
@@ -675,6 +708,69 @@ def thomas_polarization(s, seed_ample):
     if dot(h, h) <= 0:
         raise InvariantError("polarization has non-positive square")
     return tuple(h)
+
+
+def sweep_polarization(s, seed_ample):
+    """`picard.degree_one_polarization` by one `path_sweep` per cycle
+    position, in integer numerators over lcm(D_j), on
+    `validate_cycle_surface` and dense pairings: the per-position
+    corrections of the seed, averaged with weights
+    1/(H'_j.C_j) = theta_n / D_j, D_j = deg_j theta_n + A_0 + A_last."""
+    validate_cycle_surface(s)  # the cycle pattern makes each Gram a path
+    m, sq = s.length, [dot(c, c) for c in s.cycle]
+    if any(c2 > -2 for c2 in sq):
+        raise NegativeDefiniteViolation(
+            "all cycle self-intersections must be <= -2")
+    degs = [dot(seed_ample, c) for c in s.cycle]
+    if any(d <= 0 for d in degs) or dot(seed_ample, seed_ample) <= 0:
+        raise NoAmpleSeed("seed must have positive degree on every C_j "
+                          "and positive self-intersection")
+    sweeps = []
+    for j in range(m):
+        swept = path_sweep(sq, j, degs)
+        if swept is None:
+            raise NegativeDefiniteViolation(
+                f"curves other than C_{j} are not negative definite")
+        path, a, tn = swept  # only the path's ends meet C_j, once each
+        dj = degs[j] * tn + a[0] + a[-1]
+        if dj * tn <= 0:  # degree D_j / theta_n <= 0
+            raise NoAmpleSeed(f"corrected class has degree "
+                              f"{Fraction(dj, tn)} on C_{j}")
+        sweeps.append((path, a, tn, dj))
+    den = lcm(*[dj for _, _, _, dj in sweeps])
+    weight, coef = 0, [0] * m  # numerators over den
+    for path, a, tn, dj in sweeps:
+        f = den // dj
+        weight += tn * f
+        for i, ai in zip(path, a):
+            coef[i] += ai * f
+    num = [weight * x + sum(ci * c[t] for ci, c in zip(coef, s.cycle))
+           for t, x in enumerate(seed_ample)]
+    for c in s.cycle:
+        if dot(num, c) != den:
+            raise InvariantError("polarization degree is not 1 on the cycle")
+    if dot(num, num) <= 0:
+        raise InvariantError("polarization has non-positive square")
+    return tuple([Fraction(x, den) for x in num])
+
+
+def blowup_cycle_surface(m):
+    """`picard.cycle_surface` by one `blowup_corner` or `blowup_on_curve`
+    surface per step, the interior passes reading each surface's
+    self-intersections afresh."""
+    if m < 3:
+        raise ValueError("cycle length must be at least 3")
+    s = triangle_surface()
+    for i in range(m - 3):
+        s = blowup_corner(s, (2 * i) % s.length)
+    changed = True
+    while changed:
+        changed = False
+        for j, c2 in enumerate(s.self_intersections()):
+            if c2 > -2:
+                s = blowup_on_curve(s, j)
+                changed = True
+    return s
 
 
 def mul_monomial_dicts(f, g):

@@ -217,15 +217,16 @@ def _random_surface(rng, steps):
 
 def _scheduled(build):
     """What build() returns, and the (position, corner) of each blow-up
-    it made, in order."""
-    steps, real = [], picard._blowup
+    it made, in order: `_blowup` and `cycle_surface` share the list-level
+    step."""
+    steps, real = [], picard._blow_up
 
-    def recording(s, j, corner):
+    def recording(sup, k, j, corner):
         steps.append((j, corner))
-        return real(s, j, corner)
+        return real(sup, k, j, corner)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(picard, "_blowup", recording)
+        mp.setattr(picard, "_blow_up", recording)
         return build(), steps
 
 
@@ -238,6 +239,14 @@ def _assert_matches_dense_blowups(s, steps):
     assert s.cycle == cycle and s.canonical == canonical
     assert s.self_intersections() == tuple([oracles.dot(c, c)
                                             for c in cycle])
+
+
+def test_cycle_surface_matches_blowup_route():
+    """One list of supports against one surface per blow-up."""
+    for m in range(3, 200):
+        s, expected = picard.cycle_surface(m), oracles.blowup_cycle_surface(m)
+        assert (s.blowup_count, s.supports) == \
+            (expected.blowup_count, expected.supports)
 
 
 def test_blowups_match_dense_oracle_on_reference_schedules():
@@ -330,10 +339,7 @@ def test_definiteness_matches_dense_oracle(seed, steps):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 10))
 def test_polarization_matches_dense_oracle_on_random_schedules(seed, steps):
-    s = _random_surface(random.Random(seed), steps)
-    for j, c2 in enumerate(s.self_intersections()):
-        for _ in range(c2 + 2):  # interior blow-ups down to C^2 = -2
-            s = picard.blowup_on_curve(s, j)
+    s = _lowered(_random_surface(random.Random(seed), steps))
     assert all(c2 <= -2 for c2 in s.self_intersections())
     try:
         seed = picard.uniform_degree_seed(s)
@@ -399,44 +405,117 @@ def test_uniform_degree_seed_matches_dense_oracle_on_random_schedules(
 
 
 def _outcome(route, *args):
-    """The returned value, or the class of the exception raised."""
+    """The returned value, or the class and message of the exception
+    raised."""
     try:
         return route(*args)
     except (picard.NoAmpleSeed, picard.NegativeDefiniteViolation,
             picard.InvariantError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
+
+
+def _assert_matches_sweep_routes(s, ample):
+    """The cyclic solve against the integer path sweeps and the Fraction
+    Thomas route, errors included."""
+    found = _outcome(picard.degree_one_polarization, s, ample)
+    assert found == _outcome(oracles.sweep_polarization, s, ample)
+    assert found == _outcome(oracles.thomas_polarization, s, ample)
+    return found
+
+
+def _lowered(s):
+    """s with interior blow-ups until every C^2 <= -2."""
+    for j, c2 in enumerate(s.self_intersections()):
+        for _ in range(c2 + 2):
+            s = picard.blowup_on_curve(s, j)
+    return s
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 14), st.booleans())
 def test_polarization_matches_thomas_route_on_random_schedules(
         seed, steps, lower):
-    """Integer continuants against the Fraction Thomas route, errors
-    included: without the interior blow-ups to -2 many schedules raise."""
+    """The cyclic solve against the integer sweeps and the Fraction Thomas
+    route, errors included: without the interior blow-ups to -2 many
+    schedules raise."""
     s = _random_surface(random.Random(seed), steps)
     if lower:
-        for j, c2 in enumerate(s.self_intersections()):
-            for _ in range(c2 + 2):
-                s = picard.blowup_on_curve(s, j)
+        s = _lowered(s)
     ample = _seed_or_error(s)
     assume(ample is not picard.NoAmpleSeed)
-    assert _outcome(picard.degree_one_polarization, s, ample) == \
-        _outcome(oracles.thomas_polarization, s, ample)
+    _assert_matches_sweep_routes(s, ample)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 14), st.data())
+def test_sweep_guards_never_fire_once_every_curve_is_at_most_minus_two(
+        seed, steps, data):
+    """Once every C^2 <= -2, each path's negated Gram matrix is a
+    nonsingular M-matrix: each path is negative definite, and a seed of
+    positive degrees corrects to positive degree. So neither sweep route's
+    per-position guards raise, for the uniform seed or a perturbed one; a
+    perturbed seed may still fail the seed gate."""
+    s = _lowered(_random_surface(random.Random(seed), steps))
+    ample = _seed_or_error(s)
+    assume(ample is not picard.NoAmpleSeed)
+    shift = data.draw(st.lists(st.integers(-1, 1), min_size=s.dim,
+                               max_size=s.dim))
+    for trial in (ample, tuple([3 * x + y for x, y in zip(ample, shift)])):
+        for route in (oracles.thomas_polarization, oracles.sweep_polarization):
+            found = _outcome(route, s, trial)
+            if not isinstance(found[0], Fraction):
+                assert found[0] is not picard.NegativeDefiniteViolation
+                assert not found[1].startswith("corrected class has degree")
+
+
+# every C^2 = -2 on a 2-cycle: C_0 = H - E_1..E_3, C_1 = 2H - E_4..E_9
+AFFINE_TWO_CYCLE = picard.CycleSurface(
+    9, ({0: 1, **dict.fromkeys(range(1, 4), -1)},
+        {0: 2, **dict.fromkeys(range(4, 10), -1)}))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: picard.cycle_surface(6), lambda: picard.cycle_surface(7),
+    picard.standard_schedule, lambda: AFFINE_TWO_CYCLE],
+    ids=["cycle_surface_6", "cycle_surface_7", "standard", "two_cycle"])
+def test_closed_form_matches_sweep_routes_when_every_curve_is_minus_two(
+        build):
+    """G is singular here, and the closed form replaces the solve: the
+    uniform seed and perturbed seeds give the sweeps' class."""
+    s = build()
+    assert s.validate() and set(s.self_intersections()) == {-2}
+    ample = picard.uniform_degree_seed(s)
+    rng, solved = random.Random(s.length), 0
+    for trial in [ample] + [tuple([3 * x + rng.randint(-1, 1) for x in ample])
+                            for _ in range(8)]:
+        found = _assert_matches_sweep_routes(s, trial)
+        solved += isinstance(found[0], Fraction)
+    assert solved > 4  # most perturbed seeds pass the seed gate
+
+
+@pytest.mark.parametrize("m", [60, 120, 240])
+def test_polarization_matches_sweep_oracle_on_long_cycles(m):
+    s = picard.cycle_surface(m)
+    ample = picard.uniform_degree_seed(s)
+    assert picard.degree_one_polarization(s, ample) == \
+        oracles.sweep_polarization(s, ample)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_path_sweep_matches_thomas_sweep(data):
-    """Random diagonals in [-6, 1], not all definite, paths of 1..25 curves
-    and random right-hand sides: None exactly when the Fraction sweep says
-    so, and otherwise the same solution a = A / theta_n."""
+    """The integer path sweep, the oracle of the cyclic solve, against the
+    Fraction Thomas sweep. Random diagonals in [-6, 1], not all definite,
+    paths of 1..25 curves and random right-hand sides: None exactly when
+    the Fraction sweep says so, and otherwise the same solution
+    a = A / theta_n."""
     n = data.draw(st.integers(1, 25))
     sq = data.draw(st.lists(st.integers(-6, 1), min_size=n + 1,
                             max_size=n + 1))
     deg = data.draw(st.lists(st.integers(-50, 50), min_size=n + 1,
                              max_size=n + 1))
     j = data.draw(st.integers(0, n))
-    swept = picard._path_sweep(sq, j, deg)
+    swept = oracles.path_sweep(sq, j, deg)
     expected = oracles.thomas_path_sweep(sq, j, deg)
     if expected is None:
         assert swept is None

@@ -290,3 +290,17 @@ def test_degree_guard_rejects_degree_two_on_first_curve(monkeypatch):
     monkeypatch.setattr(snc, "default_component_factory", factory)
     with pytest.raises(snc.PolarizationDegreeMismatch):
         snc.glue_report(snc.tetrahedron())
+
+
+def test_degree_guard_rejects_a_class_of_another_surface(monkeypatch):
+    """The degrees are read off the supports, which never reach an entry
+    past the surface's dimension: a longer class is refused by length."""
+    good = snc.default_component_factory
+
+    def factory(n):
+        s, h = good(n)
+        return s, h + (1,)
+
+    monkeypatch.setattr(snc, "default_component_factory", factory)
+    with pytest.raises(snc.PolarizationDegreeMismatch):
+        snc.glue_report(snc.tetrahedron())
