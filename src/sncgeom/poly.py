@@ -143,9 +143,10 @@ class MultiPoly:
 
     @staticmethod
     def _trusted(ring, terms):
-        """Wrap {monomial: int} terms, dropping zero coefficients; nothing
-        is checked or coerced."""
-        return MultiPoly._wrap(ring, {e: c for e, c in terms.items() if c})
+        """Wrap a fresh {monomial: int} dict, copied only to drop zero
+        coefficients; nothing is checked or coerced."""
+        return MultiPoly._wrap(ring, {e: c for e, c in terms.items() if c}
+                               if 0 in terms.values() else terms)
 
     @property
     def variables(self):
@@ -228,6 +229,8 @@ class MultiPoly:
         return self.ring is other.ring and self._terms == other._terms
 
     def __hash__(self):
+        if self._terms.keys() <= {0}:  # a constant equals its int
+            return hash(self._terms.get(0, 0))
         return hash((self.ring, frozenset(self._terms.items())))
 
     def is_zero(self):
@@ -375,8 +378,16 @@ class PolyMatrix:
         return cls(len(entries), len(entries[0]) if entries else 0,
                    [list(r) for r in entries])
 
+    @staticmethod
+    def _wrap(entries):
+        """`from_rows` of fresh rows built from checked matrices, unchecked."""
+        m = object.__new__(PolyMatrix)
+        m.rows, m.cols = len(entries), len(entries[0]) if entries else 0
+        m.entries = entries
+        return m
+
     def drop_col(self, j):
-        return PolyMatrix.from_rows(
+        return PolyMatrix._wrap(
             [[e for k, e in enumerate(row) if k != j] for row in self.entries])
 
     def column(self, j):
@@ -392,7 +403,7 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         cols = list(zip(*other.entries))
-        return PolyMatrix.from_rows(
+        return PolyMatrix._wrap(
             [[_sum_of_products(row[0].ring, zip(_PLUS, row, col))
               for col in cols] for row in self.entries])
 
@@ -403,8 +414,8 @@ def _minor_table(m):
 
     Each minor expands along its first row and is computed once: every
     request shares one memo keyed by (rows, cols), so the determinant and
-    all cofactors of m come from the same smaller minors. The empty minor is
-    the ring's one.
+    all cofactors of m come from the same smaller minors. The memo starts
+    from the empty minor, the ring's one, and the 1x1 minors: the entries.
     """
     if m.rows != m.cols:
         raise ValueError("minors of a non-square matrix")
@@ -412,7 +423,9 @@ def _minor_table(m):
         raise ValueError("empty matrix")
     entries = m.entries
     ring = entries[0][0].ring
-    memo = {((), ()): MultiPoly.const(ring.variables, 1)}
+    memo = {((i,), (j,)): e for i, row in enumerate(entries)
+            for j, e in enumerate(row)}
+    memo[(), ()] = MultiPoly.const(ring.variables, 1)
 
     def minor(rows, cols):
         key = (rows, cols)
@@ -440,7 +453,7 @@ def _det_adj(m):
         for j in idx:
             c = minor(rows, idx[:j] + idx[j + 1:])
             adj[j][i] = -c if (i + j) % 2 else c
-    return minor(idx, idx), PolyMatrix.from_rows(adj)
+    return minor(idx, idx), PolyMatrix._wrap(adj)
 
 
 def determinant(m):
@@ -650,23 +663,33 @@ def _nearest_log(total, p):
 # -- fuzz suites (shared by tests and the CLI verify command) ---------------
 
 
+def _below(bits, n):
+    """`rng.randrange(n)` (and `randint` less its start) drawn from `bits =
+    rng.getrandbits` by `Random._randbelow`'s loop: same bits, same value."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_poly(rng, variables, degree=2, nterms=3, coeff=5):
-    """nterms random terms of degree <= degree on packed monomials."""
+    """nterms random terms of degree <= degree, each draw by `_below`."""
     ring = Ring(variables)
-    shifts, nvars = ring.shifts, len(variables)
+    shifts, nvars, bits = ring.shifts, len(variables), rng.getrandbits
     terms = {}
     for _ in range(nterms):
         e = 0
-        for _ in range(rng.randrange(degree + 1)):
-            e += 1 << shifts[rng.randrange(nvars)]
-        terms[e] = terms.get(e, 0) + rng.randint(-coeff, coeff)
+        for _ in range(_below(bits, degree + 1)):
+            e += 1 << shifts[_below(bits, nvars)]
+        terms[e] = terms.get(e, 0) + _below(bits, 2 * coeff + 1) - coeff
     return MultiPoly._trusted(ring, terms)
 
 
 def _random_system(rng, variables, n):
     """(f, h): n polynomials f of degree <= 2 and an (n-1) x n matrix h of
     entries of degree <= 1, h drawn first."""
-    h = PolyMatrix.from_rows(
+    h = PolyMatrix._wrap(
         [[_random_poly(rng, variables, degree=1, nterms=2)
           for _ in range(n)] for _ in range(n - 1)])
     f = [_random_poly(rng, variables, degree=2, nterms=2)
@@ -687,7 +710,7 @@ def fuzz_adjugate(cases=200, seed=0, max_size=4):
             [[_random_poly(rng, vs, degree=2, nterms=2)
               for _ in range(n)] for _ in range(n)])
         det, adj = _det_adj(m)
-        failures += sum(e != (det if i == j else 0)
+        failures += sum(e != det if i == j else not e.is_zero()
                         for prod in (adj.matmul(m), m.matmul(adj))
                         for i, row in enumerate(prod.entries)
                         for j, e in enumerate(row))

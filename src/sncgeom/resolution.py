@@ -65,7 +65,8 @@ def chain_members(m, h2_z1, h2_s, h2_c, h2_z2):
 
     E_1 is the member carrying the blow-up along C: a blown P^1-bundle for
     m >= 3, the conic bundle for m = 2, and Z_2 itself blown along C when
-    m = 1.  The remaining interior members are plain P^1-bundles over S.
+    m = 1.  The remaining interior members are plain P^1-bundles over S,
+    one frozen member shared m - 2 times in a list that is new per call.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
@@ -75,8 +76,7 @@ def chain_members(m, h2_z1, h2_s, h2_c, h2_z2):
         return members
     first = CONIC_BUNDLE_BLOWN if m == 2 else P1_BUNDLE_BLOWN_ALONG_C
     members.append(ChainMember(first, h2_s + 1 + h2_c))
-    for _ in range(m - 2):
-        members.append(ChainMember(P1_BUNDLE_OVER_S, h2_s + 1))
+    members += [ChainMember(P1_BUNDLE_OVER_S, h2_s + 1)] * (m - 2)
     members.append(ChainMember(END_COMPONENT, h2_z2))
     return members
 

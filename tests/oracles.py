@@ -38,7 +38,11 @@ For `MultiPoly`, whose monomials are packed ints in one interned ring,
 (`+`, `-`, `*`, negation), with no exponent limit, and `tuple_divide_exact`
 the division over Z on it. `random_poly` is the fuzz suites'
 draw through the validating constructor, which `poly._random_poly` replaced
-by packed keys from the same rng calls.
+by packed keys from the same bits, drawn by `poly._below`.
+
+For the resolution chain, whose interior P^1-bundle members the library
+shares as one frozen `ChainMember`, `chain_members` constructs one member
+per position.
 
 For the Fano section products, which the library ranks on packed integer
 columns, `tuple_product_rank` is the route on (side, exponent tuple)
@@ -93,6 +97,9 @@ from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             triangle_surface)
 from sncgeom.poly import (SQUARE, DomainMismatch, MultiPoly, PolyMatrix,
                           divide_exact)
+from sncgeom.resolution import (CONIC_BUNDLE_BLOWN, END_COMPONENT,
+                                P1_BUNDLE_BLOWN_ALONG_C, P1_BUNDLE_OVER_S,
+                                Z2_BLOWN_ALONG_C, ChainMember)
 
 
 def _integerize_rows(rows):
@@ -497,6 +504,23 @@ def random_poly(rng, variables, degree=2, nterms=3, coeff=5):
         c = rng.randint(-coeff, coeff)
         terms[tuple(e)] = terms.get(tuple(e), 0) + c
     return MultiPoly(variables, terms)
+
+
+def chain_members(m, h2_z1, h2_s, h2_c, h2_z2):
+    """`resolution.chain_members` with one `ChainMember` constructed per
+    position of the chain, where the library shares one interior member."""
+    if m < 1:
+        raise ValueError("multiplicity must be positive")
+    members = [ChainMember(END_COMPONENT, h2_z1)]
+    if m == 1:
+        members.append(ChainMember(Z2_BLOWN_ALONG_C, h2_z2 + h2_c))
+        return members
+    first = CONIC_BUNDLE_BLOWN if m == 2 else P1_BUNDLE_BLOWN_ALONG_C
+    members.append(ChainMember(first, h2_s + 1 + h2_c))
+    for _ in range(m - 2):
+        members.append(ChainMember(P1_BUNDLE_OVER_S, h2_s + 1))
+    members.append(ChainMember(END_COMPONENT, h2_z2))
+    return members
 
 
 def gaussian_binomial(n, k, p):

@@ -161,6 +161,20 @@ def assert_normalised(f):
         assert c != 0 and type(c) is int
 
 
+@pytest.mark.parametrize("c", (0, 3, -3))
+def test_constant_hashes_like_its_int(c):
+    """A constant equals its int, so it hashes like it: the two are one
+    member of a set. A non-constant polynomial is neither."""
+    x1 = P("x1")
+    f = x1 + c
+    for k in (MultiPoly.const(VARS, c), x1 - x1 + c,
+              MultiPoly(VARS, {(0, 0, 0): c})):
+        assert k == c and hash(k) == hash(c)
+        assert len({k, c}) == 1 and c in {k} and k in {c}
+        assert f != k and f != c and f not in {k, c}
+        assert len({f, k, c}) == 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(same_ring_polys(), st.integers(0, 3),
        st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
@@ -558,6 +572,53 @@ def test_one_minor_table_per_determinant_and_adjugate(monkeypatch):
     assert len(tables) == 40
 
 
+@pytest.mark.parametrize("n, sums", ((1, 0), (2, 1), (3, 10)))
+def test_minor_table_starts_from_the_entries(monkeypatch, n, sums):
+    """The 1x1 minors are the entries, so `_det_adj` sums products only
+    for the larger minors: none at 1x1 (the adjugate is the empty minor),
+    the determinant at 2x2, and the nine 2x2 cofactors and the
+    determinant at 3x3."""
+    calls = []
+    real = poly._sum_of_products
+
+    def counting(ring, triples):
+        calls.append(ring)
+        return real(ring, triples)
+
+    rng = random.Random(n)
+    m = PolyMatrix.from_rows([[poly._random_poly(rng, VARS) for _ in range(n)]
+                              for _ in range(n)])
+    monkeypatch.setattr(poly, "_sum_of_products", counting)
+    poly._det_adj(m)
+    assert len(calls) == sums
+
+
+def test_internal_matrix_results_are_well_formed():
+    """`drop_col`, `matmul` and `_det_adj` build their results without
+    the constructor's checks; each has the right shape and equals its
+    checked `from_rows` rebuild. `from_rows` still rejects ragged rows (and
+    mixed rings, in `test_domain_mismatch`)."""
+    rng = random.Random(7)
+
+    def draw(rows, cols):
+        return PolyMatrix.from_rows([[poly._random_poly(rng, VARS)
+                                      for _ in range(cols)]
+                                     for _ in range(rows)])
+
+    for n in (1, 2, 3):
+        m, wide = draw(n, n), draw(n, n + 1)
+        adj = poly._det_adj(m)[1]
+        results = [(adj, (n, n)), (adj.matmul(wide), (n, n + 1)),
+                   (wide.matmul(draw(n + 1, 2)), (n, 2)),
+                   (draw(n, 1).drop_col(0), (n, 0))]
+        results += [(wide.drop_col(j), (n, n)) for j in range(n + 1)]
+        for got, shape in results:
+            assert (got.rows, got.cols) == shape
+            assert got == PolyMatrix.from_rows(got.entries)
+    with pytest.raises(ValueError, match="inconsistent dimensions"):
+        PolyMatrix.from_rows([[P("x1"), P("x2")], [P("x3")]])
+
+
 def test_blowup_chart_bad_dimensions():
     h = _matrix([["x1", "x2"]])
     with pytest.raises(ValueError):
@@ -579,15 +640,19 @@ def test_ring_rejects_repeated_variable_names():
 
 @pytest.mark.parametrize("degree", (1, 2))
 def test_packed_draws_match_constructor_draws(degree):
-    """`_random_poly` draws what the constructor route in `oracles` draws,
-    and leaves the rng where it leaves it, so seeded fuzz batches keep
-    their inputs."""
+    """`_random_poly` draws what the constructor route in `oracles` draws
+    through `randrange` and `randint`, and leaves the rng where it leaves
+    it, so seeded fuzz batches keep their inputs. The coefficient widths
+    2c + 1 = 3 .. 17 lie on both sides of 4, 8 and 16, and nvars = 1 makes
+    the rejection loop draw and discard 1-bit values."""
     names = ("x1", "x2", "x3", "x4", "x5")
-    for seed, nv in itertools.product(range(120), range(1, 6)):
+    for seed, nv, coeff in itertools.product(range(120), range(1, 6),
+                                             (1, 3, 4, 5, 7, 8)):
         packed, route = random.Random(seed), random.Random(seed)
         for nterms in (1, 2, 3):
-            f = poly._random_poly(packed, names[:nv], degree, nterms)
-            assert f == oracles.random_poly(route, names[:nv], degree, nterms)
+            f = poly._random_poly(packed, names[:nv], degree, nterms, coeff)
+            assert f == oracles.random_poly(route, names[:nv], degree,
+                                            nterms, coeff)
             assert_normalised(f)
         assert packed.getstate() == route.getstate()
 

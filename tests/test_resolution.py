@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -127,6 +128,23 @@ def test_restriction_rows_match_dense_oracle(m):
                                                    index % 3))
         assert rank == m * h2_s
         assert sum(e.h2 for e in members) - rank == rep.h2_crosscheck
+
+
+def test_shared_members_match_per_member_construction(monkeypatch):
+    """`chain_members` shares one frozen interior member; the reports are
+    the ones of one member constructed per position. Each call returns
+    its own list, so replacing a member of one report reaches no other."""
+    for m in range(1, 26):
+        reports = [R.build_chain(m, *h2) for h2 in H2_GRID]
+        again = R.build_chain(m, *H2_GRID[0])
+        again.members[1] = R.ChainMember(R.END_COMPONENT, -1)
+        assert reports[0] != again
+        with monkeypatch.context() as patch:
+            patch.setattr(R, "chain_members", oracles.chain_members)
+            assert reports == [R.build_chain(m, *h2) for h2 in H2_GRID]
+        if m >= 3:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                reports[0].members[2].h2 = 0
 
 
 def test_crosscheck_independent_of_seed():
