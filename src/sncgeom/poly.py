@@ -379,16 +379,16 @@ class PolyMatrix:
                    [list(r) for r in entries])
 
     @staticmethod
-    def _wrap(entries):
-        """`from_rows` of fresh rows built from checked matrices, unchecked."""
+    def _wrap(entries, cols):
+        """Fresh rows of cols entries each from checked matrices, unchecked."""
         m = object.__new__(PolyMatrix)
-        m.rows, m.cols = len(entries), len(entries[0]) if entries else 0
-        m.entries = entries
+        m.rows, m.cols, m.entries = len(entries), cols, entries
         return m
 
     def drop_col(self, j):
         return PolyMatrix._wrap(
-            [[e for k, e in enumerate(row) if k != j] for row in self.entries])
+            [[e for k, e in enumerate(row) if k != j] for row in self.entries],
+            self.cols - 1)
 
     def column(self, j):
         return [row[j] for row in self.entries]
@@ -405,7 +405,7 @@ class PolyMatrix:
         cols = list(zip(*other.entries))
         return PolyMatrix._wrap(
             [[_sum_of_products(row[0].ring, zip(_PLUS, row, col))
-              for col in cols] for row in self.entries])
+              for col in cols] for row in self.entries], other.cols)
 
 
 def _minor_table(m):
@@ -453,7 +453,7 @@ def _det_adj(m):
         for j in idx:
             c = minor(rows, idx[:j] + idx[j + 1:])
             adj[j][i] = -c if (i + j) % 2 else c
-    return minor(idx, idx), PolyMatrix._wrap(adj)
+    return minor(idx, idx), PolyMatrix._wrap(adj, m.rows)
 
 
 def determinant(m):
@@ -556,8 +556,8 @@ def blowup_chart(f, h, j, chart="s"):
     other = "t" if chart == "s" else "s"
     variables = f[0].variables + (other,)
     fx = [fi.extend_vars(variables) for fi in f]
-    hx = PolyMatrix.from_rows(
-        [[e.extend_vars(variables) for e in row] for row in h.entries])
+    hx = PolyMatrix._wrap(
+        [[e.extend_vars(variables) for e in row] for row in h.entries], n)
     jj = j - 1
     det, adj = _det_adj(hx.drop_col(jj))
     ring = fx[0].ring
@@ -691,7 +691,7 @@ def _random_system(rng, variables, n):
     entries of degree <= 1, h drawn first."""
     h = PolyMatrix._wrap(
         [[_random_poly(rng, variables, degree=1, nterms=2)
-          for _ in range(n)] for _ in range(n - 1)])
+          for _ in range(n)] for _ in range(n - 1)], n)
     f = [_random_poly(rng, variables, degree=2, nterms=2)
          for _ in range(n)]
     return f, h

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lattice, picard
 
@@ -19,14 +19,6 @@ class NonManifold(ValueError):
 
 
 class Boundary(ValueError):
-    pass
-
-
-class CycleLengthMismatch(ValueError):
-    pass
-
-
-class PolarizationDegreeMismatch(ValueError):
     pass
 
 
@@ -272,7 +264,7 @@ class SncSurface:
     dual: DualComplex
     components: dict          # vertex -> (CycleSurface, polarization tuple)
     curve_identifications: dict  # edge_key -> ((v, middle pos), (w, middle pos))
-    node_markings: set = field(default_factory=set)
+    node_markings: set
 
 
 _FACTORY_CACHE = {}
@@ -280,22 +272,14 @@ _FACTORY_CACHE = {}
 REFINEMENT = 3
 
 
-def _check_degree_one(surf, h):
-    num, den = picard.clear_denominators(h)  # h.C = 1 in integers
-    if len(num) != surf.dim or any(picard._degree(num, c) != den
-                                   for c in surf.supports):
-        raise PolarizationDegreeMismatch(
-            "polarization does not have degree 1 on the cycle")
-
-
 def default_component_factory(cycle_length):
-    """(cycle_surface, polarization), cached per cycle length; each result
-    is degree-checked once, when it enters the cache."""
+    """(cycle_surface, polarization), cached per cycle length. The
+    polarization has degree 1 on every cycle curve: its own exit check
+    raises `picard.InvariantError` otherwise, before anything is cached."""
     if cycle_length not in _FACTORY_CACHE:
         s = picard.cycle_surface(cycle_length)
-        h = picard.degree_one_polarization(s, picard.uniform_degree_seed(s))
-        _check_degree_one(s, h)
-        _FACTORY_CACHE[cycle_length] = (s, h)
+        _FACTORY_CACHE[cycle_length] = (s, picard.degree_one_polarization(
+            s, picard.uniform_degree_seed(s)))
     return _FACTORY_CACHE[cycle_length]
 
 
@@ -303,24 +287,12 @@ def assemble(d, node_markings=None):
     """Glue one anticanonical-cycle surface per polygon.
 
     Each polygon side is refined into REFINEMENT consecutive cycle curves
-    (the middle one carries the identification), so the component factory
-    is asked for cycles of length REFINEMENT * side_count with all
+    (the middle one carries the identification), so every polygon takes
+    the cached component of cycle length REFINEMENT * side_count, with all
     self-intersections <= -2 and a degree-1 polarization.
     """
-    components = {}
-    cache = {}
-    for v, signs in d.polygons.items():
-        want = REFINEMENT * len(signs)
-        if want not in cache:  # check each factory result once
-            result = surf, h = default_component_factory(want)
-            if surf.length != want:
-                raise CycleLengthMismatch(
-                    f"factory returned cycle length {surf.length}, "
-                    f"wanted {want}")
-            if result is not _FACTORY_CACHE.get(want):  # checked on entry
-                _check_degree_one(surf, h)
-            cache[want] = (surf, h)
-        components[v] = cache[want]
+    components = {v: default_component_factory(REFINEMENT * len(signs))
+                  for v, signs in d.polygons.items()}
     # (vertex, edge_key) -> the middle cycle curve of that side
     pos = {(v, edge): REFINEMENT * i + REFINEMENT // 2
            for v, signs in d.polygons.items() for i, edge in enumerate(signs)}

@@ -619,6 +619,18 @@ def test_internal_matrix_results_are_well_formed():
         PolyMatrix.from_rows([[P("x1"), P("x2")], [P("x3")]])
 
 
+def test_internal_results_with_no_rows_keep_their_columns():
+    """A matrix with no rows has no first row to read its width from."""
+    rng = random.Random(3)
+    empty = PolyMatrix(0, 2, [])
+    b = PolyMatrix.from_rows([[poly._random_poly(rng, VARS) for _ in range(3)]
+                              for _ in range(2)])
+    for got, shape in ((empty.matmul(b), (0, 3)), (empty.drop_col(0), (0, 1)),
+                       (poly._random_system(rng, VARS, 1)[1], (0, 1))):
+        assert (got.rows, got.cols) == shape
+        assert got == PolyMatrix(*shape, [])
+
+
 def test_blowup_chart_bad_dimensions():
     h = _matrix([["x1", "x2"]])
     with pytest.raises(ValueError):

@@ -171,25 +171,35 @@ def test_assemble_components_and_identifications():
     assert len(z.components) == 4
     for surf, h in z.components.values():
         assert surf.length == 3 * 3  # refinement 3, triangle degree 3
-        from sncgeom import picard
         assert all(picard.dot(h, c) == 1 for c in surf.cycle)
     for edge, ((u, i), (w, j)) in z.curve_identifications.items():
         assert (u, w) == tuple(sorted(edge))
         assert i % 3 == 1 and j % 3 == 1  # middle curve of each side
+    # every polygon of one cycle length shares one cached component
+    z = snc.assemble(snc.dual_complex(snc.refine_random(snc.torus_7(), 12)))
+    by_length = {}
+    for v, signs in z.dual.polygons.items():
+        by_length.setdefault(len(signs), []).append(z.components[v])
+    assert any(len(shared) > 1 for shared in by_length.values())
+    for n, shared in by_length.items():
+        assert all(c is snc._FACTORY_CACHE[3 * n] for c in shared)
 
 
-def test_assemble_rejects_bad_factory(monkeypatch):
-    d = snc.dual_complex(snc.tetrahedron())
-    from sncgeom import picard
+def test_degree_guard_fires_through_glue(monkeypatch):
+    """A polarization off by one curve class is refused by picard's exit
+    check, and the factory caches nothing for that length. The length-9
+    cycle is not all -2, so the solve goes through `_cyclic_adjugate`."""
+    monkeypatch.delitem(snc._FACTORY_CACHE, 9, raising=False)
+    good = picard._cyclic_adjugate
 
-    def bad_factory(n):
-        s = picard.cycle_surface(n + 3)
-        return s, picard.degree_one_polarization(
-            s, picard.uniform_degree_seed(s))
+    def off_by_one(sq, rhs):
+        det, (adj_d, adj_1) = good(sq, rhs)
+        return det, (adj_d, [adj_1[0] + det] + adj_1[1:])
 
-    monkeypatch.setattr(snc, "default_component_factory", bad_factory)
-    with pytest.raises(snc.CycleLengthMismatch):
-        snc.assemble(d)
+    monkeypatch.setattr(picard, "_cyclic_adjugate", off_by_one)
+    with pytest.raises(picard.InvariantError, match="degree is not 1"):
+        snc.glue_report(snc.tetrahedron())
+    assert 9 not in snc._FACTORY_CACHE
 
 
 def test_loop_kernel_classes_fully_marked():
@@ -271,36 +281,3 @@ def test_sparse_boundary_ranks_match_dense_rank(name):
         for rows, width in _boundary_pairs(t):
             assert lattice.sparse_rank(rows) == oracles.rank(
                 _dense(rows, width))
-
-
-def test_degree_guard_rejects_degree_two_on_first_curve(monkeypatch):
-    """h + (C_1 + C_last)/2 has degree 2 on C_0, with a denominator."""
-    from fractions import Fraction
-
-    good = snc.default_component_factory
-
-    def factory(n):
-        s, h = good(n)
-        c1, clast = s.cycle[1], s.cycle[-1]
-        bad = tuple(Fraction(x) + Fraction(y + z, 2)
-                    for x, y, z in zip(h, c1, clast))
-        assert picard.dot(bad, s.cycle[0]) == 2
-        return s, bad
-
-    monkeypatch.setattr(snc, "default_component_factory", factory)
-    with pytest.raises(snc.PolarizationDegreeMismatch):
-        snc.glue_report(snc.tetrahedron())
-
-
-def test_degree_guard_rejects_a_class_of_another_surface(monkeypatch):
-    """The degrees are read off the supports, which never reach an entry
-    past the surface's dimension: a longer class is refused by length."""
-    good = snc.default_component_factory
-
-    def factory(n):
-        s, h = good(n)
-        return s, h + (1,)
-
-    monkeypatch.setattr(snc, "default_component_factory", factory)
-    with pytest.raises(snc.PolarizationDegreeMismatch):
-        snc.glue_report(snc.tetrahedron())
