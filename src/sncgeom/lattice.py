@@ -6,7 +6,8 @@ elimination over Q: `rank`, `sparse_rank`, `solve`, `kernel_basis` and
 `sparse_solve_and_kernel` read its pivot rows. `echelon_mod_p` is the one
 elimination over F_p, read by `rank_mod_p` and the codimension estimator.
 `invariant_factors` clears unit pivots sparsely and leaves a small core to
-the diagonal-only `smith_normal_form`; `det_int` is a dense Bareiss
+the diagonal-only `smith_normal_form`; it is the one elimination `snc`
+calls, and `sparse_rank` serves only `fano`. `det_int` is a dense Bareiss
 determinant. No floating point anywhere in this module.
 """
 
@@ -265,26 +266,28 @@ def invariant_factors(vectors):
             row = rows.get(i)
             if row is None:
                 continue
-            unit_cols = [c for c, x in row.items() if x == 1 or x == -1]
-            if not unit_cols:
+            c = None  # the first unit column in the fewest rows
+            for k, x in row.items():
+                if (x == 1 or x == -1) and (c is None or len(cols[k]) < n):
+                    c, n = k, len(cols[k])
+            if c is None:
                 continue
-            c = min(unit_cols, key=lambda c: len(cols[c]))
             del rows[i]
             for k in row:
                 cols[k].discard(i)
+            p = row.pop(c)  # ±1 is its own inverse
             for j in cols.pop(c):
                 other = rows[j]
-                q = other[c] * row[c]  # row[c] = ±1 is its own inverse
+                q = other.pop(c) * p
                 for k, y in row.items():
                     x = other.get(k, 0) - q * y
                     if x:
                         if k not in other:
                             cols[k].add(j)
                         other[k] = x
-                    elif k in other:
+                    else:  # q * y != 0, so k was in other
                         del other[k]
-                        if k != c:
-                            cols[k].discard(j)
+                        cols[k].discard(j)
                 if not other:
                     del rows[j]
             units += 1

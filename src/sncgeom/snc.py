@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import lattice, picard
 
@@ -40,14 +41,15 @@ class Triangulation:
                 raise NonManifold(f"degenerate triangle {tri}")
             if any(not 0 <= v < self.vertex_count for v in tri):
                 raise ValueError(f"vertex index out of range in {tri}")
-            for a, b in ((0, 1), (1, 2), (0, 2)):
-                edge_tris.setdefault(frozenset((tri[a], tri[b])), []).append(t)
+            x, y, z = tri
+            for a, b in ((x, y), (y, z), (x, z)):
+                edge_tris.setdefault((a, b) if a < b else (b, a), []).append(t)
             for v in tri:
                 at.setdefault(v, []).append(t)
         for e, ts in edge_tris.items():
             if len(ts) != 2:
                 raise Boundary(
-                    f"edge {sorted(e)} lies in {len(ts)} triangles, not 2")
+                    f"edge {list(e)} lies in {len(ts)} triangles, not 2")
         if len(at) != self.vertex_count:
             # the ids in use are all below vertex_count: find the first gap
             gap = next((i for i, v in enumerate(sorted(at)) if i != v),
@@ -61,12 +63,13 @@ class Triangulation:
             u, w = [x for x in self.triangles[start] if x != v]
             umbrella, t = [(u, start)], start
             while True:
-                a, b = edge_tris[frozenset((v, w))]
+                a, b = edge_tris[(v, w) if v < w else (w, v)]
                 t = b if a == t else a
                 if t == start:
                     break
                 umbrella.append((w, t))
-                w = next(x for x in self.triangles[t] if x != v and x != w)
+                # the third vertex of a triangle of three distinct ids
+                w = sum(self.triangles[t]) - v - w
             if len(umbrella) == 2:  # two triangles on the same three edges
                 raise NonManifold(
                     f"triangle {sorted(self.triangles[start])} is repeated")
@@ -86,11 +89,9 @@ class Triangulation:
         return umbrellas
 
     def edges(self):
-        out = set()
-        for tri in self.triangles:
-            for a, b in ((0, 1), (1, 2), (0, 2)):
-                out.add(frozenset((tri[a], tri[b])))
-        return out
+        """The edges as vertex pairs (a, b) with a < b."""
+        return {(a, b) for tri in self.triangles
+                for a, b in combinations(sorted(tri), 2)}
 
     def euler_characteristic(self):
         return self.vertex_count - len(self.edges()) + len(self.triangles)
@@ -126,9 +127,10 @@ class Triangulation:
 
 @dataclass
 class DualComplex:
-    # polygon per triangulation vertex: {edge_key: +1 or -1} over its sides
-    # in boundary-traversal order, +1 where the side runs along its curve;
-    # the two polygons glued along a side are the two vertices of its key
+    # an edge key is the vertex pair (a, b) with a < b of a triangulation
+    # edge; polygon per triangulation vertex: {edge_key: +1 or -1} over its
+    # sides in boundary-traversal order, +1 where the side runs along its
+    # curve; the two polygons glued along a side are its key's two vertices
     polygons: dict
     curves: dict             # edge_key -> its direction (from_tri, to_tri)
     triangle_count: int
@@ -149,7 +151,7 @@ def dual_complex(t):
         for u, tri in umbrella:
             # the side dual to edge {v, u_i} runs from t_(i-1) to t_i, the
             # two triangles on it, crossed in umbrella order
-            edge, step = frozenset((v, u)), (prev, tri)
+            edge, step = (v, u) if v < u else (u, v), (prev, tri)
             signs[edge] = 1 if curves.setdefault(edge, step) == step else -1
             prev = tri
         polygons[v] = signs
@@ -220,7 +222,7 @@ def fundamental_group(d):
                 order.append(w)
     if len(seen) != d.triangle_count:
         raise ValueError("dual complex is not connected")
-    gens = [e for e in sorted(d.curves, key=sorted) if e not in tree]
+    gens = [e for e in sorted(d.curves) if e not in tree]
     gidx = {e: i + 1 for i, e in enumerate(gens)}
     relations = [tuple([s * gidx[edge] for edge, s in d.polygons[v].items()
                         if edge not in tree]) for v in sorted(d.polygons)]
@@ -296,12 +298,15 @@ def assemble(d, node_markings=None):
     # (vertex, edge_key) -> the middle cycle curve of that side
     pos = {(v, edge): REFINEMENT * i + REFINEMENT // 2
            for v, signs in d.polygons.items() for i, edge in enumerate(signs)}
-    identifications = {edge: tuple([(v, pos[v, edge]) for v in sorted(edge)])
+    identifications = {edge: tuple([(v, pos[v, edge]) for v in edge])
                        for edge in d.curves}
-    marks = set(d.curves) if node_markings is None else set(node_markings)
+    marks = list(d.curves if node_markings is None else node_markings)
+    for edge in marks:
+        if edge not in d.curves:
+            raise ValueError(f"node marking {edge!r} is not a double curve")
     return SncSurface(dual=d, components=components,
                       curve_identifications=identifications,
-                      node_markings=marks)
+                      node_markings=set(marks))
 
 
 def loop_kernel_classes(z):
@@ -331,26 +336,25 @@ def simplicial_boundaries(t):
     vertex pairs: d1 has one row per vertex, d2 one row per triangle (the
     transpose of the boundary map, which has the same rank and Smith
     invariants)."""
-    edges = sorted(t.edges(), key=sorted)
+    edges = sorted(t.edges())
     eidx = {e: i for i, e in enumerate(edges)}
     d1 = [{} for _ in range(t.vertex_count)]
-    for e, i in eidx.items():
-        a, b = sorted(e)
+    for (a, b), i in eidx.items():
         d1[b][i] = 1
         d1[a][i] = -1
     d2 = []
     for tri in t.triangles:
         a, b, c = sorted(tri)
-        d2.append({eidx[frozenset((b, c))]: 1, eidx[frozenset((a, c))]: -1,
-                   eidx[frozenset((a, b))]: 1})
+        d2.append({eidx[b, c]: 1, eidx[a, c]: -1, eidx[a, b]: 1})
     return d1, d2, edges
 
 
 def simplicial_homology(t):
-    """((h0, h1, h2) over Q, H_1 invariants over Z) of the triangulation."""
+    """((h0, h1, h2) over Q, H_1 invariants over Z) of the triangulation;
+    both boundary ranks are counts of unit-pivot invariant factors."""
     d1, d2, edges = simplicial_boundaries(t)
     n0, n1, n2 = t.vertex_count, len(edges), len(t.triangles)
-    r1 = lattice.sparse_rank(d1)
+    r1 = len(lattice.invariant_factors(d1))
     nonzero = lattice.invariant_factors(d2)
     r2 = len(nonzero)
     h0 = n0 - r1

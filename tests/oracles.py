@@ -982,7 +982,7 @@ def dual_boundaries(d):
     has one row per triple point, d2 one row per polygon in sorted order
     (the transpose of the boundary map, which has the same rank and Smith
     invariants)."""
-    edges = sorted(d.curves, key=sorted)
+    edges = sorted(d.curves)
     eidx = {e: i for i, e in enumerate(edges)}
     d2 = [{eidx[edge]: s for edge, s in d.polygons[v].items()}
           for v in sorted(d.polygons)]

@@ -172,6 +172,44 @@ def test_invariant_factors_simple():
         == [1, 2]
 
 
+@st.composite
+def incidence_rows(draw):
+    """Sparse rows of the matrices the glue report eliminates: every column
+    has two entries ±1 in two rows. "unsigned" is a graph incidence matrix
+    with both entries 1; "signed" draws each sign, like the simplicial d1
+    and d2 and the relation matrix of the loop group; "loop" adds a column
+    whose two entries fall in one row, a letter that occurs twice in one
+    relation."""
+    shape = draw(st.sampled_from(["unsigned", "signed", "loop"]))
+    n = draw(st.integers(2, 40))
+    sign = st.just(1) if shape == "unsigned" else st.sampled_from([1, -1])
+    columns = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                      st.integers(1, n - 1), sign, sign),
+                            max_size=2 * n))
+    rows = [{} for _ in range(n)]
+    for c, (i, step, s, t) in enumerate(columns):
+        rows[i][c] = s
+        rows[(i + step) % n][c] = t
+    if shape == "loop":
+        i, s, t = draw(st.integers(0, n - 1)), draw(sign), draw(sign)
+        rows[i][len(columns)] = s + t
+    return rows, len(columns) + (shape == "loop")
+
+
+@settings(max_examples=120, deadline=None)
+@given(incidence_rows())
+def test_unit_phase_on_incidence_shapes(drawn):
+    """Unit pivots on incidence matrices up to 40 rows, where clearing one
+    column fills others over several steps, give the nonzero diagonal of
+    the dense Smith form, and their count is the rank."""
+    rows, width = drawn
+    dense = [[row.get(c, 0) for c in range(width)] for row in rows]
+    snf = oracles.smith_normal_form(dense)
+    sparse = lattice.invariant_factors(rows)
+    assert sparse == [d for d in snf.diagonal if d]
+    assert len(sparse) == oracles.rank(dense)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_rank_mod_p_certificate(seed):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -220,6 +221,50 @@ def test_loop_kernel_classes_partial_markings():
     some_edge = next(iter(d.curves))
     z = snc.assemble(d, node_markings=[some_edge])
     assert snc.loop_kernel_classes(z) == len(d.polygons) - 1
+
+
+@pytest.mark.parametrize("t, marking", [
+    # not an edge of the 4 x 4 grid: it used to merge polygons 0 and 10
+    (snc.klein_bottle(4), frozenset((0, 10))),
+    (snc.klein_bottle(4), (0, 10)),
+    # an edge key with its vertices out of order is not a key
+    (snc.klein_bottle(4), (1, 0)),
+    # vertex 9 is not on the tetrahedron: it used to end in KeyError: 9
+    (snc.tetrahedron(), frozenset((0, 9))),
+], ids=["klein-frozenset", "klein-non-edge", "reversed", "tetra-frozenset"])
+def test_assemble_rejects_markings_off_the_double_curves(t, marking):
+    d = snc.dual_complex(t)
+    first = next(iter(d.curves))
+    with pytest.raises(ValueError, match="^node marking " +
+                       re.escape(repr(marking)) + " is not a double curve$"):
+        snc.assemble(d, node_markings=[first, marking, (0, 9)])
+
+
+def test_edge_keys_are_sorted_vertex_pairs():
+    """The triangulation, the dual complex and the simplicial boundaries
+    key every edge by one (a, b) pair with a < b; the boundaries list them
+    in sorted order, which fixes their columns."""
+    for factory, _, _ in SURFACES.values():
+        t = snc.refine_random(factory(), 6, seed=1)
+        keys = t.edges()
+        assert all(type(e) is tuple and e[0] < e[1] for e in keys)
+        assert set(snc.dual_complex(t).curves) == keys
+        assert snc.simplicial_boundaries(t)[2] == sorted(keys)
+
+
+def test_simplicial_route_calls_no_sparse_rank(monkeypatch):
+    """Both simplicial ranks come from unit-pivot invariant factors."""
+    def refuse(vectors):
+        raise AssertionError("sparse_rank called")
+
+    monkeypatch.setattr(lattice, "sparse_rank", refuse)
+    for factory, expected, _ in SURFACES.values():
+        t = factory()
+        h, ab = snc.simplicial_homology(t)
+        assert h == expected
+        assert ab == snc.abelianization(
+            snc.fundamental_group(snc.dual_complex(t)))
+        assert snc.glue_report(t)["cohomology_crosscheck"]
 
 
 def test_glue_report_crosschecks():
