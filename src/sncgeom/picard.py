@@ -4,14 +4,16 @@ The lattice basis is (H, E_1, ..., E_k) with intersection form
 diag(+1, -1, ..., -1); the canonical class is K = -3H + sum E_i.
 Surfaces store each cycle class as a sparse support {index: coefficient},
 and a blow-up shares the supports it leaves alone with its parent; K and
-the dense classes are derived. A basis index meets at most three cycle
-curves on a blow-up schedule, so blow-ups, validation, the seed's degree
-conditions and the polarization cost O(nonzeros); `cycle_surface` blows
-up one list of supports. The degree-one polarization is one integer
-solve on the cycle's cyclic tridiagonal Gram matrix, O(m) operations: its
-diagonal minors from a rolled transfer product, adj(G) by shooting two
-unknowns around the cycle, and a closed form where G is singular (every
-C^2 = -2). Fractions are built only for the returned class.
+the dense classes are derived. Each surface is validated once, when it
+is made. A basis index meets at most three cycle curves on a blow-up
+schedule, so blow-ups, validation, the seed's degree conditions and the
+polarization cost O(nonzeros); `cycle_surface` and `standard_schedule`
+each blow up one list of supports. The degree-one polarization is one
+integer solve on the cycle's cyclic tridiagonal Gram matrix, O(m)
+operations: its diagonal minors from a rolled transfer product, adj(G)
+by shooting two unknowns around the cycle, and a closed form where G is
+singular (every C^2 = -2). Fractions are built only for the returned
+class.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ def _meeting(i, j, m):
 class CycleSurface:
     blowup_count: int
     supports: tuple  # cyclically ordered classes, {index: nonzero coeff}
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def length(self):
@@ -166,21 +171,18 @@ def standard_schedule():
     """The reference surface: cycle of length 9, all self-intersections -2.
 
     Corner blow-ups alone always leave the newest curve at -1, so the
-    schedule finishes with interior blow-ups on the last three curves.
+    schedule finishes with interior blow-ups on the three -1 curves left.
     """
-    s = triangle_surface()
-    s = blowup_corner(s, 0)   # between C1 and C2
-    s = blowup_corner(s, 2)   # between old C2 and C3
-    s = blowup_corner(s, 4)   # between old C3 and C1
-    # hexagon, all -1; hit each once more
-    s = blowup_corner(s, 0)
-    s = blowup_corner(s, 3)
-    s = blowup_corner(s, 6)
-    # three fresh -1 curves remain; push them to -2 with interior blow-ups
-    for j, c2 in enumerate(s.self_intersections()):
-        if c2 == -1:
-            s = blowup_on_curve(s, j)
-    return s
+    sup, k = [{0: 1}] * 3, 0
+    # the triangle's three corners, then three of the hexagon's (all -1)
+    for j in (0, 2, 4, 0, 3, 6):
+        k += 1
+        _blow_up(sup, k, j, corner=True)
+    for j, c in enumerate(list(sup)):
+        if _pair(c, c) == -1:
+            k += 1
+            _blow_up(sup, k, j, corner=False)
+    return CycleSurface(k, tuple(sup))
 
 
 def cycle_surface(m):
@@ -189,7 +191,7 @@ def cycle_surface(m):
     every curve still above -2 once, on one list of supports."""
     if m < 3:
         raise ValueError("cycle length must be at least 3")
-    sup, k = list(triangle_surface().supports), 0
+    sup, k = [{0: 1}] * 3, 0
     for i in range(m - 3):
         k += 1
         _blow_up(sup, k, (2 * i) % len(sup), corner=True)
@@ -207,7 +209,6 @@ def is_negative_definite(s, exclude):
     definite: by Sylvester's criterion, iff every ratio of consecutive
     continuants theta_k = d_k theta_{k-1} - theta_{k-2} (the leading minors)
     of the path C_{exclude+1}, ..., C_{exclude-1} is negative."""
-    s.validate()
     sq, m = s.self_intersections(), s.length
     prev, theta = 0, 1
     for k in range(1, m):
@@ -377,7 +378,6 @@ def degree_one_polarization(s, seed_ample):
     summing the path inverses min(p, q)(m - max(p, q)) / m over j gives
     c_i = sum_t f(t) d_{i+t} / sum d with 6 f(t) = m^2 - 1 - 3t(m - t).
     """
-    s.validate()  # the cycle pattern is what makes G cyclic tridiagonal
     m, sup, sq = s.length, s.supports, s.self_intersections()
     if any(c2 > -2 for c2 in sq):
         raise NegativeDefiniteViolation(

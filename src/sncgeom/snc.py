@@ -37,7 +37,7 @@ class Triangulation:
         # the declared vertex_count
         at = {}
         for t, tri in enumerate(self.triangles):
-            if len(set(tri)) != 3:
+            if len(tri) != 3 or len(set(tri)) != 3:
                 raise NonManifold(f"degenerate triangle {tri}")
             if any(not 0 <= v < self.vertex_count for v in tri):
                 raise ValueError(f"vertex index out of range in {tri}")

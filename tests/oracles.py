@@ -24,14 +24,16 @@ one path sweep per cycle position it replaced, `thomas_path_sweep` the
 Fraction Thomas sweep before that, `thomas_polarization` the Fraction
 accumulation around it, and `uniform_degree_seed` the seed on the dense
 `solve` and `kernel_basis` with the Fraction congruence diagonalization
-`positive_direction`. `validate_cycle_surface` checks a cycle surface by
-dense pairings of all pairs of classes, where the library pairs sparse
+`positive_direction`. `validate_cycle_surface` checks a raw
+(blowup_count, supports), since no invalid surface can be made, by dense
+pairings of all pairs of classes, where the library pairs sparse
 supports only where two classes share a basis index or are neighbours.
 `dense_blowup` is the blow-up on dense classes and a stored K, copying
 every class, where the library stores sparse supports, shares those a
 blow-up leaves alone, and derives K and the dense classes.
-`blowup_cycle_surface` builds `cycle_surface` one surface per blow-up,
-where the library blows up one list of supports.
+`blowup_cycle_surface` and `standard_schedule` build `cycle_surface`
+and `standard_schedule` one surface per blow-up, where the library blows
+up one list of supports.
 
 For `MultiPoly`, whose monomials are packed ints in one interned ring,
 `TuplePoly` is the arithmetic on {exponent tuple: int} dicts it replaced
@@ -663,23 +665,26 @@ def uniform_degree_seed(s):
     return seed
 
 
-def validate_cycle_surface(s):
-    """`picard.CycleSurface.validate` by dense pairings of every pair of
-    cycle classes, with the same messages in the same order."""
-    k, m = s.blowup_count, s.length
-    if any(not 0 <= t <= k for c in s.supports for t in c):
+def validate_cycle_surface(blowup_count, supports):
+    """`picard.CycleSurface.validate` on a raw (blowup_count, supports),
+    by dense pairings of every pair of cycle classes, with the same
+    messages in the same order."""
+    k, m = blowup_count, len(supports)
+    if any(not 0 <= t <= k for c in supports for t in c):
         raise InvariantError("class index out of range")
-    total = [sum(c[i] for c in s.cycle) for i in range(k + 1)]
-    if total != [-x for x in s.canonical]:
+    cycle = [tuple(c.get(t, 0) for t in range(k + 1)) for c in supports]
+    canonical = (-3,) + (1,) * k
+    total = [sum(c[i] for c in cycle) for i in range(k + 1)]
+    if total != [-x for x in canonical]:
         raise InvariantError("cycle does not sum to -K")
-    for i, ci in enumerate(s.cycle):
-        if dot(ci, ci) + dot(s.canonical, ci) != -2:
+    for i, ci in enumerate(cycle):
+        if dot(ci, ci) + dot(canonical, ci) != -2:
             raise InvariantError(f"cycle member {i} has genus != 0")
         for j in range(i + 1, m):
             expected = 1 if (j - i == 1 or (i == 0 and j == m - 1)) else 0
             if m == 2 and j - i == 1:
                 expected = 2
-            if dot(ci, s.cycle[j]) != expected:
+            if dot(ci, cycle[j]) != expected:
                 raise InvariantError(
                     f"intersection (C_{i}.C_{j}) != {expected}")
     return True
@@ -702,7 +707,8 @@ def dense_blowup(cycle, canonical, j, corner):
 def thomas_polarization(s, seed_ample):
     """`picard.degree_one_polarization` on `validate_cycle_surface` and
     `thomas_path_sweep`, with every weight and coefficient a Fraction."""
-    validate_cycle_surface(s)  # the cycle pattern makes each Gram a path
+    # the cycle pattern makes each Gram a path
+    validate_cycle_surface(s.blowup_count, s.supports)
     m, sq = s.length, [dot(c, c) for c in s.cycle]
     if any(c2 > -2 for c2 in sq):
         raise NegativeDefiniteViolation(
@@ -740,7 +746,8 @@ def sweep_polarization(s, seed_ample):
     `validate_cycle_surface` and dense pairings: the per-position
     corrections of the seed, averaged with weights
     1/(H'_j.C_j) = theta_n / D_j, D_j = deg_j theta_n + A_0 + A_last."""
-    validate_cycle_surface(s)  # the cycle pattern makes each Gram a path
+    # the cycle pattern makes each Gram a path
+    validate_cycle_surface(s.blowup_count, s.supports)
     m, sq = s.length, [dot(c, c) for c in s.cycle]
     if any(c2 > -2 for c2 in sq):
         raise NegativeDefiniteViolation(
@@ -776,6 +783,19 @@ def sweep_polarization(s, seed_ample):
     if dot(num, num) <= 0:
         raise InvariantError("polarization has non-positive square")
     return tuple([Fraction(x, den) for x in num])
+
+
+def standard_schedule():
+    """`picard.standard_schedule` by one `blowup_corner` or
+    `blowup_on_curve` surface per step: six corners, then one interior
+    blow-up on each -1 curve they leave."""
+    s = triangle_surface()
+    for j in (0, 2, 4, 0, 3, 6):
+        s = blowup_corner(s, j)
+    for j, c2 in enumerate(s.self_intersections()):
+        if c2 == -1:
+            s = blowup_on_curve(s, j)
+    return s
 
 
 def blowup_cycle_surface(m):

@@ -247,6 +247,20 @@ def test_verify_rejects_non_integer_env_seed(capsys, monkeypatch):
     assert capsys.readouterr().err == "SNC_SEED must be an integer\n"
 
 
+@pytest.mark.parametrize("name, suite, value", [
+    ("fuzz_adjugate", "adjugate", 1),
+    ("fuzz_blowup_charts", "charts", 1),
+    # 4 is right for the 2x2 determinant only, 2 for the rank drops only
+    ("rank_locus_codim_estimate", "detvar", 4),
+    ("rank_locus_codim_estimate", "detvar", 2),
+])
+def test_verify_fails_when_one_result_is_off_its_expected_value(
+        capsys, monkeypatch, name, suite, value):
+    monkeypatch.setattr(cli.poly, name, lambda *args, **kwargs: value)
+    code, out = run(capsys, "--json", "verify", "--suite", suite)
+    assert code == 1 and json.loads(out)["verdict"] == "FAIL"
+
+
 @pytest.mark.parametrize("suite, seed", [("detvar", "68"), ("detvar", "150"),
                                          ("all", "80")])
 def test_verify_seed_without_locus_points_fails_in_one_line(

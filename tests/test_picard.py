@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -48,14 +50,34 @@ def test_cycle_surface_lengths():
 
 def test_validate_checks_every_class_index_first():
     """An index outside 0..k is found before the -K sum, where -1 would
-    read the last entry and dim would read past the end."""
+    read the last entry and dim would read past the end; the surface is
+    refused when it is made."""
     s = picard.standard_schedule()
     for t in (-1, s.dim):
-        broken = picard.CycleSurface(
-            s.blowup_count, ({**s.supports[0], t: 1},) + s.supports[1:])
         with pytest.raises(picard.InvariantError,
                            match="class index out of range"):
-            broken.validate()
+            picard.CycleSurface(
+                s.blowup_count, ({**s.supports[0], t: 1},) + s.supports[1:])
+
+
+def _validate_callers(module):
+    """The names of the functions in src/sncgeom/<module>.py that call
+    some `.validate()`."""
+    path = Path(__file__).resolve().parents[1] / "src" / "sncgeom" / module
+    return sorted(fn.name for fn in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "validate")
+
+
+def test_surfaces_are_validated_only_when_made():
+    """Every CycleSurface is checked by its constructor, so nothing in
+    picard or the CLI checks one again; cmd_glue's call is the
+    triangulation's."""
+    assert _validate_callers("picard.py") == ["__post_init__"]
+    assert _validate_callers("cli.py") == ["cmd_glue"]
 
 
 def test_validate_pairs_o_of_m_classes(monkeypatch):
@@ -241,6 +263,13 @@ def _assert_matches_dense_blowups(s, steps):
                                             for c in cycle])
 
 
+def test_standard_schedule_matches_blowup_route():
+    """One list of supports against one surface per blow-up."""
+    s, expected = picard.standard_schedule(), oracles.standard_schedule()
+    assert s.blowup_count == expected.blowup_count
+    assert s.supports == expected.supports
+
+
 def test_cycle_surface_matches_blowup_route():
     """One list of supports against one surface per blow-up."""
     for m in range(3, 200):
@@ -285,7 +314,8 @@ CORRUPTIONS = ("none", "swap", "entry", "compensated", "index")
 
 
 def _corrupt(s, kind, data):
-    """s with one corruption of the given kind, its places drawn."""
+    """(blowup_count, supports) of s with one corruption of the given
+    kind, its places drawn."""
     sup = [dict(c) for c in s.supports]
     i, j = (data.draw(st.integers(0, s.length - 1)) for _ in range(2))
     t = data.draw(st.integers(0, s.dim - 1))
@@ -299,32 +329,35 @@ def _corrupt(s, kind, data):
         sup[j][t] = sup[j].get(t, 0) - e
     elif kind == "index":
         sup[i][data.draw(st.sampled_from([-1, s.dim]))] = e
-    return picard.CycleSurface(s.blowup_count, tuple(
-        [{t: c[t] for t in sorted(c) if c[t]} for c in sup]))
+    return s.blowup_count, tuple(
+        [{t: c[t] for t in sorted(c) if c[t]} for c in sup])
 
 
-def _verdict(route, s):
-    """True, or the type and message of what the route raised."""
+def _verdict(route, *args):
+    """True if the route returns, or the type and message of what it
+    raised."""
     try:
-        return route(s)
+        route(*args)
     except Exception as exc:
         return type(exc), str(exc)
+    return True
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_validate_matches_dense_oracle_on_corruptions(data):
-    """Sparse validation against every pair densely paired, on random
+    """Sparse validation, run by the constructor, against every pair
+    densely paired on the same raw (blowup_count, supports), on random
     schedules and the 2-cycle, each left intact or corrupted once: both
-    return True or raise the same exception with the same message."""
+    accept, or raise the same exception with the same message."""
     if data.draw(st.booleans()):
         s = TWO_CYCLE
     else:
         s = _random_surface(random.Random(data.draw(st.integers(0, 10**6))),
                             data.draw(st.integers(0, 14)))
-    s = _corrupt(s, data.draw(st.sampled_from(CORRUPTIONS)), data)
-    assert _verdict(picard.CycleSurface.validate, s) == \
-        _verdict(oracles.validate_cycle_surface, s)
+    raw = _corrupt(s, data.draw(st.sampled_from(CORRUPTIONS)), data)
+    assert _verdict(picard.CycleSurface, *raw) == \
+        _verdict(oracles.validate_cycle_surface, *raw)
 
 
 @settings(max_examples=40, deadline=None)
@@ -567,13 +600,13 @@ def test_definiteness_negative_cases_match_oracle():
 
 
 def test_definiteness_rejects_a_broken_cycle():
+    """Swapping two curves breaks the cycle pattern that the continuant
+    loop and the cyclic solve read; the surface is refused when it is
+    made, so neither ever sees it."""
     s = picard.standard_schedule()
-    broken = picard.CycleSurface(
-        s.blowup_count, (s.supports[1], s.supports[0]) + s.supports[2:])
     with pytest.raises(picard.InvariantError):
-        picard.is_negative_definite(broken, 0)
-    with pytest.raises(picard.InvariantError):
-        picard.degree_one_polarization(broken, picard.uniform_degree_seed(s))
+        picard.CycleSurface(
+            s.blowup_count, (s.supports[1], s.supports[0]) + s.supports[2:])
 
 
 def test_clear_denominators():

@@ -59,7 +59,12 @@ _TETRA = snc.tetrahedron().triangles
     # the pillow: every edge lies in two triangles, both the same one
     (snc.Triangulation(3, ((0, 1, 2), (0, 1, 2))),
      r"^triangle \[0, 1, 2\] is repeated$"),
-], ids=["bowtie", "pillow"])
+    # three distinct ids in a triangle of the wrong length
+    (snc.Triangulation(4, ((0, 1, 2, 2),) + _TETRA[1:]),
+     r"^degenerate triangle \(0, 1, 2, 2\)$"),
+    (snc.Triangulation(4, ((0, 1),) + _TETRA[1:]),
+     r"^degenerate triangle \(0, 1\)$"),
+], ids=["bowtie", "pillow", "four_entries", "two_entries"])
 def test_validate_rejects_pinched_links(t, message):
     with pytest.raises(snc.NonManifold, match=message):
         t.validate()
