@@ -5,8 +5,11 @@ Sections of O(a, b) are modeled by monomials p^i q^j w^k u^al v^be with
 i + j + k = a and al + be = b + k r; the divisor S = (w = 0) is P^1 x P^1.
 The glued 3-folds identify S across two components and their sections are
 pairs agreeing on S. The joint restriction matrix has at most one nonzero
-per column, so `glued_basis` reads its kernel off one bucketing of the
-columns by their restriction, and h0 is the size of that basis. Products of
+per column, and its columns are known: over each S-monomial lies exactly
+one w-free left monomial, and one right monomial of P(s) or a run of P^3
+monomials. So `glued_basis` writes its kernel down directly (the bucketing
+of every column by its restriction is the second route, in
+`tests/oracles.py`), and h0 is the size of that basis. Products of
 sections are ranked exactly on packed integer columns: each exponent in a
 field wide enough for twice the largest exponent of the factors, so a
 product column is one int add. A section is packed as its left terms and
@@ -14,13 +17,14 @@ its right terms, and left terms multiply only left terms, right only right;
 a right column carries a tag bit above every field, so the two sides of a
 product never share a column. A single-term section (a monomial vanishing
 on S) times a one-term part on its side is one column, a unit vector over
-Q: these columns are counted as a sumset of packed ints, and only the other
-products are eliminated, with the unit columns dropped.
+Q: these columns are counted as a sumset of packed ints within each side,
+and only the other products are eliminated, with the unit columns dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from . import lattice
@@ -66,36 +70,6 @@ def pr_basis(r, a, b):
     return out
 
 
-def p3_basis(m):
-    """Degree-m monomials on P^3 as exponent 4-tuples."""
-    out = []
-    for e0 in range(m + 1):
-        for e1 in range(m + 1 - e0):
-            for e2 in range(m + 1 - e0 - e1):
-                out.append((e0, e1, e2, m - e0 - e1 - e2))
-    return out
-
-
-def pr_restrict(mono):
-    """Restriction of a P(r) monomial to S (set w = 0); None if divisible."""
-    i, j, k, al, be = mono
-    if k != 0:
-        return None
-    return (i, j, al, be)
-
-
-def p3_restrict(mono):
-    """Restriction of a P^3 monomial to the Segre quadric
-    (x0, x1, x2, x3) = (ac, ad, bc, bd)."""
-    e0, e1, e2, e3 = mono
-    return (e0 + e1, e2 + e3, e0 + e2, e1 + e3)
-
-
-def swap_factors(smono):
-    i, j, al, be = smono
-    return (al, be, i, j)
-
-
 @dataclass(frozen=True)
 class GluedFano:
     kind: str                 # "zr" or "zrs"
@@ -111,19 +85,6 @@ class GluedFano:
         if self.kind == "zr" and self.s is not None:
             raise ValueError("zr takes no s")
 
-    def left_basis(self, m):
-        return pr_basis(self.r, m, m)
-
-    def right_basis(self, m):
-        if self.kind == "zr":
-            return p3_basis(m)
-        return pr_basis(self.s, m, m)
-
-    def right_restrict(self, mono):
-        if self.kind == "zr":
-            return p3_restrict(mono)
-        return pr_restrict(mono)
-
 
 def ZR(r, swap=False):
     return GluedFano(kind="zr", r=r, swap=swap)
@@ -135,43 +96,46 @@ def ZRS(r, s, swap=False):
 
 def glued_basis(z, m):
     """Integral basis of the glued sections of degree m, each a pair of
-    monomial dicts: one unit section per column that vanishes on S, then
-    the signed consecutive differences inside each restriction bucket.
+    monomial dicts, read off the structure of the restriction to S: the
+    unit sections of the left, then of the right, monomials that vanish on
+    S, then per S-monomial the signed consecutive differences of the
+    columns restricting to it.
 
-    A column is a (side, monomial) pair, side 0 for the left basis and 1
-    for the right one. Each S-monomial of bidegree (m, m) that gets hit
-    collects the signed columns restricting to it (+1 left, -1 right), so
-    the basis has one section per column less one per bucket. Both
-    restrictions are onto O(m, m) on S: the w-free monomials of P(r)
-    restrict to all (m + 1)^2 monomials of S, and P^3 restricts onto the
-    quadric (H^1(O(m - 2)) = 0). So the basis size is checked against the
-    fiber-product dimension h0_left + h0_right - (m + 1)^2.
+    A P(r) monomial with k >= 1 vanishes on S, and the w-free one
+    (i, j, 0, al, be) is the only left column over (i, j, al, be); it heads
+    that S-monomial's sections. On ZRS the one right column over it is the
+    same monomial, or (al, be, 0, i, j) with the P^1 factors swapped, so it
+    gives one section. No P^3 monomial vanishes on the quadric; over the
+    (swapped) S-monomial (i, j, al, be) the P^3 columns are
+    (e0, i - e0, al - e0, be - i + e0), e0 rising, so it gives (head, first
+    column) and then the right differences (-1, +1). Both restrictions are
+    onto O(m, m) on S (P^3 since H^1(O(m - 2)) = 0 on the quadric), so the
+    basis size is checked against the fiber-product dimension
+    h0_left + h0_right - (m + 1)^2. The bucketing route this replaced is
+    `bucketed_glued_basis` in `tests/oracles.py`.
     """
     if m < 1:
         raise ValueError("power must be >= 1")
-    out = []
-    buckets = {}
-    for side, basis, restrict, sign in (
-            (0, z.left_basis(m), pr_restrict, 1),
-            (1, z.right_basis(m), z.right_restrict, -1)):
-        for mono in basis:
-            sm = restrict(mono)
-            if sm is None:
-                section = ({}, {})
-                section[side][mono] = 1
-                out.append(section)
-                continue
-            if side and z.swap:
-                sm = swap_factors(sm)
-            buckets.setdefault(sm, []).append((side, mono, sign))
-    for cols in buckets.values():
-        for (side1, mono1, s1), (side2, mono2, s2) in zip(cols, cols[1:]):
-            section = ({}, {})
-            section[side1][mono1] = s1
-            section[side2][mono2] = -s2
-            out.append(section)
+    # pr_basis lists its (m + 1)^2 w-free monomials first
+    n = (m + 1) ** 2
+    left = pr_basis(z.r, m, m)
+    heads = left[:n]
+    out = [({mono: 1}, {}) for mono in left[n:]]
+    if z.kind == "zrs":
+        out += [({}, {mono: 1}) for mono in pr_basis(z.s, m, m)[n:]]
+        out += [({h: 1}, {(h[3], h[4], 0, h[0], h[1]) if z.swap else h: 1})
+                for h in heads]
+    else:
+        for head in heads:
+            i, j, _, al, be = head
+            if z.swap:
+                i, al, be = al, i, j
+            cols = [(e0, i - e0, al - e0, be - i + e0)
+                    for e0 in range(max(0, i - be), min(i, al) + 1)]
+            out.append(({head: 1}, {cols[0]: 1}))
+            out += [({}, {a: -1, b: 1}) for a, b in zip(cols, cols[1:])]
     h0_right = comb(m + 3, 3) if z.kind == "zr" else h0_P(z.s, m, m)
-    if len(out) != h0_P(z.r, m, m) + h0_right - (m + 1) ** 2:
+    if len(out) != h0_P(z.r, m, m) + h0_right - n:
         raise AssertionError("glued h0 disagrees with the fiber-product "
                              "dimension count")
     return out
@@ -183,23 +147,6 @@ def glued_h0(z, m):
     return len(glued_basis(z, m))
 
 
-def _pack(section, width, tag):
-    """A glued section as (left terms, right terms), each a tuple of
-    (column, int). A column holds the exponents in `width`-bit fields, the
-    first exponent highest; a right column also carries the bit `tag` above
-    every field, so a left and a right product never share a column."""
-    out = []
-    for side_bit, poly in zip((0, tag), section):
-        terms = []
-        for mono, c in poly.items():
-            col = 0
-            for e in mono:
-                col = (col << width) | e
-            terms.append((col | side_bit, c))
-        out.append(tuple(terms))
-    return tuple(out)
-
-
 def _product_rank(first, second, bound):
     """Exact rank of the products f * g of glued sections, f from `first`
     and g from `second`, or each unordered pair of `first` once when
@@ -207,60 +154,75 @@ def _product_rank(first, second, bound):
     duplicates are dropped. A rank above `bound`, the glued h0 of the target
     degree, means the products left the glued section space.
 
-    Each section is packed once. The field width holds twice the largest
-    exponent, so no product carries into the next field; left terms
-    multiply left terms and right terms right terms, one int add each.
+    Each section is packed once, as its left terms and its right terms,
+    each a (column, int) pair. A column holds the exponents in fields wide
+    enough for twice the largest exponent, the first exponent highest, so
+    no product carries into the next field; a right column also carries a
+    tag bit above every field, so a left and a right product never share a
+    column. Left terms multiply left terms and right terms right terms, one
+    int add each.
 
-    A single-term section times a one-term part on its side is one column,
-    a unit vector over Q, so these unit columns are a sumset of packed ints
-    and count one rank each; a left times a right column is zero. A
-    single-term section times a part of more terms is a shifted copy of that
-    part. Only products of two sections of several terms each are formed
-    term by term, with terms summed per column. The rank is the number of
-    unit columns plus the rank of the other vectors with their unit-column
-    entries dropped, exact because every unit column lies in the span: the
-    unit pivots of Dumas, Heckenbach, Saunders and Welker (2003), read off
-    the structure instead of searched for."""
+    Single-term sections and one-term parts are kept per side. A
+    single-term section times a one-term part on its side is one column, a
+    unit vector over Q, so these unit columns are the sumsets of packed
+    ints within each side and count one rank each; across sides the product
+    is zero. A single-term section times a part of more terms on its side
+    is a shifted copy of that part. Only products of two sections of
+    several terms each are formed term by term, with terms summed per
+    column. The rank is the number of unit columns plus the rank of the
+    other vectors with their unit-column entries dropped, exact because
+    every unit column lies in the span: the unit pivots of Dumas,
+    Heckenbach, Saunders and Welker (2003), read off the structure instead
+    of searched for."""
     bases = (first,) if second is None else (first, second)
-    monos = [mono for basis in bases for section in basis
-             for poly in section for mono in poly]
-    width = (2 * max(map(max, monos), default=0)).bit_length()
+    monos = list(chain.from_iterable(chain.from_iterable(
+        chain.from_iterable(bases))))
+    width = (2 * max(chain.from_iterable(monos), default=0)).bit_length()
     tag = 1 << width * max(map(len, monos), default=0)
-    # per basis: the columns of its single-term sections, the columns of
-    # the one-term parts of its other sections, their parts of more terms
-    # by side (a column at or above `tag` is a right one), and those others
+    # per basis and side: the columns of its single-term sections, the
+    # columns of the one-term parts of its other sections and their parts
+    # of more terms; and those other sections, packed
     split = []
     for basis in bases:
-        singles, ones, many, multi = [], [], ([], []), []
+        singles, ones, many, multi = ([], []), ([], []), ([], []), []
         for section in basis:
-            left, right = packed = _pack(section, width, tag)
+            packed = [], []
+            for side, poly in enumerate(section):
+                part = packed[side]
+                for mono, c in poly.items():
+                    col = 0
+                    for e in mono:
+                        col = (col << width) | e
+                    part.append((col | tag if side else col, c))
+            left, right = packed
             if len(left) + len(right) == 1:
-                singles.append((*left, *right)[0][0])
+                singles[0 if left else 1].append((left or right)[0][0])
                 continue
             multi.append(packed)
             for side, part in enumerate(packed):
                 if len(part) == 1:
-                    ones.append(part[0][0])
+                    ones[side].append(part[0][0])
                 elif part:
                     many[side].append(part)
         split.append((singles, ones, many, multi))
     # (single-term columns, the columns they meet, the parts they shift)
     if second is None:
         (s1, o1, p1, m1), = split
-        crosses = ((s1, s1 + o1, p1),)
+        crosses = ((s1, (s1[0] + o1[0], s1[1] + o1[1]), p1),)
         pairs = [(f, g) for i, f in enumerate(m1) for g in m1[i:]]
     else:
         (s1, o1, p1, m1), (s2, o2, p2, m2) = split
-        crosses = ((s1, s2 + o2, p2), (s2, o1, p1))
+        crosses = ((s1, (s2[0] + o2[0], s2[1] + o2[1]), p2), (s2, o1, p1))
         pairs = [(f, g) for f in m1 for g in m2]
-    units = {a + b for singles, ends, _ in crosses for a in singles
-             for b in ends if (a ^ b) < tag}
+    units = {a + b for singles, ends, _ in crosses for side in (0, 1)
+             for a in singles[side] for b in ends[side]}
     vectors = set()
     for singles, _, many in crosses:
-        for a in singles:
-            for part in many[a >= tag]:
-                vectors.add(frozenset((a + e, c) for e, c in part
-                                      if a + e not in units))
+        for side in (0, 1):
+            for a in singles[side]:
+                for part in many[side]:
+                    vectors.add(frozenset((a + e, c) for e, c in part
+                                          if a + e not in units))
     for (l1, r1), (l2, r2) in pairs:
         vec = {}
         for f, g in ((l1, l2), (r1, r2)):
@@ -317,4 +279,6 @@ def classify_singularity(r_eff, y_canonical, y_minus_z_terminal):
 
 
 def h0_table(z, m_max):
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     return {m: glued_h0(z, m) for m in range(1, m_max + 1)}

@@ -48,11 +48,15 @@ per position.
 
 For the Fano section products, which the library ranks on packed integer
 columns, `tuple_product_rank` is the route on (side, exponent tuple)
-columns it replaced, with `mul_monomial_dicts` its product. The
-surjectivity of restriction to S, on which the fiber-product count in
-`fano.glued_basis` rests, is a fact the library no longer tests;
-`enumerated_restriction_surjective` checks it by restricting all of
-`pr_basis`.
+columns it replaced, with `mul_monomial_dicts` its product. For the glued
+bases, which `fano.glued_basis` writes down from the known structure of
+the restriction to S, `bucketed_glued_basis` is the route it replaced:
+restrict every monomial (`pr_restrict`, `p3_restrict`, `swap_factors`,
+over `left_basis` and `right_basis`, with `p3_basis` the P^3 monomials) and
+bucket it by its restriction. The surjectivity of restriction to S, on
+which the fiber-product count in `fano.glued_basis` rests, is a fact the
+library no longer tests; `enumerated_restriction_surjective` checks it by
+restricting all of `pr_basis`.
 
 For the cohomology of the dual complex, which the library reads off cell
 counts and the balance walk of `snc.canonical_order`, `dual_boundaries`
@@ -89,10 +93,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import comb, lcm
 from operator import index
 
-from sncgeom.fano import pr_basis, pr_restrict, sym_split
+from sncgeom.fano import h0_P, pr_basis, sym_split
 from sncgeom.lattice import det_int, echelon_mod_p, sparse_rank
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, blowup_corner, blowup_on_curve, dot,
@@ -992,6 +996,99 @@ def s_basis(a, b):
         return []
     return [(i, a - i, al, b - al)
             for i in range(a + 1) for al in range(b + 1)]
+
+
+
+# -- the restriction maps and the bucketing route of fano.glued_basis -------
+
+def p3_basis(m):
+    """Degree-m monomials on P^3 as exponent 4-tuples."""
+    out = []
+    for e0 in range(m + 1):
+        for e1 in range(m + 1 - e0):
+            for e2 in range(m + 1 - e0 - e1):
+                out.append((e0, e1, e2, m - e0 - e1 - e2))
+    return out
+
+
+def pr_restrict(mono):
+    """Restriction of a P(r) monomial to S (set w = 0); None if divisible."""
+    i, j, k, al, be = mono
+    if k != 0:
+        return None
+    return (i, j, al, be)
+
+
+def p3_restrict(mono):
+    """Restriction of a P^3 monomial to the Segre quadric
+    (x0, x1, x2, x3) = (ac, ad, bc, bd)."""
+    e0, e1, e2, e3 = mono
+    return (e0 + e1, e2 + e3, e0 + e2, e1 + e3)
+
+
+def swap_factors(smono):
+    i, j, al, be = smono
+    return (al, be, i, j)
+
+
+def left_basis(z, m):
+    return pr_basis(z.r, m, m)
+
+
+def right_basis(z, m):
+    if z.kind == "zr":
+        return p3_basis(m)
+    return pr_basis(z.s, m, m)
+
+
+def right_restrict(z, mono):
+    if z.kind == "zr":
+        return p3_restrict(mono)
+    return pr_restrict(mono)
+
+
+def bucketed_glued_basis(z, m):
+    """Integral basis of the glued sections of degree m, each a pair of
+    monomial dicts: one unit section per column that vanishes on S, then
+    the signed consecutive differences inside each restriction bucket.
+
+    A column is a (side, monomial) pair, side 0 for the left basis and 1
+    for the right one. Each S-monomial of bidegree (m, m) that gets hit
+    collects the signed columns restricting to it (+1 left, -1 right), so
+    the basis has one section per column less one per bucket. Both
+    restrictions are onto O(m, m) on S: the w-free monomials of P(r)
+    restrict to all (m + 1)^2 monomials of S, and P^3 restricts onto the
+    quadric (H^1(O(m - 2)) = 0). So the basis size is checked against the
+    fiber-product dimension h0_left + h0_right - (m + 1)^2.
+    """
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    out = []
+    buckets = {}
+    for side, basis, restrict, sign in (
+            (0, left_basis(z, m), pr_restrict, 1),
+            (1, right_basis(z, m), lambda mono: right_restrict(z, mono), -1)):
+        for mono in basis:
+            sm = restrict(mono)
+            if sm is None:
+                section = ({}, {})
+                section[side][mono] = 1
+                out.append(section)
+                continue
+            if side and z.swap:
+                sm = swap_factors(sm)
+            buckets.setdefault(sm, []).append((side, mono, sign))
+    for cols in buckets.values():
+        for (side1, mono1, s1), (side2, mono2, s2) in zip(cols, cols[1:]):
+            section = ({}, {})
+            section[side1][mono1] = s1
+            section[side2][mono2] = -s2
+            out.append(section)
+    h0_right = comb(m + 3, 3) if z.kind == "zr" else h0_P(z.s, m, m)
+    if len(out) != h0_P(z.r, m, m) + h0_right - (m + 1) ** 2:
+        raise AssertionError("glued h0 disagrees with the fiber-product "
+                             "dimension count")
+    return out
 
 
 # -- the elimination route of snc.structure_cohomology ---------------------

@@ -40,16 +40,16 @@ def test_euler_characteristic_on_p1_factor():
 
 def test_p3_basis_size():
     for m in range(5):
-        assert len(fano.p3_basis(m)) == (m + 1) * (m + 2) * (m + 3) // 6
+        assert len(oracles.p3_basis(m)) == (m + 1) * (m + 2) * (m + 3) // 6
 
 
 def test_restrictions_land_in_s():
     for mono in fano.pr_basis(2, 2, 2):
-        sm = fano.pr_restrict(mono)
+        sm = oracles.pr_restrict(mono)
         if sm is not None:
             assert sm in set(oracles.s_basis(2, 2 + 0))
-    for mono in fano.p3_basis(2):
-        assert fano.p3_restrict(mono) in set(oracles.s_basis(2, 2))
+    for mono in oracles.p3_basis(2):
+        assert oracles.p3_restrict(mono) in set(oracles.s_basis(2, 2))
 
 
 def test_glued_h0_series_values():
@@ -70,12 +70,12 @@ def test_glued_basis_sections_agree_on_s():
     for lpoly, rpoly in fano.glued_basis(z, 1):
         left = {}
         for mono, c in lpoly.items():
-            sm = fano.pr_restrict(mono)
+            sm = oracles.pr_restrict(mono)
             if sm is not None:
                 left[sm] = left.get(sm, 0) + c
         right = {}
         for mono, c in rpoly.items():
-            sm = fano.pr_restrict(mono)
+            sm = oracles.pr_restrict(mono)
             if sm is not None:
                 right[sm] = right.get(sm, 0) + c
         assert {k: v for k, v in left.items() if v} == \
@@ -168,6 +168,13 @@ def test_cover_degree_and_classification():
     assert fano.classify_singularity(0, False, False) == fano.LC
 
 
+def test_h0_table_rejects_m_max_below_1():
+    assert fano.h0_table(fano.ZR(0), 1) == {1: 6}
+    for m_max in (0, -1):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            fano.h0_table(fano.ZR(0), m_max)
+
+
 def test_glued_fano_validation():
     with pytest.raises(ValueError):
         fano.GluedFano(kind="bad", r=0)
@@ -185,19 +192,19 @@ def test_glued_fano_validation():
 def dense_system(z, m):
     """Rows = S monomials of bidegree (m, m), cols = left basis then right
     basis; the kernel is the space of glued sections."""
-    left, right = z.left_basis(m), z.right_basis(m)
+    left, right = oracles.left_basis(z, m), oracles.right_basis(z, m)
     srows = {sm: i for i, sm in enumerate(oracles.s_basis(m, m))}
     rows = [[0] * (len(left) + len(right)) for _ in srows]
     for c, mono in enumerate(left):
-        sm = fano.pr_restrict(mono)
+        sm = oracles.pr_restrict(mono)
         if sm is not None:
             rows[srows[sm]][c] = 1
     for c, mono in enumerate(right):
-        sm = z.right_restrict(mono)
+        sm = oracles.right_restrict(z, mono)
         if sm is None:
             continue
         if z.swap:
-            sm = fano.swap_factors(sm)
+            sm = oracles.swap_factors(sm)
         rows[srows[sm]][len(left) + c] -= 1
     return rows, left, right
 
@@ -230,7 +237,7 @@ def dense_basis(z, m):
 
 
 def dense_product_rank(z, pairs, m):
-    index = column_index(z.left_basis(m), z.right_basis(m))
+    index = column_index(oracles.left_basis(z, m), oracles.right_basis(z, m))
     vectors = []
     for (l1, r1), (l2, r2) in pairs:
         lp, rp = {}, {}
@@ -277,6 +284,13 @@ def test_glued_h0_and_basis_match_dense_route():
             assert lattice.sparse_rank(sparse) == h0
 
 
+def test_glued_basis_matches_bucketing_route():
+    # the structural basis is the bucketed one, list for list and in order
+    for z in oracle_configs(10):
+        for m in range(1, 6):
+            assert fano.glued_basis(z, m) == oracles.bucketed_glued_basis(z, m)
+
+
 def test_glued_basis_spans_dense_kernel():
     for z in oracle_configs(3):
         for m in (1, 2):
@@ -314,6 +328,36 @@ def test_generation_and_quadrics_match_dense_route():
 
 def triangle_pairs(sections):
     return [(f, g) for i, f in enumerate(sections) for g in sections[i:]]
+
+
+def test_product_rank_matches_tuple_route_on_glued_bases():
+    for z in small_configs():
+        b1 = fano.glued_basis(z, 1)
+        n = comb(len(b1) + 1, 2)
+        assert (fano._product_rank(b1, None, n)
+                == oracles.tuple_product_rank(triangle_pairs(b1), n))
+        for m in (1, 2, 3):
+            bm = fano.glued_basis(z, m)
+            pairs = [(f, g) for f in b1 for g in bm]
+            assert (fano._product_rank(b1, bm, len(pairs))
+                    == oracles.tuple_product_rank(pairs, len(pairs)))
+
+
+def test_single_term_sections_meet_only_their_own_side():
+    # a single-term section times the one-term part on the other side of a
+    # section is zero there, not a unit column: only its shifted left
+    # (right) part of two terms is left, so each rank is 1
+    left_single, right_single = ({(1, 0): 1}, {}), ({}, {(1, 0): 1})
+    right_one = ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1})
+    left_one = ({(1, 0): 1}, {(1, 0): 1, (0, 1): 1})
+    for single, other in ((left_single, right_one), (right_single, left_one)):
+        assert fano._product_rank([single], [other], 1) == 1
+        assert fano._product_rank([other], [single], 1) == 1
+        assert oracles.tuple_product_rank([(single, other)], 1) == 1
+        # the unit column single * single, single * other and other * other
+        pairs = triangle_pairs([single, other])
+        assert (fano._product_rank([single, other], None, 3)
+                == oracles.tuple_product_rank(pairs, 3) == 3)
 
 
 def test_product_rank_drops_only_exact_duplicates():
