@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from . import fano, picard, poly, resolution, snc
+from . import fano, lattice, picard, poly, resolution, snc
 
 
 def _fail(message):
@@ -53,9 +53,7 @@ def cmd_surface(args):
         s = picard.standard_schedule()
         source = "schedule standard"
     else:
-        s = picard.triangle_surface()
-        for _ in range(args.corners):
-            s = picard.blowup_corner(s, 0)
+        s = picard.corner_surface(args.corners)
         source = f"corners {args.corners}"
     report = {
         "command": f"surface ({source})",
@@ -67,7 +65,7 @@ def cmd_surface(args):
     }
     if all(c2 <= -2 for c2 in s.self_intersections()):
         h = picard.degree_one_polarization(s, picard.uniform_degree_seed(s))
-        hint, mult = picard.clear_denominators(h)
+        hint, mult = lattice.clear_denominators(h)
         report["polarization"] = [str(x) for x in h]
         report["polarization_integral"] = list(hint)
         report["polarization_scale"] = mult

@@ -1,13 +1,17 @@
 """Exact integer / rational linear algebra on one sparse echelon core.
 
 Dense matrices are plain lists of rows with int or fractions.Fraction
-entries; sparse vectors are {column: int} dicts. `_echelon` is the one
-elimination over Q: `rank`, `sparse_rank`, `solve`, `kernel_basis` and
-`sparse_solve_and_kernel` read its pivot rows. `echelon_mod_p` is the one
-elimination over F_p, read by `rank_mod_p` and the codimension estimator.
-`invariant_factors` clears unit pivots sparsely and leaves a small core to
-the diagonal-only `smith_normal_form`; it is the one elimination `snc`
-calls, and `sparse_rank` serves only `fano`. `det_int` is a dense Bareiss
+entries; sparse vectors are {column: int} dicts. A rational vector is
+(integer numerators, denominator > 0), and this module owns that form:
+`clear_denominators` makes it from a row, `lowest_terms` reduces it.
+`_echelon` is the one elimination over Q; `sparse_rank` and
+`sparse_solve_and_kernel` read its pivot rows, the latter through one
+back-substitution reader, and `rank`, `solve` and `kernel_basis` adapt
+dense rows to them. `echelon_mod_p` is the one elimination over F_p, read
+by `rank_mod_p` and the codimension estimator. `invariant_factors` clears
+unit pivots sparsely and leaves a small core to the diagonal-only
+`smith_normal_form`; it is the one elimination `snc` calls, and
+`sparse_rank` serves only `fano`. `det_int` is a dense Bareiss
 determinant. No floating point anywhere in this module.
 """
 
@@ -51,19 +55,37 @@ def _echelon(vectors):
     return rows
 
 
+def clear_denominators(row):
+    """(d row, d) for a row of ints and Fractions, d the lcm of the
+    denominators of its entries. d row is primitive when some integer
+    combination of its entries is 1 (a common factor of d row then divides
+    d), not in general: (2/3, 4/3) gives ((2, 4), 3)."""
+    d = lcm(*[x.denominator for x in row])
+    return tuple([x.numerator * (d // x.denominator) for x in row]), d
+
+
+def lowest_terms(num, den):
+    """The vector num / den, integer numerators over den != 0, as
+    (numerators, denominator) with no common factor and den > 0."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    return [x // g for x in num], den // g
+
+
 def _sparse(row):
     """A dense row of ints and Fractions as a {column: int} dict, scaled by
     the lcm of its denominators."""
-    mult = lcm(*[x.denominator for x in row])
-    return {c: int(x * mult) for c, x in enumerate(row) if x}
+    return {c: x for c, x in enumerate(clear_denominators(row)[0]) if x}
 
 
-def _back_substitute(pivots, x):
-    """Complete x, {column: int} on free columns, to the vector on which
-    every pivot row vanishes; pivots are taken in descending order, so each
-    row meets only values already set. Returns (numerators, denominator)
-    of the vector x / den; den takes a factor of a pivot only when a new
-    value needs it, and every numerator is rescaled with it."""
+def _read(pivots, x, m):
+    """Complete the target x, {column: int} on free columns, to the vector
+    on which every pivot row vanishes, and return it on the first m columns
+    in lowest terms. Pivots are taken in descending order, so each row
+    meets only values already set; the denominator takes a factor of a
+    pivot only when a new value needs it, and every numerator is rescaled
+    with it. No column past the target's is ever set."""
     den = 1
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
@@ -76,12 +98,7 @@ def _back_substitute(pivots, x):
                 for k in x:
                     x[k] *= r
             x[c] = -s
-    return x, den
-
-
-def rank(rows):
-    """Rank over the rationals of a dense matrix."""
-    return len(_echelon(map(_sparse, rows)))
+    return lowest_terms([x.get(c, 0) for c in range(m)], den)
 
 
 def sparse_rank(vectors):
@@ -90,32 +107,20 @@ def sparse_rank(vectors):
     return len(_echelon(vectors))
 
 
-def _lowest_terms(x, den, m):
-    """x / den on the first m columns as (numerators, denominator) with no
-    common factor and den > 0; the lcm of the denominators of the
-    entries' Fractions is den."""
-    num = [x.get(c, 0) for c in range(m)]
-    g = gcd(den, *num)
-    if den < 0:
-        g = -g
-    return [v // g for v in num], den // g
-
-
-def _particular(pivots, m):
-    """The solution with zero free variables from the echelon of M
-    augmented in column m, in lowest terms, or None when m is a pivot
-    column."""
-    if m in pivots:
-        return None
-    return _lowest_terms(*_back_substitute(pivots, {m: -1}), m)
-
-
-def _null_space(pivots, m):
-    """Kernel basis on the first m columns in lowest terms: one vector per
-    free column. Back substitution never reads a column past m, so an
-    echelon of M augmented in column m serves as well as one of M."""
-    return [_lowest_terms(*_back_substitute(pivots, {free: 1}), m)
-            for free in range(m) if free not in pivots]
+def sparse_solve_and_kernel(vectors, m):
+    """(solution, kernel basis) of M x = b from one echelon of the rows of
+    M augmented by b in column m, sparse integer {column: int} dicts, each
+    vector as (integer numerators, denominator) in lowest terms. The
+    solution sets the free variables to zero and is None when b is not in
+    the column span (m is a pivot column); the kernel has one vector per
+    free column, in column order, with 1 there and 0 on the other free
+    columns. The pivot rows below column m, read on the first m columns,
+    are an echelon basis of the row space of M with the same pivot
+    columns, so they give the kernel of M."""
+    pivots = _echelon(vectors)
+    sol = None if m in pivots else _read(pivots, {m: -1}, m)
+    return sol, [_read(pivots, {c: 1}, m) for c in range(m)
+                 if c not in pivots]
 
 
 def _fractions(vector):
@@ -123,38 +128,28 @@ def _fractions(vector):
     return [Fraction(v, den) for v in num]
 
 
-def solve(rows, b):
-    """Exact solution of M x = b, or None when b is not in the column span.
+def rank(rows):
+    """Rank over the rationals of a dense matrix."""
+    return sparse_rank(map(_sparse, rows))
 
-    Free variables are set to zero.
-    """
+
+def solve(rows, b):
+    """Exact solution of M x = b, free variables zero, or None when b is
+    not in the column span."""
     if len(b) != len(rows):
         raise ValueError("dimension mismatch")
     m = len(rows[0]) if rows else 0
-    sol = _particular(
-        _echelon([_sparse([*row, x]) for row, x in zip(rows, b)]), m)
+    sol = sparse_solve_and_kernel(
+        [_sparse([*row, x]) for row, x in zip(rows, b)], m)[0]
     return None if sol is None else _fractions(sol)
 
 
 def kernel_basis(rows):
-    """Basis of the rational null space of M: one vector per free column,
-    in column order, with 1 there and 0 on the other free columns."""
+    """Basis of the rational null space of M, the kernel of
+    `sparse_solve_and_kernel` as Fractions."""
     m = len(rows[0]) if rows else 0
     return [_fractions(v)
-            for v in _null_space(_echelon(map(_sparse, rows)), m)]
-
-
-def sparse_solve_and_kernel(vectors, m):
-    """(solution, kernel basis) of M x = b from one echelon of the rows of
-    M augmented by b in column m, sparse integer {column: int} dicts. The
-    solution is the one `solve` gives, None when b is not in the column
-    span, and the kernel the one `kernel_basis` gives, each vector as
-    (integer numerators, denominator) in lowest terms. The pivot rows below
-    column m, read on the first m columns, are an echelon basis of the row
-    space of M with the same pivot columns, so they give the same kernel
-    basis."""
-    pivots = _echelon(vectors)
-    return _particular(pivots, m), _null_space(pivots, m)
+            for v in sparse_solve_and_kernel(map(_sparse, rows), m)[1]]
 
 
 def det_int(rows):

@@ -7,13 +7,14 @@ and a blow-up shares the supports it leaves alone with its parent; K and
 the dense classes are derived. Each surface is validated once, when it
 is made. A basis index meets at most three cycle curves on a blow-up
 schedule, so blow-ups, validation, the seed's degree conditions and the
-polarization cost O(nonzeros); `cycle_surface` and `standard_schedule`
-each blow up one list of supports. The degree-one polarization is one
-integer solve on the cycle's cyclic tridiagonal Gram matrix, O(m)
-operations: its diagonal minors from a rolled transfer product, adj(G)
-by shooting two unknowns around the cycle, and a closed form where G is
-singular (every C^2 = -2). Fractions are built only for the returned
-class.
+polarization cost O(nonzeros); `corner_surface`, `cycle_surface` and
+`standard_schedule` each blow up one list of supports. The degree-one
+polarization is one integer solve on the cycle's cyclic tridiagonal Gram
+matrix, O(m) operations: its diagonal minors from a rolled transfer
+product, adj(G) by shooting two unknowns around the cycle, and a closed
+form where G is singular (every C^2 = -2). Rational vectors are integer
+numerators over a positive denominator, in `lattice`'s form and reduced
+by its `lowest_terms`; Fractions are built only for the returned class.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import lattice
 
@@ -167,6 +168,17 @@ def blowup_on_curve(s, j):
     return _blowup(s, j, corner=False)
 
 
+def corner_surface(n):
+    """The triangle after n `blowup_corner(s, 0)` calls, n >= 0, blown up
+    on one list of supports: a cycle of length n + 3."""
+    if n < 0:
+        raise ValueError("corner count must be >= 0")
+    sup = [{0: 1}] * 3
+    for k in range(1, n + 1):
+        _blow_up(sup, k, 0, corner=True)
+    return CycleSurface(n, tuple(sup))
+
+
 def standard_schedule():
     """The reference surface: cycle of length 9, all self-intersections -2.
 
@@ -269,28 +281,17 @@ def _cyclic_adjugate(sq, rhs):
     return sign * det_n, out
 
 
-def clear_denominators(h):
-    """(d h, d) for a class h of ints and Fractions, d the least common
-    denominator of its entries. d h is primitive when h has degree 1 on some
-    integral class, since a common factor g of d h then divides d and
-    (d / g) h is integral; not in general: (2/3, 4/3) gives ((2, 4), 3)."""
-    d = lcm(*[x.denominator for x in h])
-    return tuple([x.numerator * (d // x.denominator) for x in h]), d
-
-
-def _reduced(num, den):
-    """(num, den) with the common gcd of every entry divided out."""
-    g = gcd(den, *num)
-    return [x // g for x in num], den // g
-
-
 def _positive_direction(vectors, target):
     """A rational combination x of the given classes, each as (integer
     numerators, denominator), along which target + t x gets positive square
     for large t, in the same form, or None: x.x > 0, or else, where the form
     vanishes on what the diagonalization leaves, a class x left over with
     x.x = 0 and target.x > 0. Exact symmetric congruence diagonalization: a
-    pivot B with q = B.B < 0 takes V / d to ((V.B) B - q V) / (-q d)."""
+    pivot B with q = B.B < 0 takes V / d to ((V.B) B - q V) / (-q d).
+
+    Every denominator is positive: `lattice` returns den > 0, a pivot forms
+    -q d with q < 0, and a pairing du dw from two positive ones; so
+    `lattice.lowest_terms`, which makes den > 0, never flips a sign here."""
     basis = list(vectors)
     while basis:
         piv = next((i for i, (b, _) in enumerate(basis) if dot(b, b) != 0),
@@ -302,8 +303,8 @@ def _positive_direction(vectors, target):
             if pair is None:
                 break  # form vanishes on what is left
             (u, du), (w, dw) = basis[pair[0]], basis[pair[1]]
-            basis[pair[0]] = _reduced([x * dw + y * du for x, y in zip(u, w)],
-                                      du * dw)
+            basis[pair[0]] = lattice.lowest_terms(
+                [x * dw + y * du for x, y in zip(u, w)], du * dw)
             continue
         b, db = basis.pop(piv)
         q = dot(b, b)
@@ -312,8 +313,8 @@ def _positive_direction(vectors, target):
         new = []
         for v, d in basis:
             f = dot(v, b)  # v - (v.b / q) b is orthogonal to b
-            new.append(_reduced([f * y - q * x for x, y in zip(v, b)],
-                                -q * d))
+            new.append(lattice.lowest_terms(
+                [f * y - q * x for x, y in zip(v, b)], -q * d))
         basis = new
     for v, d in basis:
         f = dot(target, v)
@@ -351,7 +352,7 @@ def uniform_degree_seed(s):
         while ss + 2 * t * sx + t * t * xx <= 0:
             t *= 2
         num, den = [a + t * b for a, b in zip(num, x)], d
-    seed = tuple(_reduced(num, den)[0])
+    seed = tuple(lattice.lowest_terms(num, den)[0])
     if dot(seed, seed) <= 0:
         raise InvariantError("uniform-degree seed has non-positive square")
     return seed

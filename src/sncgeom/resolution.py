@@ -18,7 +18,7 @@ along S plus the exceptional divisors counted by `resolve_local`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 END_COMPONENT = "end_component"
 P1_BUNDLE_OVER_S = "p1_bundle_over_s"
@@ -88,8 +88,8 @@ class ChainReport:
     h2_total: int
     h2_crosscheck: int
     class_rank_bound: int
-    bound_clamped: bool = False
-    trace: list = field(default_factory=list)
+    bound_clamped: bool
+    trace: list
 
 
 def build_chain(m, h2_z1, h2_s, h2_c, h2_z2, seed=0):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sncgeom
-from sncgeom import cli, snc
+from sncgeom import cli, picard, snc
 
 
 def run(capsys, *argv):
@@ -30,6 +30,21 @@ def test_surface_corners(capsys):
     code, out = run(capsys, "surface", "--corners", "3")
     assert code == 0
     assert "cycle_length: 6" in out
+
+
+def test_surface_corners_validates_once(capsys, monkeypatch):
+    """`--corners N` builds one surface, not one per blow-up."""
+    calls = []
+    real = picard.CycleSurface.validate
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(picard.CycleSurface, "validate", counting)
+    code, out = run(capsys, "surface", "--corners", "50")
+    assert code == 0 and "cycle_length: 53" in out
+    assert len(calls) == 1
 
 
 def test_glue_reports(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -317,6 +317,32 @@ def _sparse_solve_and_kernel(rows, b):
         assert len(num) == m and den > 0 and gcd(den, *num) == 1
     return (None if sol is None else [Fraction(x, sol[1]) for x in sol[0]],
             [[Fraction(x, den) for x in num] for num, den in kernel])
+
+
+def test_clear_denominators():
+    cls, mult = lattice.clear_denominators((Fraction(1, 2), Fraction(2, 3)))
+    assert cls == (3, 4) and mult == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9),
+                          st.fractions(-9, 9, max_denominator=12)),
+                max_size=6),
+       st.integers(-12, 12).filter(bool))
+@example([Fraction(2, 3), Fraction(4, 3)], 1)
+@example([0, 0, 0], -5)
+@example([], -1)
+def test_rational_vector_form_matches_fractions(row, scale):
+    """clear_denominators against Fraction arithmetic: the same vector over
+    the lcm of the denominators, so (2/3, 4/3) gives ((2, 4), 3) and a zero
+    vector (0, ..., 0) over 1. That pair is in lowest terms, and
+    lowest_terms gives it back from any nonzero multiple of it, negative
+    denominators included."""
+    num, den = lattice.clear_denominators(row)
+    assert [Fraction(x, den) for x in num] == [Fraction(x) for x in row]
+    assert den == lcm(*[Fraction(x).denominator for x in row])
+    assert lattice.lowest_terms([x * scale for x in num], den * scale) == (
+        list(num), den)
 
 
 def test_solve_dimension_mismatch():

@@ -102,6 +102,15 @@ def test_cycle_surface_rejects_short():
         picard.cycle_surface(2)
 
 
+def test_corner_surface_equals_per_step_blowups():
+    s = picard.triangle_surface()
+    for n in range(41):
+        assert picard.corner_surface(n) == s
+        s = picard.blowup_corner(s, 0)
+    with pytest.raises(ValueError):
+        picard.corner_surface(-1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6))
 def test_fuzzed_blowups_preserve_anticanonical_sum(seed):
@@ -575,7 +584,7 @@ def test_positive_direction_matches_fraction_route(case):
     class is left over and meets the target negatively, or not at all."""
     vectors, target = case
     found = picard._positive_direction(
-        [picard.clear_denominators(v) for v in vectors], target)
+        [lattice.clear_denominators(v) for v in vectors], target)
     expected = oracles.positive_direction(vectors, target)
     if expected is None:
         assert found is None
@@ -607,8 +616,3 @@ def test_definiteness_rejects_a_broken_cycle():
     with pytest.raises(picard.InvariantError):
         picard.CycleSurface(
             s.blowup_count, (s.supports[1], s.supports[0]) + s.supports[2:])
-
-
-def test_clear_denominators():
-    cls, mult = picard.clear_denominators((Fraction(1, 2), Fraction(2, 3)))
-    assert cls == (3, 4) and mult == 6
