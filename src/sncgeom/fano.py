@@ -9,22 +9,26 @@ per column, and its columns are known: over each S-monomial lies exactly
 one w-free left monomial, and one right monomial of P(s) or a run of P^3
 monomials. So `glued_basis` writes its kernel down directly (the bucketing
 of every column by its restriction is the second route, in
-`tests/oracles.py`), and h0 is the size of that basis. Products of
-sections are ranked exactly on packed integer columns: each exponent in a
-field wide enough for twice the largest exponent of the factors, so a
-product column is one int add. A section is packed as its left terms and
-its right terms, and left terms multiply only left terms, right only right;
-a right column carries a tag bit above every field, so the two sides of a
-product never share a column. A single-term section (a monomial vanishing
-on S) times a one-term part on its side is one column, a unit vector over
-Q: these columns are counted as a sumset of packed ints within each side,
-and only the other products are eliminated, with the unit columns dropped.
+`tests/oracles.py`), and h0 is the size of that basis.
+
+Sections are written as packed integer columns (Monagan and Pearce 2007):
+a monomial is one int with its exponents in fields of one width, the first
+exponent highest, and a right column carries a tag bit above five fields,
+so a product column is one int add and the two sides never share one. One
+width serves a whole report: `_field_width(z, m)` holds every exponent of
+total degree m, so no product up to degree m carries. A basis comes split
+the way `_product_rank` reads it: the single-term sections (monomials
+vanishing on S) of each side as bare ints, then the other sections as
+(left terms, right terms). A single-term section times a one-term part on
+its side is one column, a unit vector over Q: these columns are counted
+as a sumset of packed ints within each side, and only the other products
+are eliminated, with the unit columns dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import product
 from math import comb
 
 from . import lattice
@@ -54,22 +58,6 @@ def h0_P(r, a, b):
     return sum(mult * max(0, d + b + 1) for d, mult in sym_split(a, r).items())
 
 
-def pr_basis(r, a, b):
-    """Monomial basis (i, j, k, al, be) of O(a, b) on P(r)."""
-    if a < 0:
-        return []
-    out = []
-    for k in range(a + 1):
-        base = b + k * r
-        if base < 0:
-            continue
-        for i in range(a - k + 1):
-            j = a - k - i
-            for al in range(base + 1):
-                out.append((i, j, k, al, base - al))
-    return out
-
-
 @dataclass(frozen=True)
 class GluedFano:
     kind: str                 # "zr" or "zrs"
@@ -94,12 +82,34 @@ def ZRS(r, s, swap=False):
     return GluedFano(kind="zrs", r=r, s=s, swap=swap)
 
 
-def glued_basis(z, m):
-    """Integral basis of the glued sections of degree m, each a pair of
-    monomial dicts, read off the structure of the restriction to S: the
-    unit sections of the left, then of the right, monomials that vanish on
-    S, then per S-monomial the signed consecutive differences of the
-    columns restricting to it.
+def _field_width(z, m):
+    """Bits per exponent field for the sections of degree <= m: the largest
+    exponent of total degree m, m (1 + max(r, s)), fits, so no column sum
+    of degree <= m carries."""
+    return (m * (1 + max(z.r, z.s or 0))).bit_length()
+
+
+def _columns(r, m, width, tag=0):
+    """Packed monomials (i, j, k, al, be) of O(m, m) on P(r), k rising, the
+    (m + 1)^2 w-free ones first; each run of al rising at fixed (i, j, k)
+    is an arithmetic progression."""
+    step = (1 << width) - 1
+    out = []
+    for k in range(m + 1):
+        base = m + k * r
+        for i in range(m - k + 1):
+            p = tag | ((i << width | m - k - i) << width | k) << 2 * width
+            out += range(p + base, p + (base << width) + 1, step)
+    return out
+
+
+def glued_basis(z, m, width):
+    """Integral basis of the glued sections of degree m on packed columns
+    of `width` bits a field, read off the structure of the restriction to
+    S: (left singles, right singles, others). The singles are the
+    monomials that vanish on S, as bare ints; each other section is
+    (left terms, right terms), lists of (column, +-1), per S-monomial in
+    turn. In this order they are the sections of the bucketing route.
 
     A P(r) monomial with k >= 1 vanishes on S, and the w-free one
     (i, j, 0, al, be) is the only left column over (i, j, al, be); it heads
@@ -116,95 +126,74 @@ def glued_basis(z, m):
     """
     if m < 1:
         raise ValueError("power must be >= 1")
-    # pr_basis lists its (m + 1)^2 w-free monomials first
     n = (m + 1) ** 2
-    left = pr_basis(z.r, m, m)
-    heads = left[:n]
-    out = [({mono: 1}, {}) for mono in left[n:]]
-    if z.kind == "zrs":
-        out += [({}, {mono: 1}) for mono in pr_basis(z.s, m, m)[n:]]
-        out += [({h: 1}, {(h[3], h[4], 0, h[0], h[1]) if z.swap else h: 1})
-                for h in heads]
-    else:
-        for head in heads:
-            i, j, _, al, be = head
-            if z.swap:
-                i, al, be = al, i, j
-            cols = [(e0, i - e0, al - e0, be - i + e0)
-                    for e0 in range(max(0, i - be), min(i, al) + 1)]
-            out.append(({head: 1}, {cols[0]: 1}))
-            out += [({}, {a: -1, b: 1}) for a, b in zip(cols, cols[1:])]
+    tag = 1 << 5 * width
+    left = _columns(z.r, m, width)
+    right = _columns(z.s, m, width, tag)[n:] if z.kind == "zrs" else []
+    # one P^3 column to the next: e0 up, the middle two exponents down
+    step = (1 << 3 * width) - (1 << 2 * width) - (1 << width) + 1
+    others = []
+    for head, (i, al) in zip(left, product(range(m + 1), repeat=2)):
+        j, be = m - i, m - al
+        if z.swap:
+            i, j, al, be = al, be, i, j
+        if z.kind == "zrs":
+            col = tag | (i << width | j) << 3 * width | al << width | be
+            others.append(([(head, 1)], [(col, 1)]))
+            continue
+        lo = max(0, i - be)
+        start = tag | (((lo << width | i - lo) << width | al - lo) << width
+                       | be - i + lo)
+        cols = range(start, start + (min(i, al) - lo + 1) * step, step)
+        others.append(([(head, 1)], [(cols[0], 1)]))
+        others += [([], [(a, -1), (b, 1)]) for a, b in zip(cols, cols[1:])]
+    basis = left[n:], right, others
     h0_right = comb(m + 3, 3) if z.kind == "zr" else h0_P(z.s, m, m)
-    if len(out) != h0_P(z.r, m, m) + h0_right - n:
+    if sum(map(len, basis)) != h0_P(z.r, m, m) + h0_right - n:
         raise AssertionError("glued h0 disagrees with the fiber-product "
                              "dimension count")
-    return out
+    return basis
 
 
 def glued_h0(z, m):
     """dim H^0 of the m-th power of the polarization on the glued 3-fold:
     the size of its glued basis."""
-    return len(glued_basis(z, m))
+    return sum(map(len, glued_basis(z, m, _field_width(z, m))))
 
 
 def _product_rank(first, second, bound):
     """Exact rank of the products f * g of glued sections, f from `first`
     and g from `second`, or each unordered pair of `first` once when
-    `second` is None; a product is a sparse {column: int} vector and exact
-    duplicates are dropped. A rank above `bound`, the glued h0 of the target
-    degree, means the products left the glued section space.
+    `second` is None; each basis is split as `glued_basis` returns it, on
+    one field width. A product is a sparse {column: int} vector and exact
+    duplicates are dropped. A rank above `bound`, the glued h0 of the
+    target degree, means the products left the glued section space.
 
-    Each section is packed once, as its left terms and its right terms,
-    each a (column, int) pair. A column holds the exponents in fields wide
-    enough for twice the largest exponent, the first exponent highest, so
-    no product carries into the next field; a right column also carries a
-    tag bit above every field, so a left and a right product never share a
-    column. Left terms multiply left terms and right terms right terms, one
-    int add each.
-
-    Single-term sections and one-term parts are kept per side. A
-    single-term section times a one-term part on its side is one column, a
-    unit vector over Q, so these unit columns are the sumsets of packed
-    ints within each side and count one rank each; across sides the product
-    is zero. A single-term section times a part of more terms on its side
-    is a shifted copy of that part. Only products of two sections of
-    several terms each are formed term by term, with terms summed per
+    Left terms multiply left terms and right terms right terms, one int add
+    each; the width keeps fields from carrying and the tag keeps the sides
+    apart. A single-term section times a one-term part on its side is one
+    column, a unit vector over Q, so these unit columns are the sumsets of
+    packed ints within each side and count one rank each; across sides the
+    product is zero. A single-term section times a part of more terms on
+    its side is a shifted copy of that part. Only products of two sections
+    of several terms each are formed term by term, with terms summed per
     column. The rank is the number of unit columns plus the rank of the
     other vectors with their unit-column entries dropped, exact because
     every unit column lies in the span: the unit pivots of Dumas,
     Heckenbach, Saunders and Welker (2003), read off the structure instead
     of searched for."""
-    bases = (first,) if second is None else (first, second)
-    monos = list(chain.from_iterable(chain.from_iterable(
-        chain.from_iterable(bases))))
-    width = (2 * max(chain.from_iterable(monos), default=0)).bit_length()
-    tag = 1 << width * max(map(len, monos), default=0)
-    # per basis and side: the columns of its single-term sections, the
-    # columns of the one-term parts of its other sections and their parts
-    # of more terms; and those other sections, packed
+    # per basis and side: the single-term columns, the columns of the
+    # one-term parts of the other sections and their parts of more terms
     split = []
-    for basis in bases:
-        singles, ones, many, multi = ([], []), ([], []), ([], []), []
-        for section in basis:
-            packed = [], []
-            for side, poly in enumerate(section):
-                part = packed[side]
-                for mono, c in poly.items():
-                    col = 0
-                    for e in mono:
-                        col = (col << width) | e
-                    part.append((col | tag if side else col, c))
-            left, right = packed
-            if len(left) + len(right) == 1:
-                singles[0 if left else 1].append((left or right)[0][0])
-                continue
-            multi.append(packed)
-            for side, part in enumerate(packed):
+    for *singles, others in ((first,) if second is None else (first, second)):
+        ones, many = ([], []), ([], [])
+        for section in others:
+            for side, part in enumerate(section):
                 if len(part) == 1:
                     ones[side].append(part[0][0])
                 elif part:
                     many[side].append(part)
-        split.append((singles, ones, many, multi))
+        split.append((singles, ones, many, others))
     # (single-term columns, the columns they meet, the parts they shift)
     if second is None:
         (s1, o1, p1, m1), = split
@@ -240,14 +229,17 @@ def _product_rank(first, second, bound):
 
 def degree_one_generation(z, m_max):
     """True when multiplication out of degree 1 is onto through m_max. Each
-    degree's glued basis is built once; its size is the target rank."""
+    degree's glued basis is built once, on the field width of m_max; its
+    size is the target rank."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    b1 = glued_basis(z, 1)
+    width = _field_width(z, m_max)
+    b1 = glued_basis(z, 1, width)
     bm = None   # degree 2: each unordered pair of b1 once
     for m in range(2, m_max + 1):
-        target = glued_basis(z, m)
-        if _product_rank(b1, bm, len(target)) != len(target):
+        target = glued_basis(z, m, width)
+        n = sum(map(len, target))
+        if _product_rank(b1, bm, n) != n:
             return False
         bm = target
     return True
@@ -256,8 +248,8 @@ def degree_one_generation(z, m_max):
 def quadric_kernel_dim(z):
     """dim ker(Sym^2 H^0(L) -> H^0(L^2)): the number of independent
     quadrics through the image of the degree-1 embedding."""
-    b1 = glued_basis(z, 1)
-    n = len(b1)
+    b1 = glued_basis(z, 1, _field_width(z, 2))
+    n = sum(map(len, b1))
     return n * (n + 1) // 2 - _product_rank(b1, None, glued_h0(z, 2))
 
 

@@ -7,8 +7,9 @@ and a blow-up shares the supports it leaves alone with its parent; K and
 the dense classes are derived. Each surface is validated once, when it
 is made. A basis index meets at most three cycle curves on a blow-up
 schedule, so blow-ups, validation, the seed's degree conditions and the
-polarization cost O(nonzeros); `corner_surface`, `cycle_surface` and
-`standard_schedule` each blow up one list of supports. The degree-one
+polarization cost O(nonzeros); `cycle_surface` and `standard_schedule`
+each blow up one list of supports, and `corner_surface` writes its
+supports down in closed form. The degree-one
 polarization is one integer solve on the cycle's cyclic tridiagonal Gram
 matrix, O(m) operations: its diagonal minors from a rolled transfer
 product, adj(G) by shooting two unknowns around the cycle, and a closed
@@ -169,14 +170,16 @@ def blowup_on_curve(s, j):
 
 
 def corner_surface(n):
-    """The triangle after n `blowup_corner(s, 0)` calls, n >= 0, blown up
-    on one list of supports: a cycle of length n + 3."""
+    """The triangle after n `blowup_corner(s, 0)` calls, n >= 0, a cycle of
+    length n + 3, in closed form: H - E_1 - ... - E_n, E_n, then
+    E_k - E_(k+1) for k = n - 1, ..., 1, then H - E_1 and H."""
     if n < 0:
         raise ValueError("corner count must be >= 0")
-    sup = [{0: 1}] * 3
-    for k in range(1, n + 1):
-        _blow_up(sup, k, 0, corner=True)
-    return CycleSurface(n, tuple(sup))
+    if n == 0:
+        return triangle_surface()
+    sup = [{0: 1, **dict.fromkeys(range(1, n + 1), -1)}, {n: 1}]
+    sup += [{k: 1, k + 1: -1} for k in range(n - 1, 0, -1)]
+    return CycleSurface(n, (*sup, {0: 1, 1: -1}, {0: 1}))
 
 
 def standard_schedule():

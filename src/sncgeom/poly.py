@@ -239,18 +239,14 @@ class MultiPoly:
     # -- ring extension and printing ---------------------------------------
 
     def extend_vars(self, variables):
-        """Reinterpret in a larger ring containing the old variables."""
-        ring = Ring(variables)
-        shifts = [ring.shifts[ring.variables.index(v)]
-                  for v in self.variables]
-        unpack = self.ring.exponents
-        terms = {}
-        for e, c in self._terms.items():
-            key = 0
-            for k, s in zip(unpack(e), shifts):
-                key |= k << s
-            terms[key] = c
-        return MultiPoly._wrap(ring, terms)
+        """Reinterpret in a larger ring whose variables start with the old
+        ones, in order: each monomial shifts past the added fields."""
+        ring, n = Ring(variables), len(self.variables)
+        if ring.variables[:n] != self.variables:
+            raise ValueError("the new variables must start with the old ones")
+        shift = FIELD_BITS * (len(ring.variables) - n)
+        return MultiPoly._wrap(ring, {e << shift: c
+                                      for e, c in self._terms.items()})
 
     def sorted_terms(self):
         """(exponent tuple, coefficient) pairs, lexicographically largest

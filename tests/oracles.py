@@ -33,12 +33,17 @@ every class, where the library stores sparse supports, shares those a
 blow-up leaves alone, and derives K and the dense classes.
 `blowup_cycle_surface` and `standard_schedule` build `cycle_surface`
 and `standard_schedule` one surface per blow-up, where the library blows
-up one list of supports.
+up one list of supports, and `corner_surface` builds `corner_surface` one
+surface per blow-up, where the library writes its supports down in closed
+form.
 
 For `MultiPoly`, whose monomials are packed ints in one interned ring,
 `TuplePoly` is the arithmetic on {exponent tuple: int} dicts it replaced
 (`+`, `-`, `*`, negation), with no exponent limit, and `tuple_divide_exact`
-the division over Z on it. `random_poly` is the fuzz suites'
+the division over Z on it. `extend_vars` moves each exponent to its
+variable's field one by one, in a ring holding the old variables in any
+order, where `MultiPoly.extend_vars` shifts each monomial once past the
+appended variables. `random_poly` is the fuzz suites'
 draw through the validating constructor, which `poly._random_poly` replaced
 by packed keys from the same bits, drawn by `poly._below`.
 
@@ -48,15 +53,21 @@ per position.
 
 For the Fano section products, which the library ranks on packed integer
 columns, `tuple_product_rank` is the route on (side, exponent tuple)
-columns it replaced, with `mul_monomial_dicts` its product. For the glued
-bases, which `fano.glued_basis` writes down from the known structure of
-the restriction to S, `bucketed_glued_basis` is the route it replaced:
+columns it replaced, with `mul_monomial_dicts` its product. The library
+writes its glued bases packed; `unpack_basis` (over `unpack_column`) reads
+one back into (left dict, right dict) sections, and `pack_sections` packs
+such sections by the rule `fano._product_rank` applied before, so that
+hand-made sections still drive the library's rank. For the glued bases,
+which `fano.glued_basis` writes down from the known structure of the
+restriction to S, `bucketed_glued_basis` is the route it replaced:
 restrict every monomial (`pr_restrict`, `p3_restrict`, `swap_factors`,
-over `left_basis` and `right_basis`, with `p3_basis` the P^3 monomials) and
-bucket it by its restriction. The surjectivity of restriction to S, on
-which the fiber-product count in `fano.glued_basis` rests, is a fact the
-library no longer tests; `enumerated_restriction_surjective` checks it by
-restricting all of `pr_basis`.
+over `left_basis` and `right_basis`, with `p3_basis` the P^3 monomials and
+`pr_basis` the tuple enumeration that the packed `fano._columns`
+replaced) and bucket it by its restriction. The surjectivity of
+restriction to S, on which the fiber-product count in `fano.glued_basis`
+rests, is a fact the library no longer tests;
+`enumerated_restriction_surjective` checks it by restricting all of
+`pr_basis`.
 
 For the cohomology of the dual complex, which the library reads off cell
 counts and the balance walk of `snc.canonical_order`, `dual_boundaries`
@@ -96,7 +107,7 @@ from itertools import permutations, product
 from math import comb, lcm
 from operator import index
 
-from sncgeom.fano import h0_P, pr_basis, sym_split
+from sncgeom.fano import h0_P, sym_split
 from sncgeom.lattice import det_int, echelon_mod_p, sparse_rank
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, blowup_corner, blowup_on_curve, dot,
@@ -501,6 +512,19 @@ def tuple_divide_exact(f, g):
     return TuplePoly._trusted(f.variables, q_terms)
 
 
+def extend_vars(f, variables):
+    """f reinterpreted in the ring of `variables`, which holds f's variables
+    in any order, each exponent moved to its variable's place."""
+    place = [variables.index(v) for v in f.variables]
+    terms = {}
+    for e, c in f.terms.items():
+        exps = [0] * len(variables)
+        for k, i in zip(e, place):
+            exps[i] = k
+        terms[tuple(exps)] = c
+    return MultiPoly(variables, terms)
+
+
 def random_poly(rng, variables, degree=2, nterms=3, coeff=5):
     terms = {}
     for _ in range(nterms):
@@ -802,6 +826,15 @@ def standard_schedule():
     return s
 
 
+def corner_surface(n):
+    """`picard.corner_surface` by n `blowup_corner(s, 0)` surfaces, one per
+    step."""
+    s = triangle_surface()
+    for _ in range(n):
+        s = blowup_corner(s, 0)
+    return s
+
+
 def blowup_cycle_surface(m):
     """`picard.cycle_surface` by one `blowup_corner` or `blowup_on_curve`
     surface per step, the interior passes reading each surface's
@@ -828,6 +861,76 @@ def mul_monomial_dicts(f, g):
             e = tuple([a + b for a, b in zip(e1, e2)])
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def pack_sections(first, second=None):
+    """Two lists of (left dict, right dict) glued sections, `second`
+    possibly None, split and packed the way `fano._product_rank` reads a
+    basis, by the rule it applied before `fano.glued_basis` returned packed
+    bases: one field width for both lists, wide enough for twice their
+    largest exponent, the first exponent highest, and the right tag bit
+    above the most fields of any monomial. A single-term section becomes a
+    bare int, its coefficient dropped (a unit vector over Q either way);
+    the others become (left terms, right terms) lists of (column, int)."""
+    bases = [basis for basis in (first, second) if basis is not None]
+    monos = [mono for basis in bases for section in basis
+             for poly in section for mono in poly]
+    width = (2 * max([e for mono in monos for e in mono],
+                     default=0)).bit_length()
+    tag = 1 << width * max(map(len, monos), default=0)
+
+    def column(mono, side):
+        col = 0
+        for e in mono:
+            col = (col << width) | e
+        return col | tag if side else col
+
+    packed = []
+    for basis in bases:
+        singles, others = ([], []), []
+        for section in basis:
+            left, right = [[(column(mono, side), c)
+                            for mono, c in poly.items()]
+                           for side, poly in enumerate(section)]
+            if len(left) + len(right) == 1:
+                singles[0 if left else 1].append((left or right)[0][0])
+            else:
+                others.append((left, right))
+        packed.append((*singles, others))
+    return packed[0], None if second is None else packed[1]
+
+
+def unpack_column(col, width, right_fields):
+    """(side, exponent tuple) of a packed column of `fano.glued_basis`, or
+    of a sum of two such columns: fields of `width` bits, the first
+    exponent highest, five on the left and `right_fields` on the right,
+    which carries the tag above five fields."""
+    side = 1 if col >> 5 * width else 0
+    n = right_fields if side else 5
+    mask = (1 << width) - 1
+    return side, tuple([col >> width * (n - 1 - f) & mask for f in range(n)])
+
+
+def unpack_basis(z, basis, width):
+    """The (left dict, right dict) sections of a packed
+    `fano.glued_basis(z, m, width)`, in its order: the left single-term
+    sections, the right ones, then the others. A column read on the wrong
+    side raises AssertionError."""
+    fields = 4 if z.kind == "zr" else 5
+
+    def poly(terms, side):
+        out = {}
+        for col, c in terms:
+            got, mono = unpack_column(col, width, fields)
+            if got != side:
+                raise AssertionError("packed column on the wrong side")
+            out[mono] = c
+        return out
+
+    left, right, others = basis
+    return ([(poly([(col, 1)], 0), {}) for col in left]
+            + [({}, poly([(col, 1)], 1)) for col in right]
+            + [(poly(lt, 0), poly(rt, 1)) for lt, rt in others])
 
 
 def tuple_product_rank(pairs, bound):
@@ -959,7 +1062,25 @@ def subs(f, mapping):
     return out
 
 
-# -- the cohomology and product checks of fano.h0_P and fano.pr_basis ------
+# -- the tuple monomial basis of P(r), and the cohomology and product checks
+# -- of fano.h0_P
+
+def pr_basis(r, a, b):
+    """Monomial basis (i, j, k, al, be) of O(a, b) on P(r), k rising and
+    the w-free monomials first: the order of `fano._columns`."""
+    if a < 0:
+        return []
+    out = []
+    for k in range(a + 1):
+        base = b + k * r
+        if base < 0:
+            continue
+        for i in range(a - k + 1):
+            j = a - k - i
+            for al in range(base + 1):
+                out.append((i, j, k, al, base - al))
+    return out
+
 
 def h1_P(r, a, b):
     """dim H^1(P(r), O(a, b)); zero for a < 0."""

@@ -18,7 +18,17 @@ def test_h0_P_matches_basis_size():
     for r in range(4):
         for a in range(-1, 4):
             for b in range(-2, 4):
-                assert fano.h0_P(r, a, b) == len(fano.pr_basis(r, a, b))
+                assert fano.h0_P(r, a, b) == len(oracles.pr_basis(r, a, b))
+
+
+def test_packed_columns_unpack_to_the_tuple_enumeration():
+    for r in range(6):
+        for m in range(1, 5):
+            for width in (fano._field_width(fano.ZR(r), m), 16):
+                cols = fano._columns(r, m, width)
+                assert [oracles.unpack_column(col, width, 5)
+                        for col in cols] == [
+                    (0, mono) for mono in oracles.pr_basis(r, m, m)]
 
 
 def test_h1_vanishes_for_nef_twists():
@@ -44,7 +54,7 @@ def test_p3_basis_size():
 
 
 def test_restrictions_land_in_s():
-    for mono in fano.pr_basis(2, 2, 2):
+    for mono in oracles.pr_basis(2, 2, 2):
         sm = oracles.pr_restrict(mono)
         if sm is not None:
             assert sm in set(oracles.s_basis(2, 2 + 0))
@@ -65,9 +75,16 @@ def test_glued_h0_swap_invariant():
                 == fano.glued_h0(fano.ZR(r), 1))
 
 
+def sections(z, m):
+    """The glued basis of degree m, unpacked into (left dict, right dict)
+    sections."""
+    width = fano._field_width(z, m)
+    return oracles.unpack_basis(z, fano.glued_basis(z, m, width), width)
+
+
 def test_glued_basis_sections_agree_on_s():
     z = fano.ZRS(1, 1)
-    for lpoly, rpoly in fano.glued_basis(z, 1):
+    for lpoly, rpoly in sections(z, 1):
         left = {}
         for mono, c in lpoly.items():
             sm = oracles.pr_restrict(mono)
@@ -97,9 +114,9 @@ def test_degree_one_generation_builds_each_degree_once(monkeypatch):
     calls = []
     glued_basis = fano.glued_basis
 
-    def counted(z, m):
+    def counted(z, m, width):
         calls.append(m)
-        return glued_basis(z, m)
+        return glued_basis(z, m, width)
 
     monkeypatch.setattr(fano, "glued_basis", counted)
     monkeypatch.setattr(fano, "glued_h0", None)  # never called
@@ -264,7 +281,7 @@ def test_glued_h0_and_basis_match_dense_route():
             rows, left, right = dense_system(z, m)
             h0 = fano.glued_h0(z, m)
             assert h0 == len(left) + len(right) - oracles.rank(rows)
-            basis = fano.glued_basis(z, m)
+            basis = sections(z, m)
             assert len(basis) == h0
             index = column_index(left, right)
             columns = list(zip(*rows))
@@ -288,7 +305,7 @@ def test_glued_basis_matches_bucketing_route():
     # the structural basis is the bucketed one, list for list and in order
     for z in oracle_configs(10):
         for m in range(1, 6):
-            assert fano.glued_basis(z, m) == oracles.bucketed_glued_basis(z, m)
+            assert sections(z, m) == oracles.bucketed_glued_basis(z, m)
 
 
 def test_glued_basis_spans_dense_kernel():
@@ -297,7 +314,7 @@ def test_glued_basis_spans_dense_kernel():
             _, left, right = dense_system(z, m)
             index = column_index(left, right)
             kernel = [dense_vector(b, index) for b in dense_basis(z, m)]
-            ours = [dense_vector(b, index) for b in fano.glued_basis(z, m)]
+            ours = [dense_vector(b, index) for b in sections(z, m)]
             assert oracles.rank(kernel + ours) == len(kernel) == len(ours)
 
 
@@ -326,21 +343,81 @@ def test_generation_and_quadrics_match_dense_route():
         assert fano.degree_one_generation(z, 3) == generated
 
 
+def packed_rank(first, second, bound):
+    """`fano._product_rank` on (left dict, right dict) sections, packed by
+    the rule it applied before the bases came packed."""
+    return fano._product_rank(*oracles.pack_sections(first, second), bound)
+
+
 def triangle_pairs(sections):
     return [(f, g) for i, f in enumerate(sections) for g in sections[i:]]
 
 
 def test_product_rank_matches_tuple_route_on_glued_bases():
     for z in small_configs():
-        b1 = fano.glued_basis(z, 1)
+        width = fano._field_width(z, 4)
+        packed = {m: fano.glued_basis(z, m, width) for m in (1, 2, 3)}
+        bases = {m: oracles.unpack_basis(z, b, width)
+                 for m, b in packed.items()}
+        b1 = bases[1]
         n = comb(len(b1) + 1, 2)
-        assert (fano._product_rank(b1, None, n)
+        assert (fano._product_rank(packed[1], None, n)
                 == oracles.tuple_product_rank(triangle_pairs(b1), n))
         for m in (1, 2, 3):
-            bm = fano.glued_basis(z, m)
-            pairs = [(f, g) for f in b1 for g in bm]
-            assert (fano._product_rank(b1, bm, len(pairs))
+            pairs = [(f, g) for f in b1 for g in bases[m]]
+            assert (fano._product_rank(packed[1], packed[m], len(pairs))
                     == oracles.tuple_product_rank(pairs, len(pairs)))
+
+
+def wide(mono):
+    """An exponent tuple packed into 16-bit fields, where no sum of two
+    exponents below carries (each is at most 5 * 21), so that
+    wide(ta) + wide(tb) is wide(ta + tb)."""
+    col = 0
+    for e in mono:
+        col = col << 16 | e
+    return col
+
+
+def basis_columns(z, m, width):
+    """Per side, {packed column: wide(its exponent tuple)} over every term
+    of the glued basis of degree m on `width`-bit fields."""
+    fields = 4 if z.kind == "zr" else 5
+    left, right, others = fano.glued_basis(z, m, width)
+    cols = [{col: 1 for col in left}, {col: 1 for col in right}]
+    for section in others:
+        for side, part in enumerate(section):
+            cols[side].update(part)
+    out = ({}, {})
+    for side, part in enumerate(cols):
+        for col in part:
+            got, mono = oracles.unpack_column(col, width, fields)
+            assert got == side
+            out[side][col] = wide(mono)
+    return out
+
+
+def test_field_width_keeps_every_product_column():
+    # a report through m_max packs every basis on _field_width(z, m_max),
+    # and its widest products are b1 * b_(m_max - 1): their largest
+    # exponent m_max (1 + r) (al at k = m_max; m_max (1 + s) on the right of
+    # ZRS) needs every bit. Each product column unpacks to the tuple sum of
+    # its factors, on its own side.
+    configs = [fano.ZR(r) for r in range(21)]
+    configs += [fano.ZRS(r, s) for r in range(11) for s in range(11)]
+    for z in configs:
+        fields = 4 if z.kind == "zr" else 5
+        for m_max in range(2, 6):
+            width = fano._field_width(z, m_max)
+            b1, bm = (basis_columns(z, m, width) for m in (1, m_max - 1))
+            for side in (0, 1):
+                got = {}
+                for col in {a + b for a in b1[side] for b in bm[side]}:
+                    got_side, mono = oracles.unpack_column(col, width, fields)
+                    got[col] = got_side, wide(mono)
+                for a, ta in b1[side].items():
+                    assert all(got[a + b] == (side, ta + tb)
+                               for b, tb in bm[side].items())
 
 
 def test_single_term_sections_meet_only_their_own_side():
@@ -351,12 +428,12 @@ def test_single_term_sections_meet_only_their_own_side():
     right_one = ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1})
     left_one = ({(1, 0): 1}, {(1, 0): 1, (0, 1): 1})
     for single, other in ((left_single, right_one), (right_single, left_one)):
-        assert fano._product_rank([single], [other], 1) == 1
-        assert fano._product_rank([other], [single], 1) == 1
+        assert packed_rank([single], [other], 1) == 1
+        assert packed_rank([other], [single], 1) == 1
         assert oracles.tuple_product_rank([(single, other)], 1) == 1
         # the unit column single * single, single * other and other * other
         pairs = triangle_pairs([single, other])
-        assert (fano._product_rank([single, other], None, 3)
+        assert (packed_rank([single, other], None, 3)
                 == oracles.tuple_product_rank(pairs, 3) == 3)
 
 
@@ -364,9 +441,9 @@ def test_product_rank_drops_only_exact_duplicates():
     # s1 * s1, s1 * s2 and s2 * s2 share their support; s2 * s2 repeats
     # s1 * s1 exactly, s1 * s2 differs from it in one coefficient
     s1, s2 = ({(1, 0): 1}, {(0, 1): 1}), ({(1, 0): 1}, {(0, 1): -1})
-    assert fano._product_rank([s1, s2], None, 2) == 2
+    assert packed_rank([s1, s2], None, 2) == 2
     assert oracles.tuple_product_rank(triangle_pairs([s1, s2]), 2) == 2
-    assert fano._product_rank([s1], [s1, s2, s1], 2) == 2
+    assert packed_rank([s1], [s1, s2, s1], 2) == 2
     assert oracles.tuple_product_rank([(s1, s1), (s1, s2), (s1, s1)], 2) == 2
 
 
@@ -418,7 +495,7 @@ def test_product_rank_matches_tuple_route(bases):
         pairs = triangle_pairs(first)
     else:
         pairs = [(f, g) for f in first for g in second]
-    assert (fano._product_rank(first, second, len(pairs))
+    assert (packed_rank(first, second, len(pairs))
             == oracles.tuple_product_rank(pairs, len(pairs)))
 
 
@@ -435,7 +512,7 @@ def test_product_exponents_past_8_bits_keep_their_columns():
               for b in ((100, 0), (0, 100), (0, 0))]
     pairs = [(f, g) for f in first for g in second]
     # 12 distinct columns a side; a left times a right section is zero
-    assert fano._product_rank(first, second, 24) == 24
+    assert packed_rank(first, second, 24) == 24
     assert oracles.tuple_product_rank(pairs, 24) == 24
 
 
@@ -446,12 +523,12 @@ def test_side_tag_keeps_left_and_right_columns_apart():
     for left in ((0, 1, 0, 0, 1), (1, 1, 0, 0, 1)):
         f = ({left: 1}, {(1, 0, 0, 1): 1})
         g = ({left: 1}, {(1, 0, 0, 1): -1})
-        assert fano._product_rank([f, g], None, 3) == 2
+        assert packed_rank([f, g], None, 3) == 2
         assert oracles.tuple_product_rank(triangle_pairs([f, g]), 3) == 2
-        assert fano._product_rank([f], [g], 1) == 1
+        assert packed_rank([f], [g], 1) == 1
     # a left-only section times a right-only one is zero
-    assert fano._product_rank([unit_section(0, (1, 0))],
-                              [unit_section(1, (1, 0))], 0) == 0
+    assert packed_rank([unit_section(0, (1, 0))],
+                       [unit_section(1, (1, 0))], 0) == 0
     # 2 * 127 = 254 sets 8-bit fields; a right x right product fills them up
     # to 254 right below its two tag bits, which add to one bit above them
     monos = ((127, 127), (127, 0), (0, 127), (0, 0))
@@ -459,7 +536,7 @@ def test_side_tag_keeps_left_and_right_columns_apart():
     columns = {(side, (a1 + a2, b1 + b2)) for side in (0, 1)
                for a1, b1 in monos for a2, b2 in monos}
     n = len(columns)
-    assert fano._product_rank(sections, None, n) == n == 18
+    assert packed_rank(sections, None, n) == n == 18
     assert oracles.tuple_product_rank(triangle_pairs(sections), n) == n
 
 
@@ -471,7 +548,7 @@ def test_product_rank_sums_terms_on_a_shared_column():
     g = ({}, {(2, 0): 1, (0, 2): -1})
     one = ({}, {(0, 0): 1})
     pairs = [(s1, s2) for s1 in (f, g) for s2 in (h, one)]
-    assert fano._product_rank([f, g], [h, one], 4) == 3
+    assert packed_rank([f, g], [h, one], 4) == 3
     assert oracles.tuple_product_rank(pairs, 4) == 3
 
 
@@ -482,9 +559,9 @@ def test_glued_h0_guard_fires(monkeypatch):
     monkeypatch.undo()
     # the last monomial of each P(r) basis lost from the enumeration; it
     # vanishes on S, so only the dimension count can see it
-    pr_basis = fano.pr_basis
-    monkeypatch.setattr(fano, "pr_basis",
-                        lambda r, a, b: pr_basis(r, a, b)[:-1])
+    columns = fano._columns
+    monkeypatch.setattr(fano, "_columns",
+                        lambda *args: columns(*args)[:-1])
     with pytest.raises(AssertionError, match="fiber-product"):
         fano.glued_h0(fano.ZRS(1, 2), 2)
 
@@ -492,8 +569,12 @@ def test_glued_h0_guard_fires(monkeypatch):
 def test_product_rank_guard_fires(monkeypatch):
     # one section short in every degree past 1 lowers each target rank
     glued_basis = fano.glued_basis
-    monkeypatch.setattr(fano, "glued_basis", lambda z, m: (
-        glued_basis(z, m)[:-1] if m >= 2 else glued_basis(z, m)))
+
+    def short(z, m, width):
+        left, right, others = glued_basis(z, m, width)
+        return left, right, others[:-1] if m >= 2 else others
+
+    monkeypatch.setattr(fano, "glued_basis", short)
     with pytest.raises(AssertionError, match="leave the glued section"):
         fano.degree_one_generation(fano.ZR(0), 2)
     with pytest.raises(AssertionError, match="leave the glued section"):

@@ -103,10 +103,12 @@ def test_cycle_surface_rejects_short():
 
 
 def test_corner_surface_equals_per_step_blowups():
-    s = picard.triangle_surface()
-    for n in range(41):
-        assert picard.corner_surface(n) == s
-        s = picard.blowup_corner(s, 0)
+    # the closed form against the blow-up route, dict insertion order too
+    for n in range(61):
+        ours, theirs = picard.corner_surface(n), oracles.corner_surface(n)
+        assert ours == theirs
+        assert ([list(c.items()) for c in ours.supports]
+                == [list(c.items()) for c in theirs.supports])
     with pytest.raises(ValueError):
         picard.corner_surface(-1)
 

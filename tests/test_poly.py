@@ -540,8 +540,29 @@ def test_blowup_chart_verify_both_charts():
                 assert all(e.variables == ring
                            for row in ch._h.entries for e in row)
                 both = f[0].variables + ("s", "t")
-                assert [e.extend_vars(both) for e in built] \
+                # in chart s the ring (..., t) is not a prefix of both
+                assert [oracles.extend_vars(e, both) for e in built] \
                     == _two_variable_chart(f, h, j, chart)
+
+
+def test_extend_vars_matches_per_field_route():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        f = poly._random_poly(rng, VARS[:n], degree=rng.randint(0, 4),
+                              nterms=rng.randint(0, 5))
+        for added in ((), ("s",), ("s", "t"), ("x4", "s", "t")):
+            vs = VARS[:n] + added
+            assert f.extend_vars(vs) == oracles.extend_vars(f, vs)
+            assert f.extend_vars(vs).variables == vs
+    f = P("x1^2*x2 - 3*x3")
+    for vs in (("x1", "x2"), ("x2", "x1", "x3"), ("s",) + VARS,
+               ("x1", "x3", "x2", "s")):
+        with pytest.raises(ValueError, match="start with the old ones"):
+            f.extend_vars(vs)
+    # the per-field route itself, on a ring that is not an extension
+    assert (oracles.extend_vars(f, ("s",) + VARS)
+            == P("x1^2*x2 - 3*x3", ("s",) + VARS))
 
 
 def test_one_minor_table_per_determinant_and_adjugate(monkeypatch):
