@@ -9,7 +9,9 @@ per column, and its columns are known: over each S-monomial lies exactly
 one w-free left monomial, and one right monomial of P(s) or a run of P^3
 monomials. So `glued_basis` writes its kernel down directly (the bucketing
 of every column by its restriction is the second route, in
-`tests/oracles.py`), and h0 is the size of that basis.
+`tests/oracles.py`). Its size must equal the fiber-product count
+`fiber_product_h0`, which the h0 table reads: each report builds and
+checks each degree's basis once, in `degree_one_generation`.
 
 Sections are written as packed integer columns (Monagan and Pearce 2007):
 a monomial is one int with its exponents in fields of one width, the first
@@ -103,6 +105,15 @@ def _columns(r, m, width, tag=0):
     return out
 
 
+def fiber_product_h0(z, m):
+    """h0_left + h0_right - (m + 1)^2, the dimension of the pairs of
+    sections of degree m that agree on S, the right side P(s) on ZRS and
+    P^3 on ZR: both restrictions are onto O(m, m) on S (P^3 since
+    H^1(O(m - 2)) = 0 on the quadric)."""
+    h0_right = comb(m + 3, 3) if z.kind == "zr" else h0_P(z.s, m, m)
+    return h0_P(z.r, m, m) + h0_right - (m + 1) ** 2
+
+
 def glued_basis(z, m, width):
     """Integral basis of the glued sections of degree m on packed columns
     of `width` bits a field, read off the structure of the restriction to
@@ -118,11 +129,9 @@ def glued_basis(z, m, width):
     gives one section. No P^3 monomial vanishes on the quadric; over the
     (swapped) S-monomial (i, j, al, be) the P^3 columns are
     (e0, i - e0, al - e0, be - i + e0), e0 rising, so it gives (head, first
-    column) and then the right differences (-1, +1). Both restrictions are
-    onto O(m, m) on S (P^3 since H^1(O(m - 2)) = 0 on the quadric), so the
-    basis size is checked against the fiber-product dimension
-    h0_left + h0_right - (m + 1)^2. The bucketing route this replaced is
-    `bucketed_glued_basis` in `tests/oracles.py`.
+    column) and then the right differences (-1, +1). The basis size is
+    checked against `fiber_product_h0`. The bucketing route this replaced
+    is `bucketed_glued_basis` in `tests/oracles.py`.
     """
     if m < 1:
         raise ValueError("power must be >= 1")
@@ -148,8 +157,7 @@ def glued_basis(z, m, width):
         others.append(([(head, 1)], [(cols[0], 1)]))
         others += [([], [(a, -1), (b, 1)]) for a, b in zip(cols, cols[1:])]
     basis = left[n:], right, others
-    h0_right = comb(m + 3, 3) if z.kind == "zr" else h0_P(z.s, m, m)
-    if sum(map(len, basis)) != h0_P(z.r, m, m) + h0_right - n:
+    if sum(map(len, basis)) != fiber_product_h0(z, m):
         raise AssertionError("glued h0 disagrees with the fiber-product "
                              "dimension count")
     return basis
@@ -271,6 +279,10 @@ def classify_singularity(r_eff, y_canonical, y_minus_z_terminal):
 
 
 def h0_table(z, m_max):
+    """{m: dim H^0 of the m-th power} for m = 1..m_max, read from
+    `fiber_product_h0`; no basis is built here. `glued_basis` checks every
+    basis it builds against the same count, and a report builds each degree
+    of its table in `degree_one_generation`."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    return {m: glued_h0(z, m) for m in range(1, m_max + 1)}
+    return {m: fiber_product_h0(z, m) for m in range(1, m_max + 1)}

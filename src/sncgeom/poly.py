@@ -286,6 +286,7 @@ class MultiPoly:
 
 
 _PLUS = itertools.repeat(1)  # the sign of every triple of a plain sum
+_MINUS = itertools.repeat(-1)  # the sign of every subtracted triple
 
 
 def _sum_of_products(ring, triples):
@@ -470,7 +471,7 @@ def derive_adjoint_relation(h, f):
 
     h is (n-1) x n, f a length-n vector. Returns
     det(H_n) f' + f_n adj(H_n) h_col  -  adj(H_n) (H_n f' + f_n h_col),
-    which is identically zero for every input.
+    which is identically zero for every input, one accumulator per entry.
     """
     n = h.cols
     if h.rows != n - 1 or len(f) != n:
@@ -479,10 +480,10 @@ def derive_adjoint_relation(h, f):
     hcol = h.column(n - 1)
     det, adj = _det_adj(hn)
     fprime, fn = f[:-1], f[-1]
-    left = [_sum_of_products(fn.ring, ((1, det, fi), (1, fn, c)))
-            for fi, c in zip(fprime, adj.mul_vec(hcol))]
-    right = adj.mul_vec(_lifted_system(hn, fprime, fn, hcol))
-    return [a - b for a, b in zip(left, right)]
+    lifted = _lifted_system(hn, fprime, fn, hcol)
+    return [_sum_of_products(fn.ring, [(1, det, fi), (1, fn, c),
+                                       *zip(_MINUS, row, lifted)])
+            for fi, c, row in zip(fprime, adj.mul_vec(hcol), adj.entries)]
 
 
 def _lifted_system(hj, others, fj, hcol):

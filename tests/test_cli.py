@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sncgeom
-from sncgeom import cli, picard, snc
+from sncgeom import cli, fano, picard, snc
 
 
 def run(capsys, *argv):
@@ -183,6 +184,24 @@ def test_fano_zrs(capsys):
     data = json.loads(out)
     assert data["embedding_dimension"] == 11
     assert data["class_rank_bound"] == 1
+
+
+def test_fano_report_fires_the_fiber_product_guard(monkeypatch):
+    """The table reads the fiber-product count and builds no basis; the
+    report's generation pass still checks every degree's basis against
+    it, from --mmax 1 on."""
+    columns = fano._columns
+    monkeypatch.setattr(fano, "_columns", lambda *args: columns(*args)[:-1])
+    for mmax in ("1", "3"):
+        with pytest.raises(AssertionError, match="fiber-product"):
+            cli.main(["--json", "fano", "--kind", "zrs", "--r", "1",
+                      "--s", "2", "--mmax", mmax])
+    monkeypatch.undo()
+    monkeypatch.setattr(fano, "comb", lambda n, k: comb(n, k) + 1)
+    for mmax in ("1", "3"):
+        with pytest.raises(AssertionError, match="fiber-product"):
+            cli.main(["--json", "fano", "--kind", "zr", "--r", "0",
+                      "--mmax", mmax])
 
 
 def test_fano_zrs_needs_s(capsys):

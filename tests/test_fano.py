@@ -120,8 +120,32 @@ def test_degree_one_generation_builds_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(fano, "glued_basis", counted)
     monkeypatch.setattr(fano, "glued_h0", None)  # never called
-    assert fano.degree_one_generation(fano.ZRS(1, 2), 3)
-    assert calls == [1, 2, 3]
+    # the benchmark's op: the table, then generation through degree 3
+    for z in (fano.ZRS(1, 2), fano.ZR(2), fano.ZRS(1, 2, swap=True)):
+        calls.clear()
+        assert sorted(fano.h0_table(z, 3)) == [1, 2, 3]
+        assert fano.degree_one_generation(z, 3)
+        assert calls == [1, 2, 3]
+
+
+def test_h0_table_is_the_size_of_each_built_basis():
+    for swap in (False, True):
+        configs = [fano.ZR(r, swap=swap) for r in range(21)]
+        configs += [fano.ZRS(r, s, swap=swap)
+                    for r in range(11) for s in range(11)]
+        for z in configs:
+            assert fano.h0_table(z, 5) == {m: fano.glued_h0(z, m)
+                                           for m in range(1, 6)}
+
+
+def test_h0_table_builds_no_basis(monkeypatch):
+    def raises(*args):
+        raise AssertionError("h0_table built a basis")
+
+    monkeypatch.setattr(fano, "glued_basis", raises)
+    monkeypatch.setattr(fano, "glued_h0", raises)
+    assert fano.h0_table(fano.ZR(0), 3) == {1: 6, 2: 19, 3: 44}
+    assert fano.h0_table(fano.ZRS(1, 2), 5)[1] == 11
 
 
 def restricts_onto_s(r, a, b):
