@@ -4,8 +4,8 @@ Submodules:
 
 - ``lattice``: exact integer/rational linear algebra (rank, sparse rank,
   kernels, Smith normal form, rank over F_p by one echelon);
-- ``poly``: sparse polynomials over Z, determinants and adjugates from one
-  minor table, blow-up charts and determinantal-locus estimates;
+- ``poly``: sparse polynomials over Z, determinants and adjugates by
+  cofactor expansion, blow-up charts and determinantal-locus estimates;
 - ``picard``: rational surfaces carrying an anticanonical cycle of
   rational curves, blow-up calculus and degree-1 polarizations;
 - ``snc``: surfaces glued from triangulations via the dual complex:

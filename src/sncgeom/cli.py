@@ -143,9 +143,16 @@ def cmd_fano(args):
     return _emit(args, report, ok)
 
 
+# the largest --m resolve accepts: its report lists all m + 1 chain
+# members, about 9 MB of JSON at this limit
+RESOLVE_MAX_M = 100_000
+
+
 def cmd_resolve(args):
     if args.m < 1:
         return _fail("--m must be >= 1")
+    if args.m > RESOLVE_MAX_M:
+        return _fail(f"--m must be <= {RESOLVE_MAX_M}")
     try:
         h2 = [int(x) for x in args.h2.split(",")]
         if len(h2) != 4 or min(h2) < 0:
@@ -243,7 +250,8 @@ def build_parser():
     fp.set_defaults(func=cmd_fano)
 
     rp = sub.add_parser("resolve", help="node resolution chain report")
-    rp.add_argument("--m", type=int, required=True)
+    rp.add_argument("--m", type=int, required=True,
+                    help=f"node multiplicity, 1 to {RESOLVE_MAX_M}")
     rp.add_argument("--h2", required=True, metavar="Z1,S,C,Z2")
     rp.set_defaults(func=cmd_resolve)
 

@@ -18,6 +18,9 @@ adjugate identities and the chart equations) runs in `_sum_of_products`:
 one accumulator dict per result, one guard check over its keys and one
 normalisation, not a polynomial per partial product. `divide_exact` keeps
 its remainder in one dict and subtracts each quotient term times g in place.
+Determinants and adjugates expand each minor along its first row, with
+nothing memoized: at the sizes the fuzz suites draw, 4x4 at most, a memo's
+keys cost more than the products it would share.
 """
 
 from __future__ import annotations
@@ -405,59 +408,52 @@ class PolyMatrix:
               for col in cols] for row in self.entries], other.cols)
 
 
-def _minor_table(m):
-    """`minor(rows, cols)`: the minor of the square PolyMatrix m on sorted
-    index tuples rows and cols of equal length.
-
-    Each minor expands along its first row and is computed once: every
-    request shares one memo keyed by (rows, cols), so the determinant and
-    all cofactors of m come from the same smaller minors. The memo starts
-    from the empty minor, the ring's one, and the 1x1 minors: the entries.
-    """
+def _one(m):
+    """The one of the ring of a square, nonempty PolyMatrix."""
     if m.rows != m.cols:
         raise ValueError("minors of a non-square matrix")
     if m.rows == 0:
         raise ValueError("empty matrix")
-    entries = m.entries
-    ring = entries[0][0].ring
-    memo = {((i,), (j,)): e for i, row in enumerate(entries)
-            for j, e in enumerate(row)}
-    memo[(), ()] = MultiPoly.const(ring.variables, 1)
+    return MultiPoly._wrap(m.entries[0][0].ring, {0: 1})
 
-    def minor(rows, cols):
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
-        row, rest = entries[rows[0]], rows[1:]
-        acc = memo[key] = _sum_of_products(ring, [
-            (-1 if s % 2 else 1, row[j], minor(rest, cols[:s] + cols[s + 1:]))
-            for s, j in enumerate(cols) if row[j]._terms])
-        return acc
 
-    return minor
+def _minor(rows, cols, one, sign=1, below=None):
+    """`sign` times the minor of the row lists `rows` on the column indices
+    `cols`, expanded along its first row down to the entries (the 1x1
+    minors) and `one` (the 0x0 minor). `below`, when given, holds the first
+    row's cofactors, signed and already built."""
+    if len(cols) < 2:
+        e = rows[0][cols[0]] if cols else one
+        return -e if sign < 0 else e
+    row = rows[0]
+    if below is None:
+        rest = rows[1:]
+        triples = [(-sign if s % 2 else sign, row[j],
+                    _minor(rest, cols[:s] + cols[s + 1:], one))
+                   for s, j in enumerate(cols) if row[j]._terms]
+    else:
+        triples = [(sign, row[j], c) for j, c in zip(cols, below)
+                   if row[j]._terms]
+    return _sum_of_products(one.ring, triples)
 
 
 def _det_adj(m):
-    """(det(M), adjugate(M)) of a square PolyMatrix from one minor table:
-    the adjugate's (j, i) entry is the signed minor without row i and
-    column j, and the determinant expands along the first row over the same
-    minors."""
-    minor = _minor_table(m)
+    """(det(M), adjugate(M)) of a square PolyMatrix by cofactor expansion,
+    with nothing memoized: the adjugate's (j, i) entry is the signed minor
+    without row i and column j, and the determinant is row 0 times its
+    cofactors, already built as the adjugate's column 0."""
+    one, entries = _one(m), m.entries
     idx = tuple(range(m.rows))
-    adj = [[None] * m.rows for _ in idx]
-    for i in idx:
-        rows = idx[:i] + idx[i + 1:]
-        for j in idx:
-            c = minor(rows, idx[:j] + idx[j + 1:])
-            adj[j][i] = -c if (i + j) % 2 else c
-    return minor(idx, idx), PolyMatrix._wrap(adj, m.rows)
+    rows = [entries[:i] + entries[i + 1:] for i in idx]
+    adj = [[_minor(rows[i], idx[:j] + idx[j + 1:], one,
+                   -1 if (i + j) % 2 else 1) for i in idx] for j in idx]
+    det = _minor(entries, idx, one, below=[col[0] for col in adj])
+    return det, PolyMatrix._wrap(adj, m.rows)
 
 
 def determinant(m):
-    """Determinant of a square PolyMatrix, expanded along the first row
-    over its memoized minor table."""
-    idx = tuple(range(m.rows))
-    return _minor_table(m)(idx, idx)
+    """Determinant of a square PolyMatrix, expanded along its first row."""
+    return _minor(m.entries, tuple(range(m.rows)), _one(m))
 
 
 def adjugate(m):
@@ -660,26 +656,29 @@ def _nearest_log(total, p):
 # -- fuzz suites (shared by tests and the CLI verify command) ---------------
 
 
-def _below(bits, n):
-    """`rng.randrange(n)` (and `randint` less its start) drawn from `bits =
-    rng.getrandbits` by `Random._randbelow`'s loop: same bits, same value."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
 def _random_poly(rng, variables, degree=2, nterms=3, coeff=5):
-    """nterms random terms of degree <= degree, each draw by `_below`."""
+    """nterms random terms of degree <= degree. Each draw is
+    `rng.randrange(n)` (or `randint` less its start) by the rejection loop
+    of `Random._randbelow`, inline: the same bits, the same value and the
+    same rng state, with each bit length n.bit_length() taken once."""
     ring = Ring(variables)
-    shifts, nvars, bits = ring.shifts, len(variables), rng.getrandbits
+    shifts, bits = ring.shifts, rng.getrandbits
+    nd, nv, nc = degree + 1, len(variables), 2 * coeff + 1
+    kd, kv, kc = nd.bit_length(), nv.bit_length(), nc.bit_length()
     terms = {}
     for _ in range(nterms):
-        e = 0
-        for _ in range(_below(bits, degree + 1)):
-            e += 1 << shifts[_below(bits, nvars)]
-        terms[e] = terms.get(e, 0) + _below(bits, 2 * coeff + 1) - coeff
+        e, d = 0, bits(kd)
+        while d >= nd:
+            d = bits(kd)
+        for _ in range(d):
+            v = bits(kv)
+            while v >= nv:
+                v = bits(kv)
+            e += 1 << shifts[v]
+        c = bits(kc)
+        while c >= nc:
+            c = bits(kc)
+        terms[e] = terms.get(e, 0) + c - coeff
     return MultiPoly._trusted(ring, terms)
 
 
@@ -703,9 +702,9 @@ def fuzz_adjugate(cases=200, seed=0, max_size=4):
         n = rng.randint(1, max_size)
         nv = rng.randint(1, len(variables))
         vs = variables[:nv]
-        m = PolyMatrix.from_rows(
+        m = PolyMatrix._wrap(
             [[_random_poly(rng, vs, degree=2, nterms=2)
-              for _ in range(n)] for _ in range(n)])
+              for _ in range(n)] for _ in range(n)], n)
         det, adj = _det_adj(m)
         failures += sum(e != det if i == j else not e.is_zero()
                         for prod in (adj.matmul(m), m.matmul(adj))

@@ -8,8 +8,8 @@ Gauss-Jordan (`_rref`) for `solve` and `kernel_basis`, the Smith form with
 its unimodular transforms U and V and their `check`, and the numpy modular
 rank. `rank_mod_p` counts the row space over F_p instead of eliminating.
 
-For polynomial matrices, which the library expands along first rows over
-one memoized minor table, `det_bareiss` is the fraction-free elimination
+For polynomial matrices, whose minors the library expands along first
+rows with nothing memoized, `det_bareiss` is the fraction-free elimination
 with exact polynomial division it used above 4x4, and `leibniz_det` and
 `cofactor_adjugate` sum over permutations.
 
@@ -45,7 +45,8 @@ variable's field one by one, in a ring holding the old variables in any
 order, where `MultiPoly.extend_vars` shifts each monomial once past the
 appended variables. `random_poly` is the fuzz suites'
 draw through the validating constructor, which `poly._random_poly` replaced
-by packed keys from the same bits, drawn by `poly._below`.
+by packed keys from the same bits, drawn by `randrange`'s rejection loop
+inline.
 
 For the resolution chain, whose interior P^1-bundle members the library
 shares as one frozen `ChainMember`, `chain_members` constructs one member

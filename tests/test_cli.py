@@ -116,6 +116,7 @@ def test_glue_rejects_unreadable_path(tmp_path, capsys, path):
     ["fano", "--kind", "zrs", "--r", "1", "--s", "-2"],
     ["fano", "--kind", "zr", "--r", "0", "--mmax", "0"],
     ["surface", "--corners", "-3"],
+    ["resolve", "--m", "1000000000000", "--h2", "1,2,1,2"],
 ])
 def test_out_of_range_arguments_fail_in_one_line(capsys, argv):
     code = cli.main(argv)

@@ -565,40 +565,41 @@ def test_extend_vars_matches_per_field_route():
             == P("x1^2*x2 - 3*x3", ("s",) + VARS))
 
 
-def test_one_minor_table_per_determinant_and_adjugate(monkeypatch):
-    """Callers that need det(M) and adj(M) build one minor table."""
-    tables = []
-    real = poly._minor_table
+def test_one_cofactor_expansion_per_caller(monkeypatch):
+    """Callers that need det(M) and adj(M) run one `_det_adj`."""
+    sizes = []
+    real = poly._det_adj
 
     def counting(m):
-        tables.append(m.rows)
+        sizes.append(m.rows)
         return real(m)
 
-    monkeypatch.setattr(poly, "_minor_table", counting)
+    monkeypatch.setattr(poly, "_det_adj", counting)
     h = _matrix([["x1", "x2", "1"], ["x3", "1", "x1"]])
     f = [P("x1^2"), P("x2*x3"), P("x3 - 1")]
     poly.derive_adjoint_relation(h, f)
-    assert tables == [2]
-    tables.clear()
+    assert sizes == [2]
+    sizes.clear()
     ch = poly.blowup_chart(f, h, 2, "t")
-    assert tables == [2]
-    tables.clear()
+    assert sizes == [2]
+    sizes.clear()
     assert ch.verify()
-    assert tables == []  # verify reads the chart's det and adj
+    assert sizes == []  # verify reads the chart's det and adj
     assert poly.fuzz_adjugate(cases=9, seed=4) == 0
-    assert len(tables) == 9
-    tables.clear()
-    # one table per chart, none per verify
+    assert len(sizes) == 9
+    sizes.clear()
+    # one expansion per chart, none per verify
     assert poly.fuzz_blowup_charts(cases=40, seed=3) == 0
-    assert len(tables) == 40
+    assert len(sizes) == 40
 
 
-@pytest.mark.parametrize("n, sums", ((1, 0), (2, 1), (3, 10)))
-def test_minor_table_starts_from_the_entries(monkeypatch, n, sums):
+@pytest.mark.parametrize("n, sums", ((1, 0), (2, 1), (3, 10), (4, 65)))
+def test_cofactor_expansion_starts_from_the_entries(monkeypatch, n, sums):
     """The 1x1 minors are the entries, so `_det_adj` sums products only
     for the larger minors: none at 1x1 (the adjugate is the empty minor),
-    the determinant at 2x2, and the nine 2x2 cofactors and the
-    determinant at 3x3."""
+    the determinant at 2x2, the nine 2x2 cofactors and the determinant at
+    3x3, and at 4x4 the sixteen 3x3 cofactors, each with its three 2x2
+    minors, and the determinant: nothing is shared between cofactors."""
     calls = []
     real = poly._sum_of_products
 
