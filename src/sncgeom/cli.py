@@ -46,9 +46,16 @@ def _pretty(report, indent=0):
             print(f"{pad}{key}: {val}")
 
 
+# the largest --corners surface accepts: corner_surface(100,000) and its
+# report take about 1 s and 80 MB
+SURFACE_MAX_CORNERS = 100_000
+
+
 def cmd_surface(args):
     if args.corners is not None and args.corners < 0:
         return _fail("--corners must be >= 0")
+    if args.corners is not None and args.corners > SURFACE_MAX_CORNERS:
+        return _fail(f"--corners must be <= {SURFACE_MAX_CORNERS}")
     if args.schedule:
         s = picard.standard_schedule()
         source = "schedule standard"
@@ -98,11 +105,23 @@ H2_S = 2  # h^2 of the quadric S = P^1 x P^1
 H2_C = 1  # h^2 of the curve C along which Z_2 is blown up
 
 
+# the most glued sections fano builds in one degree, read from the
+# fiber-product count at degree max(2, --mmax) before any basis is built:
+# ZR(4995) at --mmax 2, ZR(1995) at 3 and ZR(0) at 30, each at this limit,
+# take about 1 s; the cost grows up to the square of the count. ZR(0) has the
+# fewest sections in every degree, so no --mmax above 30 can pass, and that
+# cap comes first, since the count loops over the degree.
+FANO_MAX_H0 = 20_000
+FANO_MAX_MMAX = 30
+
+
 def cmd_fano(args):
     if args.r < 0 or (args.s is not None and args.s < 0):
         return _fail("--r and --s must be >= 0")
     if args.mmax < 1:
         return _fail("--mmax must be >= 1")
+    if args.mmax > FANO_MAX_MMAX:
+        return _fail(f"--mmax must be <= {FANO_MAX_MMAX}")
     if args.kind == "zr":
         if args.s is not None:
             return _fail("zr takes no --s")
@@ -119,6 +138,9 @@ def cmd_fano(args):
         z = fano.ZRS(args.r, args.s)
         h2_ends = (2, 2)
         series_note = None
+    if fano.fiber_product_h0(z, max(2, args.mmax)) > FANO_MAX_H0:
+        return _fail(f"--r, --s and --mmax give more than {FANO_MAX_H0} "
+                     "glued sections in degree max(2, mmax)")
     table = fano.h0_table(z, args.mmax)
     gen = fano.degree_one_generation(z, max(2, args.mmax))
     m_node = fano.cover_degree(R_OMEGA, CONSTRUCTION_DEGREE)
@@ -232,7 +254,9 @@ def build_parser():
 
     sp = sub.add_parser("surface", help="anticanonical-cycle surface report")
     g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--corners", type=int, help="number of corner blow-ups")
+    g.add_argument("--corners", type=int,
+                   help=f"number of corner blow-ups, 0 to "
+                        f"{SURFACE_MAX_CORNERS}")
     g.add_argument("--schedule", choices=["standard"],
                    help="named blow-up schedule")
     sp.set_defaults(func=cmd_surface)
@@ -244,9 +268,12 @@ def build_parser():
 
     fp = sub.add_parser("fano", help="glued Fano section report")
     fp.add_argument("--kind", choices=["zr", "zrs"], required=True)
-    fp.add_argument("--r", type=int, required=True)
-    fp.add_argument("--s", type=int)
-    fp.add_argument("--mmax", type=int, default=3)
+    sizes = (f">= 0, with at most {FANO_MAX_H0} glued sections in degree "
+             f"max(2, mmax)")
+    fp.add_argument("--r", type=int, required=True, help=f"twist {sizes}")
+    fp.add_argument("--s", type=int, help=f"second twist (zrs), {sizes}")
+    fp.add_argument("--mmax", type=int, default=3,
+                    help=f"top degree, 1 to {FANO_MAX_MMAX}")
     fp.set_defaults(func=cmd_fano)
 
     rp = sub.add_parser("resolve", help="node resolution chain report")

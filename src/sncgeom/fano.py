@@ -21,16 +21,16 @@ width serves a whole report: `_field_width(z, m)` holds every exponent of
 total degree m, so no product up to degree m carries. A basis comes split
 the way `_product_rank` reads it: the single-term sections (monomials
 vanishing on S) of each side as bare ints, then the other sections as
-(left terms, right terms). A single-term section times a one-term part on
-its side is one column, a unit vector over Q: these columns are counted
-as a sumset of packed ints within each side, and only the other products
-are eliminated, with the unit columns dropped.
+(left terms, right terms). At degree 1 each other section has one term a
+side, so `_product_rank` writes each product as a shift: a single-term
+section times a one-term part on its side is a unit column, counted in
+per-side sumsets, and every other product is two +-1 terms, eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 
 from . import lattice
@@ -170,66 +170,63 @@ def glued_h0(z, m):
 
 
 def _product_rank(first, second, bound):
-    """Exact rank of the products f * g of glued sections, f from `first`
-    and g from `second`, or each unordered pair of `first` once when
-    `second` is None; each basis is split as `glued_basis` returns it, on
-    one field width. A product is a sparse {column: int} vector and exact
-    duplicates are dropped. A rank above `bound`, the glued h0 of the
-    target degree, means the products left the glued section space.
+    """Exact rank of the products f * g, f from `first` and g from
+    `second`, or each unordered pair of `first` once when `second` is
+    None, of bases split as `glued_basis` returns them, on one field width.
+    A rank above `bound`, the glued h0 of the target degree, means the
+    products left the glued section space.
+
+    `first` must be a degree-1 basis, as every caller's is: each of its
+    other sections has at most one term a side, and `second` has no part of
+    several terms on a side where `first` has a single-term section (a
+    single). Other input raises ValueError. At degree 1, i + j = 1 and
+    al + be = 1, so the P^3 run of `glued_basis`, e0 from max(0, i - be)
+    to min(i, al), is one value, like the one P(s) column of ZRS: b1's
+    other sections are (head, right column). Parts of several terms are
+    ZR's right differences, and ZR has no right single, since no P^3
+    monomial vanishes on the quadric.
 
     Left terms multiply left terms and right terms right terms, one int add
     each; the width keeps fields from carrying and the tag keeps the sides
-    apart. A single-term section times a one-term part on its side is one
-    column, a unit vector over Q, so these unit columns are the sumsets of
-    packed ints within each side and count one rank each; across sides the
-    product is zero. A single-term section times a part of more terms on
-    its side is a shifted copy of that part. Only products of two sections
-    of several terms each are formed term by term, with terms summed per
-    column. The rank is the number of unit columns plus the rank of the
-    other vectors with their unit-column entries dropped, exact because
-    every unit column lies in the span: the unit pivots of Dumas,
-    Heckenbach, Saunders and Welker (2003), read off the structure instead
-    of searched for."""
-    # per basis and side: the single-term columns, the columns of the
-    # one-term parts of the other sections and their parts of more terms
-    split = []
-    for *singles, others in ((first,) if second is None else (first, second)):
-        ones, many = ([], []), ([], [])
-        for section in others:
-            for side, part in enumerate(section):
-                if len(part) == 1:
-                    ones[side].append(part[0][0])
-                elif part:
-                    many[side].append(part)
-        split.append((singles, ones, many, others))
-    # (single-term columns, the columns they meet, the parts they shift)
-    if second is None:
-        (s1, o1, p1, m1), = split
-        crosses = ((s1, (s1[0] + o1[0], s1[1] + o1[1]), p1),)
-        pairs = [(f, g) for i, f in enumerate(m1) for g in m1[i:]]
-    else:
-        (s1, o1, p1, m1), (s2, o2, p2, m2) = split
-        crosses = ((s1, (s2[0] + o2[0], s2[1] + o2[1]), p2), (s2, o1, p1))
-        pairs = [(f, g) for f in m1 for g in m2]
-    units = {a + b for singles, ends, _ in crosses for side in (0, 1)
-             for a in singles[side] for b in ends[side]}
-    vectors = set()
-    for singles, _, many in crosses:
-        for side in (0, 1):
-            for a in singles[side]:
-                for part in many[side]:
-                    vectors.add(frozenset((a + e, c) for e, c in part
-                                          if a + e not in units))
+    apart, and across sides a product is zero. A single times a single or a
+    one-term part on its side is a unit column: these are per-side sumsets
+    of packed ints, one rank each. A section (a, b) of `first` times g
+    shifts g's parts by a and by b onto distinct columns, so f * g is a
+    plain {column: coefficient} dict. The rank is the unit count plus the
+    rank of these vectors off the unit columns, exact because every unit
+    column lies in the span: the unit pivots of Dumas, Heckenbach, Saunders
+    and Welker (2003), read off the structure. On glued bases no column is
+    dropped, since a unit column is a single, k >= 1, times a column of its
+    side, while heads and the right columns of ZRS's other sections have
+    k = 0. Each vector is {a + h: 1, b + c: 1} for g = (h, c), or
+    {b + c1: -1, b + c2: 1} for a difference: an edge of a signed graph on
+    the columns (Zaslavsky, "Signed graphs", 1982)."""
+    *s1, o1 = first
+    if any(len(part) > 1 for f in o1 for part in f):
+        raise ValueError("product rank: the first basis has a part of "
+                         "several terms")
+    *s2, o2 = first if second is None else second
+    pairs = (combinations_with_replacement(o1, 2) if second is None
+             else product(o1, o2))
+    units = set()
+    for side in (0, 1):
+        parts = [g[side] for g in o2]
+        if s1[side] and any(len(part) > 1 for part in parts):
+            raise ValueError("product rank: a single-term section meets a "
+                             "part of several terms")
+        ends = [part[0][0] for part in parts if len(part) == 1]
+        units |= {a + b for a in s1[side] for b in s2[side] + ends}
+        units |= {a + f[side][0][0] for a in s2[side] for f in o1 if f[side]}
+    vectors = []
     for (l1, r1), (l2, r2) in pairs:
         vec = {}
         for f, g in ((l1, l2), (r1, r2)):
-            for e1, c1 in f:
-                for e2, c2 in g:
-                    e = e1 + e2
-                    vec[e] = vec.get(e, 0) + c1 * c2
-        vectors.add(frozenset((e, c) for e, c in vec.items()
-                              if c and e not in units))
-    rank = len(units) + lattice.sparse_rank(map(dict, vectors))
+            for a, ca in f:
+                for b, c in g:
+                    if a + b not in units:
+                        vec[a + b] = ca * c
+        vectors.append(vec)
+    rank = len(units) + lattice.sparse_rank(vectors)
     if rank > bound:
         raise AssertionError("products leave the glued section space")
     return rank
@@ -258,7 +255,8 @@ def quadric_kernel_dim(z):
     quadrics through the image of the degree-1 embedding."""
     b1 = glued_basis(z, 1, _field_width(z, 2))
     n = sum(map(len, b1))
-    return n * (n + 1) // 2 - _product_rank(b1, None, glued_h0(z, 2))
+    return n * (n + 1) // 2 - _product_rank(b1, None,
+                                            fiber_product_h0(z, 2))
 
 
 def cover_degree(r_omega, m):

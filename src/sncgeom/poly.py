@@ -656,14 +656,16 @@ def _nearest_log(total, p):
 # -- fuzz suites (shared by tests and the CLI verify command) ---------------
 
 
-def _random_poly(rng, variables, degree=2, nterms=3, coeff=5):
-    """nterms random terms of degree <= degree. Each draw is
-    `rng.randrange(n)` (or `randint` less its start) by the rejection loop
-    of `Random._randbelow`, inline: the same bits, the same value and the
-    same rng state, with each bit length n.bit_length() taken once."""
-    ring = Ring(variables)
+def _random_poly(rng, ring, degree=2, nterms=3, coeff=5):
+    """nterms random terms of degree <= degree in `ring`, a Ring or its
+    variable names (the fuzz suites pass interned rings). Each draw
+    is `rng.randrange(n)` (or `randint` less its start) by the rejection
+    loop of `Random._randbelow`, inline: the same bits, the same value and
+    the same rng state, with each bit length n.bit_length() taken once."""
+    if type(ring) is not Ring:
+        ring = Ring(ring)
     shifts, bits = ring.shifts, rng.getrandbits
-    nd, nv, nc = degree + 1, len(variables), 2 * coeff + 1
+    nd, nv, nc = degree + 1, len(shifts), 2 * coeff + 1
     kd, kv, kc = nd.bit_length(), nv.bit_length(), nc.bit_length()
     terms = {}
     for _ in range(nterms):
@@ -682,13 +684,13 @@ def _random_poly(rng, variables, degree=2, nterms=3, coeff=5):
     return MultiPoly._trusted(ring, terms)
 
 
-def _random_system(rng, variables, n):
-    """(f, h): n polynomials f of degree <= 2 and an (n-1) x n matrix h of
-    entries of degree <= 1, h drawn first."""
+def _random_system(rng, ring, n):
+    """(f, h) in `ring`: n polynomials f of degree <= 2 and an (n-1) x n
+    matrix h of entries of degree <= 1, h drawn first."""
     h = PolyMatrix._wrap(
-        [[_random_poly(rng, variables, degree=1, nterms=2)
+        [[_random_poly(rng, ring, degree=1, nterms=2)
           for _ in range(n)] for _ in range(n - 1)], n)
-    f = [_random_poly(rng, variables, degree=2, nterms=2)
+    f = [_random_poly(rng, ring, degree=2, nterms=2)
          for _ in range(n)]
     return f, h
 
@@ -700,10 +702,9 @@ def fuzz_adjugate(cases=200, seed=0, max_size=4):
     failures = 0
     for _ in range(cases):
         n = rng.randint(1, max_size)
-        nv = rng.randint(1, len(variables))
-        vs = variables[:nv]
+        ring = Ring(variables[:rng.randint(1, len(variables))])
         m = PolyMatrix._wrap(
-            [[_random_poly(rng, vs, degree=2, nterms=2)
+            [[_random_poly(rng, ring, degree=2, nterms=2)
               for _ in range(n)] for _ in range(n)], n)
         det, adj = _det_adj(m)
         failures += sum(e != det if i == j else not e.is_zero()
@@ -716,10 +717,10 @@ def fuzz_adjugate(cases=200, seed=0, max_size=4):
 def fuzz_adjoint_relation(cases=200, seed=0):
     """derive_adjoint_relation is identically zero on random inputs."""
     rng = random.Random(seed)
-    variables = ("x1", "x2", "x3", "x4")
+    ring = Ring(("x1", "x2", "x3", "x4"))
     failures = 0
     for _ in range(cases):
-        f, h = _random_system(rng, variables, rng.randint(2, 4))
+        f, h = _random_system(rng, ring, rng.randint(2, 4))
         res = derive_adjoint_relation(h, f)
         if any(not r.is_zero() for r in res):
             failures += 1
@@ -729,10 +730,10 @@ def fuzz_adjoint_relation(cases=200, seed=0):
 def fuzz_blowup_charts(cases=100, seed=0):
     """Chart divisibility postcondition on random n = 2, 3 instances."""
     rng = random.Random(seed)
-    variables = ("x1", "x2", "x3")
+    ring = Ring(("x1", "x2", "x3"))
     failures = 0
     for _ in range(cases):
-        f, h = _random_system(rng, variables, rng.randint(2, 3))
+        f, h = _random_system(rng, ring, rng.randint(2, 3))
         j = rng.randint(1, h.cols)
         chart = rng.choice(("s", "t"))
         ch = blowup_chart(f, h, j, chart)

@@ -53,12 +53,14 @@ shares as one frozen `ChainMember`, `chain_members` constructs one member
 per position.
 
 For the Fano section products, which the library ranks on packed integer
-columns, `tuple_product_rank` is the route on (side, exponent tuple)
-columns it replaced, with `mul_monomial_dicts` its product. The library
-writes its glued bases packed; `unpack_basis` (over `unpack_column`) reads
-one back into (left dict, right dict) sections, and `pack_sections` packs
-such sections by the rule `fano._product_rank` applied before, so that
-hand-made sections still drive the library's rank. For the glued bases,
+columns as shifts of the degree-1 basis, `tuple_product_rank` is the
+general route on (side, exponent tuple) columns it replaced, with
+`mul_monomial_dicts` its product and `sparse_fraction_rank`, a Fraction
+elimination of its own, its rank. The library writes its glued bases
+packed; `unpack_basis` (over `unpack_column`) reads one back into (left
+dict, right dict) sections, and `pack_sections` packs such sections by the
+rule `fano._product_rank` applied before, so that hand-made sections still
+drive the library's rank. For the glued bases,
 which `fano.glued_basis` writes down from the known structure of the
 restriction to S, `bucketed_glued_basis` is the route it replaced:
 restrict every monomial (`pr_restrict`, `p3_restrict`, `swap_factors`,
@@ -156,6 +158,32 @@ def rank(rows):
         prev = a[r][c]
         r += 1
     return r
+
+
+def sparse_fraction_rank(vectors):
+    """Rank over Q of sparse vectors, {column: number} dicts with comparable
+    columns, by Gaussian elimination on Fraction rows: each kept row is
+    scaled to 1 at its largest column and stored there, and a vector is
+    reduced by the row stored at its largest column until that column is
+    free or the vector vanishes. It shares no code with the library's
+    fraction-free echelon, which stores each row at its smallest column."""
+    rows = {}
+    for vec in vectors:
+        v = {c: Fraction(x) for c, x in vec.items() if x}
+        while v:
+            c = max(v)
+            row = rows.get(c)
+            if row is None:
+                rows[c] = {k: x / v[c] for k, x in v.items()}
+                break
+            x = v[c]
+            for k, y in row.items():
+                z = v.get(k, 0) - x * y
+                if z:
+                    v[k] = z
+                else:
+                    del v[k]
+    return len(rows)
 
 
 def _rref(rows):
@@ -936,7 +964,9 @@ def unpack_basis(z, basis, width):
 
 def tuple_product_rank(pairs, bound):
     """Exact rank of the products of pairs of glued sections, each a sparse
-    {(side, monomial): int} vector; exact duplicates are dropped. A rank
+    {(side, monomial): int} vector with its terms summed per column; exact
+    duplicates are dropped, and the rest ranked by `sparse_fraction_rank`,
+    not by the library's echelon. A rank
     above `bound`, the glued h0 of the target degree, means the products
     left the glued section space."""
     vectors = {}
@@ -945,7 +975,7 @@ def tuple_product_rank(pairs, bound):
         for e, c in mul_monomial_dicts(r1, r2).items():
             vec[(1, e)] = c
         vectors[frozenset(vec.items())] = vec
-    rank = sparse_rank(vectors.values())
+    rank = sparse_fraction_rank(vectors.values())
     if rank > bound:
         raise AssertionError("products leave the glued section space")
     return rank

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 from math import comb
@@ -117,6 +118,14 @@ def test_glue_rejects_unreadable_path(tmp_path, capsys, path):
     ["fano", "--kind", "zr", "--r", "0", "--mmax", "0"],
     ["surface", "--corners", "-3"],
     ["resolve", "--m", "1000000000000", "--h2", "1,2,1,2"],
+    # one above each limit, rejected before anything is built
+    ["surface", "--corners", str(cli.SURFACE_MAX_CORNERS + 1)],
+    ["fano", "--kind", "zr", "--r", "0", "--mmax",
+     str(cli.FANO_MAX_MMAX + 1)],
+    ["fano", "--kind", "zr", "--r", "4996", "--mmax", "2"],
+    ["fano", "--kind", "zr", "--r", "4996", "--mmax", "1"],
+    ["fano", "--kind", "zrs", "--r", "4994", "--s", "0", "--mmax", "2"],
+    ["fano", "--kind", "zr", "--r", "1996", "--mmax", "3"],
 ])
 def test_out_of_range_arguments_fail_in_one_line(capsys, argv):
     code = cli.main(argv)
@@ -127,17 +136,57 @@ def test_out_of_range_arguments_fail_in_one_line(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_fano_limits_are_the_counts_at_their_edges():
+    # ZR(r) at --mmax 2, ZR(1995) at 3 and ZR(0) at FANO_MAX_MMAX are the
+    # largest reports within FANO_MAX_H0; ZR(0) has the fewest sections of
+    # the series in every degree, so no --mmax above the cap could pass
+    limit, cap = cli.FANO_MAX_H0, cli.FANO_MAX_MMAX
+    h0 = fano.fiber_product_h0
+    assert h0(fano.ZR(4995), 2) <= limit < h0(fano.ZR(4996), 2)
+    assert h0(fano.ZR(1995), 3) <= limit < h0(fano.ZR(1996), 3)
+    assert h0(fano.ZR(0), cap) <= limit < h0(fano.ZR(0), cap + 1)
+    for m in range(1, cap + 2):
+        assert h0(fano.ZR(0), m) <= min(h0(fano.ZR(1), m),
+                                        h0(fano.ZRS(0, 0), m))
+
+
+def _module_env():
+    src = str(Path(sncgeom.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--corners", "1000000000000"],
+    ["fano", "--kind", "zr", "--r", "1000000000", "--mmax", "1"],
+    ["fano", "--kind", "zr", "--r", "0", "--mmax", "1000000"],
+])
+def test_huge_arguments_fail_in_one_line_in_a_capped_child(argv):
+    # without their limits the first two end in a MemoryError traceback and
+    # the third prints nothing for minutes; so they run only in a child
+    # capped at 1 GB of address space, never in this process
+    proc = subprocess.run(
+        [sys.executable, "-m", "sncgeom.cli", *argv], capture_output=True,
+        text=True, env=_module_env(), timeout=30,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def json_reports(*argv):
     """The --json report of `argv`, run as a module with and without -O,
     with the wall-clock `seconds` field removed."""
-    src = str(Path(sncgeom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     reports = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "sncgeom.cli", "--json", *argv],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=_module_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         report.pop("seconds")

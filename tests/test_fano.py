@@ -445,25 +445,29 @@ def test_field_width_keeps_every_product_column():
 
 
 def test_single_term_sections_meet_only_their_own_side():
-    # a single-term section times the one-term part on the other side of a
-    # section is zero there, not a unit column: only its shifted left
-    # (right) part of two terms is left, so each rank is 1
-    left_single, right_single = ({(1, 0): 1}, {}), ({}, {(1, 0): 1})
-    right_one = ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1})
-    left_one = ({(1, 0): 1}, {(1, 0): 1, (0, 1): 1})
-    for single, other in ((left_single, right_one), (right_single, left_one)):
+    # a single-term section times a section whose part on the other side has
+    # two terms meets only the part on its own side: one unit column, or
+    # zero when that part is empty
+    x, y = (1, 0), (0, 1)
+    cases = [(({x: 1}, {}), ({x: 1}, {x: 1, y: 1}), ({}, {x: 1, y: 1})),
+             (({}, {x: 1}), ({x: 1, y: 1}, {x: 1}), ({x: 1, y: 1}, {}))]
+    for single, other, off_side in cases:
         assert packed_rank([single], [other], 1) == 1
-        assert packed_rank([other], [single], 1) == 1
         assert oracles.tuple_product_rank([(single, other)], 1) == 1
-        # the unit column single * single, single * other and other * other
-        pairs = triangle_pairs([single, other])
-        assert (packed_rank([single, other], None, 3)
-                == oracles.tuple_product_rank(pairs, 3) == 3)
+        assert packed_rank([single], [off_side], 0) == 0
+        assert oracles.tuple_product_rank([(single, off_side)], 0) == 0
+    # the unit columns y^2 and xy, single * single and single * f, and
+    # f * f = (x^2, x^2) off them
+    single, f = ({(0, 1): 1}, {}), ({(1, 0): 1}, {(1, 0): 1})
+    pairs = triangle_pairs([single, f])
+    assert (packed_rank([single, f], None, 3)
+            == oracles.tuple_product_rank(pairs, 3) == 3)
 
 
-def test_product_rank_drops_only_exact_duplicates():
+def test_product_rank_counts_a_repeated_product_once():
     # s1 * s1, s1 * s2 and s2 * s2 share their support; s2 * s2 repeats
-    # s1 * s1 exactly, s1 * s2 differs from it in one coefficient
+    # s1 * s1 exactly, s1 * s2 differs from it in one coefficient; a
+    # repeated product reduces to zero in the elimination
     s1, s2 = ({(1, 0): 1}, {(0, 1): 1}), ({(1, 0): 1}, {(0, 1): -1})
     assert packed_rank([s1, s2], None, 2) == 2
     assert oracles.tuple_product_rank(triangle_pairs([s1, s2]), 2) == 2
@@ -480,19 +484,29 @@ COEFFICIENT = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
 @st.composite
 def product_bases(draw):
-    """A list of 1-5 glued sections, and either None (the unordered pairs
-    of the list) or a second such list. Each side draws its at most two
-    terms from one small pool of 4- or 5-tuple exponents, so that products
-    meet."""
-    sides = []
+    """Bases in the contract of `fano._product_rank`: a list of 1-5 glued
+    sections with at most one term a side, and either None (the unordered
+    pairs of the list) or a list of 1-5 sections with at most two terms a
+    side, one on a side where the first list has a single-term section.
+    Each side draws its terms from one small pool of 4- or 5-tuple
+    exponents, so that products meet."""
+    pools = []
     for _ in range(2):
         n = draw(st.sampled_from([4, 5]))
-        pool = draw(st.lists(st.tuples(*[EXPONENT] * n), min_size=1,
-                             max_size=4))
-        sides.append(st.dictionaries(st.sampled_from(pool), COEFFICIENT,
-                                     max_size=2))
-    sections = st.lists(st.tuples(*sides), min_size=1, max_size=5)
-    return draw(sections), draw(st.none() | sections)
+        pools.append(draw(st.lists(st.tuples(*[EXPONENT] * n), min_size=1,
+                                   max_size=4)))
+
+    def sections(sizes):
+        return st.lists(st.tuples(*[
+            st.dictionaries(st.sampled_from(pool), COEFFICIENT,
+                            max_size=size)
+            for pool, size in zip(pools, sizes)]), min_size=1, max_size=5)
+
+    first = draw(sections((1, 1)))
+    singles = {0 if left else 1 for left, right in first
+               if len(left) + len(right) == 1}
+    second = sections([1 if side in singles else 2 for side in (0, 1)])
+    return first, draw(st.none() | second)
 
 
 X, Y = (1, 0, 0, 0), (0, 1, 0, 0)
@@ -504,15 +518,13 @@ X, Y = (1, 0, 0, 0), (0, 1, 0, 0)
 @example(([({X: 1}, {}), ({}, {Y: 1})],
           [({Y: 1}, {}), ({}, {X: 1}), ({}, {Y: 1})]))
 @example(([({X: 1}, {}), ({Y: 1}, {}), ({}, {X: 1})], None))
-# the unit column XY also lies in X * (X + Y) and in (X, Y) * (Y, X)
-@example(([({X: 1}, {})], [({Y: 1}, {}), ({X: 1, Y: 1}, {})]))
+# the unit column XY also lies in (X, Y) * (Y, X)
 @example(([({X: 1}, {}), ({X: 1}, {Y: 1})], [({Y: 1}, {}), ({Y: 1}, {X: 1})]))
 # single-term sections with coefficients other than 1
 @example(([({X: 2}, {}), ({}, {Y: -3})],
-          [({Y: -2}, {}), ({}, {X: 3}), ({X: 3, Y: -2}, {Y: 2})]))
-# two-term sections, left-only against right-only: their products are 0
-@example(([({X: 1, Y: -1}, {})], [({}, {X: 2, Y: 3})]))
-@example(([({X: 1, Y: -1}, {}), ({}, {X: 2, Y: 3})], None))
+          [({Y: -2}, {}), ({}, {X: 3}), ({X: 3}, {Y: 2})]))
+# a one-term section times a part of two terms on the side with no single
+@example(([({X: 1}, {}), ({X: 1}, {Y: 1})], [({}, {X: 2, Y: 3})]))
 def test_product_rank_matches_tuple_route(bases):
     first, second = bases
     if second is None:
@@ -521,6 +533,33 @@ def test_product_rank_matches_tuple_route(bases):
         pairs = [(f, g) for f in first for g in second]
     assert (packed_rank(first, second, len(pairs))
             == oracles.tuple_product_rank(pairs, len(pairs)))
+
+
+MEETS = "a single-term section meets a part of several terms"
+FIRST = "the first basis has a part of several terms"
+
+
+@pytest.mark.parametrize("first, second, message", [
+    # the unit column XY also lies in X * (X + Y): a single-term section
+    # meets a part of two terms on its side
+    ([({X: 1}, {})], [({Y: 1}, {}), ({X: 1, Y: 1}, {})], MEETS),
+    ([({X: 2}, {}), ({}, {Y: -3})],
+     [({Y: -2}, {}), ({}, {X: 3}), ({X: 3, Y: -2}, {Y: 2})], MEETS),
+    # a part of two terms in the first basis, against a right-only section,
+    # against itself, against a single-term section, and (x - y)(x + y)
+    # with its xy terms cancelling
+    ([({X: 1, Y: -1}, {})], [({}, {X: 2, Y: 3})], FIRST),
+    ([({X: 1, Y: -1}, {}), ({}, {X: 2, Y: 3})], None, FIRST),
+    ([({X: 1}, {X: 1, Y: 1})], [({}, {X: 1})], FIRST),
+    ([({}, {X: 1, Y: -1})], [({}, {X: 1, Y: 1})], FIRST),
+])
+def test_product_rank_rejects_input_outside_its_contract(first, second,
+                                                         message):
+    # the contract every caller meets with b1 first: at most one term a
+    # side in the first basis, and no single-term section of the first
+    # basis on a side where the second has a part of several terms
+    with pytest.raises(ValueError, match=message):
+        packed_rank(first, second, 10)
 
 
 def unit_section(side, mono):
@@ -566,13 +605,13 @@ def test_side_tag_keeps_left_and_right_columns_apart():
 
 def test_product_rank_sums_terms_on_a_shared_column():
     # (x - y)(x + y) = x^2 - y^2: the two xy terms cancel, so the product
-    # equals the degree-2 section x^2 - y^2 times 1
+    # equals the degree-2 section x^2 - y^2 times 1; the library's rank
+    # takes no part of several terms in its first basis
     f = ({}, {(1, 0): 1, (0, 1): -1})
     h = ({}, {(1, 0): 1, (0, 1): 1})
     g = ({}, {(2, 0): 1, (0, 2): -1})
     one = ({}, {(0, 0): 1})
     pairs = [(s1, s2) for s1 in (f, g) for s2 in (h, one)]
-    assert packed_rank([f, g], [h, one], 4) == 3
     assert oracles.tuple_product_rank(pairs, 4) == 3
 
 
@@ -601,5 +640,26 @@ def test_product_rank_guard_fires(monkeypatch):
     monkeypatch.setattr(fano, "glued_basis", short)
     with pytest.raises(AssertionError, match="leave the glued section"):
         fano.degree_one_generation(fano.ZR(0), 2)
+    monkeypatch.undo()
+    # the quadric check reads its target rank from the degree-2 count
+    count = fano.fiber_product_h0
+    monkeypatch.setattr(fano, "fiber_product_h0",
+                        lambda z, m: count(z, m) - (m == 2))
     with pytest.raises(AssertionError, match="leave the glued section"):
         fano.quadric_kernel_dim(fano.ZRS(0, 1))
+
+
+def test_quadric_kernel_dim_builds_one_basis(monkeypatch):
+    calls = []
+    glued_basis = fano.glued_basis
+
+    def counted(z, m, width):
+        calls.append(m)
+        return glued_basis(z, m, width)
+
+    monkeypatch.setattr(fano, "glued_basis", counted)
+    for z in (fano.ZR(3), fano.ZRS(1, 2, swap=True)):
+        d = fano.glued_h0(z, 1) - 2
+        calls.clear()
+        assert fano.quadric_kernel_dim(z) == d * (d - 3) // 2
+        assert calls == [1]

@@ -254,6 +254,8 @@ def test_sparse_rank_matches_dense_rank(rows, combos):
             rows.append([x + k * y for x, y in zip(a, b)])
     sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
     assert lattice.sparse_rank(sparse) == oracles.rank(rows)
+    # the product oracle's own elimination, on the same vectors
+    assert oracles.sparse_fraction_rank(sparse) == oracles.rank(rows)
 
 
 def test_mat_mul_identity():
