@@ -85,10 +85,10 @@ def cmd_glue(args):
     try:
         with open(args.triangulation) as fh:
             tri = snc.Triangulation.from_json(fh.read())
-        tri.validate()
+        # glue_report validates first, through dual_complex
+        report = snc.glue_report(tri)
     except (OSError, ValueError) as exc:
         return _fail(f"bad triangulation: {exc}")
-    report = snc.glue_report(tri)
     ok = all(report[k] for k in ("cohomology_crosscheck",
                                  "abelianization_crosscheck"))
     report = {"command": f"glue {args.triangulation}", **report,

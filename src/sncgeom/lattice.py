@@ -8,11 +8,11 @@ entries; sparse vectors are {column: int} dicts. A rational vector is
 `sparse_solve_and_kernel` read its pivot rows, the latter through one
 back-substitution reader, and `rank`, `solve` and `kernel_basis` adapt
 dense rows to them. `echelon_mod_p` is the one elimination over F_p, read
-by `rank_mod_p` and the codimension estimator. `invariant_factors` clears
-unit pivots sparsely and leaves a small core to the diagonal-only
-`smith_normal_form`; it is the one elimination `snc` calls, and
-`sparse_rank` serves only `fano`. `det_int` is a dense Bareiss
-determinant. No floating point anywhere in this module.
+by `rank_mod_p` and the codimension estimator. `invariant_factors` pivots
+each row, shortest first, on its first ±1 entry in repeated sparse rounds
+and leaves a small core to the diagonal-only `smith_normal_form`; it is
+the one elimination `snc` calls, and `sparse_rank` serves only `fano`.
+`det_int` is a dense Bareiss determinant. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -238,57 +238,55 @@ def invariant_factors(vectors):
     {column: int} dicts.
 
     Each ±1 entry is a unit pivot: clearing its column from the other rows
-    leaves the Schur complement and contributes one invariant 1. Pivots come
-    from the shortest rows first, in the shortest of their unit columns, to
-    keep fill low. The core without units left over is diagonalized by the
-    dense `smith_normal_form` (Dumas, Heckenbach, Saunders and Welker,
-    "Computing simplicial homology based on efficient Smith normal form
-    algorithms", 2003).
+    leaves the Schur complement and contributes one invariant 1. The rows,
+    copied and sorted by length once, are taken in turn, each pivoting on
+    its first ±1 entry; the rows that had none at their turn are taken
+    again, until a round pivots nothing. The Smith invariants do not depend
+    on the pivot order. Each column keeps an append-only list of the rows
+    that ever held it; a row no longer holding the column is skipped. The
+    core without units left over is diagonalized by the dense
+    `smith_normal_form` (Dumas, Heckenbach, Saunders and Welker, "Computing
+    simplicial homology based on efficient Smith normal form algorithms",
+    2003).
     """
-    rows = {}
+    rows = [row for row in ({c: x for c, x in vec.items() if x}
+                            for vec in vectors) if row]
+    rows.sort(key=len)
     cols = {}
-    for i, vec in enumerate(vectors):
-        row = {c: x for c, x in vec.items() if x}
-        if row:
-            rows[i] = row
-            for c in row:
-                cols.setdefault(c, set()).add(i)
+    for i, row in enumerate(rows):
+        for c in row:
+            cols.setdefault(c, []).append(i)
     units = 0
-    found = True
-    while found:
-        found = False
-        for i in sorted(rows, key=lambda i: len(rows[i])):
-            row = rows.get(i)
-            if row is None:
+    todo = range(len(rows))
+    while todo:
+        left = []
+        for i in todo:
+            row = rows[i]
+            for c, p in row.items():
+                if p == 1 or p == -1:
+                    break
+            else:
+                left.append(i)
                 continue
-            c = None  # the first unit column in the fewest rows
-            for k, x in row.items():
-                if (x == 1 or x == -1) and (c is None or len(cols[k]) < n):
-                    c, n = k, len(cols[k])
-            if c is None:
-                continue
-            del rows[i]
-            for k in row:
-                cols[k].discard(i)
-            p = row.pop(c)  # ±1 is its own inverse
+            rows[i] = {}  # the pivot row leaves; its own entry is skipped
+            del row[c]  # p = ±1 is its own inverse
             for j in cols.pop(c):
                 other = rows[j]
+                if c not in other:
+                    continue
                 q = other.pop(c) * p
                 for k, y in row.items():
                     x = other.get(k, 0) - q * y
                     if x:
                         if k not in other:
-                            cols[k].add(j)
+                            cols[k].append(j)
                         other[k] = x
                     else:  # q * y != 0, so k was in other
                         del other[k]
-                        cols[k].discard(j)
-                if not other:
-                    del rows[j]
             units += 1
-            found = True
-    core_cols = list(dict.fromkeys(c for row in rows.values() for c in row))
-    core = [[row.get(c, 0) for c in core_cols] for row in rows.values()]
+        todo = left if len(left) < len(todo) else ()
+    core_cols = list(dict.fromkeys(c for row in rows for c in row))
+    core = [[row.get(c, 0) for c in core_cols] for row in rows if row]
     return [1] * units + [d for d in smith_normal_form(core) if d]
 
 

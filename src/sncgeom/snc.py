@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import lattice, picard
 
@@ -90,8 +89,8 @@ class Triangulation:
 
     def edges(self):
         """The edges as vertex pairs (a, b) with a < b."""
-        return {(a, b) for tri in self.triangles
-                for a, b in combinations(sorted(tri), 2)}
+        return {e for a, b, c in map(sorted, self.triangles)
+                for e in ((a, b), (a, c), (b, c))}
 
     def euler_characteristic(self):
         return self.vertex_count - len(self.edges()) + len(self.triangles)
@@ -336,16 +335,14 @@ def simplicial_boundaries(t):
     vertex pairs: d1 has one row per vertex, d2 one row per triangle (the
     transpose of the boundary map, which has the same rank and Smith
     invariants)."""
-    edges = sorted(t.edges())
+    tris = [sorted(tri) for tri in t.triangles]
+    edges = sorted({e for a, b, c in tris for e in ((a, b), (a, c), (b, c))})
     eidx = {e: i for i, e in enumerate(edges)}
     d1 = [{} for _ in range(t.vertex_count)]
     for (a, b), i in eidx.items():
         d1[b][i] = 1
         d1[a][i] = -1
-    d2 = []
-    for tri in t.triangles:
-        a, b, c = sorted(tri)
-        d2.append({eidx[b, c]: 1, eidx[a, c]: -1, eidx[a, b]: 1})
+    d2 = [{eidx[b, c]: 1, eidx[a, c]: -1, eidx[a, b]: 1} for a, b, c in tris]
     return d1, d2, edges
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -55,6 +56,23 @@ def test_glue_reports(tmp_path, capsys):
     code, out = run(capsys, "glue", "--triangulation", str(path))
     assert code == 0
     assert "canonical_order: 2" in out
+
+
+def test_glue_validates_once(tmp_path, capsys, monkeypatch):
+    """`glue` leaves validation to `glue_report`, which validates first."""
+    calls = []
+    real = snc.Triangulation.validate
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(snc.Triangulation, "validate", counting)
+    path = tmp_path / "rp2.json"
+    path.write_text(snc.rp2_6().to_json())
+    code, out = run(capsys, "glue", "--triangulation", str(path))
+    assert code == 0 and "canonical_order: 2" in out
+    assert len(calls) == 1
 
 
 def test_glue_rejects_nonmanifold(tmp_path, capsys):
@@ -137,17 +155,62 @@ def test_out_of_range_arguments_fail_in_one_line(capsys, argv):
 
 
 def test_fano_limits_are_the_counts_at_their_edges():
-    # ZR(r) at --mmax 2, ZR(1995) at 3 and ZR(0) at FANO_MAX_MMAX are the
-    # largest reports within FANO_MAX_H0; ZR(0) has the fewest sections of
-    # the series in every degree, so no --mmax above the cap could pass
+    # ZR(r) at --mmax 2, ZR(1995) and ZRS(0, 1993) at 3 and ZR(0) at
+    # FANO_MAX_MMAX are the largest reports within FANO_MAX_H0; ZR(0) has
+    # the fewest sections of the series in every degree, so no --mmax above
+    # the cap could pass
     limit, cap = cli.FANO_MAX_H0, cli.FANO_MAX_MMAX
     h0 = fano.fiber_product_h0
     assert h0(fano.ZR(4995), 2) <= limit < h0(fano.ZR(4996), 2)
     assert h0(fano.ZR(1995), 3) <= limit < h0(fano.ZR(1996), 3)
+    assert h0(fano.ZRS(0, 1993), 3) <= limit < h0(fano.ZRS(0, 1994), 3)
     assert h0(fano.ZR(0), cap) <= limit < h0(fano.ZR(0), cap + 1)
     for m in range(1, cap + 2):
         assert h0(fano.ZR(0), m) <= min(h0(fano.ZR(1), m),
                                         h0(fano.ZRS(0, 0), m))
+
+
+# every int option of the parser: its stated limit with an argv one above
+# it, rejected before anything is built, or None when its value does not
+# size any work
+INT_OPTIONS = {
+    ("surface", "--corners"): (cli.SURFACE_MAX_CORNERS, [
+        "surface", "--corners", str(cli.SURFACE_MAX_CORNERS + 1)]),
+    # one above FANO_MAX_H0 sections at the default --mmax 3, by
+    # test_fano_limits_are_the_counts_at_their_edges
+    ("fano", "--r"): (cli.FANO_MAX_H0, ["fano", "--kind", "zr", "--r", "1996"]),
+    ("fano", "--s"): (cli.FANO_MAX_H0, [
+        "fano", "--kind", "zrs", "--r", "0", "--s", "1994"]),
+    ("fano", "--mmax"): (cli.FANO_MAX_MMAX, [
+        "fano", "--kind", "zr", "--r", "0", "--mmax",
+        str(cli.FANO_MAX_MMAX + 1)]),
+    ("resolve", "--m"): (cli.RESOLVE_MAX_M, [
+        "resolve", "--m", str(cli.RESOLVE_MAX_M + 1), "--h2", "1,2,1,2"]),
+    ("verify", "--seed"): None,
+}
+
+
+def _int_options():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {(name, a.option_strings[0]): a
+            for name, parser in sub.choices.items()
+            for a in parser._actions if a.type is int}
+
+
+def test_every_int_option_has_a_stated_limit_or_is_constant_size(capsys):
+    options = _int_options()
+    assert set(options) == set(INT_OPTIONS)
+    assert options["fano", "--mmax"].default == 3
+    for key, entry in INT_OPTIONS.items():
+        if entry is None:
+            continue
+        limit, argv = entry
+        assert str(limit) in options[key].help, key
+        assert cli.main(argv) == 1, key
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1, key
 
 
 def _module_env():

@@ -144,11 +144,12 @@ CORE_IS_THE_ENTRY_GROWTH_CASE = [
     [0, 2, 0, -1, 3, -4], [-2, -1, -4, 0, 3, -1], [-2, 6, 3, 3, -2, -2],
     [6, 6, 1, -1, 3, 2]]
 SMITH_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6, -12])
+SMITH_MATRICES = st.integers(1, 7).flatmap(lambda m: st.lists(
+    st.lists(SMITH_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=8))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda m: st.lists(
-    st.lists(SMITH_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=8)))
+@given(SMITH_MATRICES)
 @example(CORE_IS_THE_ENTRY_GROWTH_CASE)
 def test_invariant_factors_match_dense_smith_form(rows):
     snf = oracles.smith_normal_form(rows)
@@ -170,6 +171,30 @@ def test_invariant_factors_simple():
     # any hashable column keys
     assert lattice.invariant_factors([{"a": 1, "b": 1}, {"a": 1, "b": -1}]) \
         == [1, 2]
+
+
+def test_invariant_factors_leaves_its_input_unchanged():
+    rows = [{0: 1, 1: 2, 3: 0}, {0: -1, 2: 1}, {1: 2, 2: 4, 0: 1}, {}]
+    before = [list(row.items()) for row in rows]
+    assert lattice.invariant_factors(rows) == [1, 1, 8]
+    assert [list(row.items()) for row in rows] == before
+
+
+def test_a_row_that_gains_a_unit_later_is_pivoted(monkeypatch):
+    """{0: 2, 1: 3} has no unit at its turn; the pivot of the other row on
+    column 0 leaves it {1: 1, 2: -2}, which the next round pivots, so no
+    core is left to the dense Smith form."""
+    cores = []
+    real = lattice.smith_normal_form
+
+    def recording(rows):
+        cores.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    rows = [{0: 2, 1: 3}, {0: 1, 1: 1, 2: 1}]
+    assert lattice.invariant_factors(rows) == [1, 1]
+    assert cores == [[]]
 
 
 @st.composite
@@ -208,6 +233,25 @@ def test_unit_phase_on_incidence_shapes(drawn):
     sparse = lattice.invariant_factors(rows)
     assert sparse == [d for d in snf.diagonal if d]
     assert len(sparse) == oracles.rank(dense)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    SMITH_MATRICES.map(lambda rows: [{c: x for c, x in enumerate(row) if x}
+                                     for row in rows]),
+    incidence_rows().map(lambda drawn: drawn[0])), st.randoms())
+def test_invariant_factors_ignore_row_order_and_column_labels(rows, rng):
+    """The pivot order follows the row order and each row's column order;
+    the Smith invariants follow neither."""
+    labels = sorted({c for row in rows for c in row})
+    relabel = dict(zip(labels, rng.sample(range(10 * len(labels) + 1),
+                                          len(labels))))
+    moved = []
+    for row in rng.sample(rows, len(rows)):
+        items = list(row.items())
+        rng.shuffle(items)
+        moved.append({relabel[c]: x for c, x in items})
+    assert lattice.invariant_factors(moved) == lattice.invariant_factors(rows)
 
 
 @settings(max_examples=60, deadline=None)

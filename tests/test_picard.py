@@ -74,10 +74,10 @@ def _validate_callers(module):
 
 def test_surfaces_are_validated_only_when_made():
     """Every CycleSurface is checked by its constructor, so nothing in
-    picard or the CLI checks one again; cmd_glue's call is the
-    triangulation's."""
+    picard or the CLI checks one again; the CLI validates no triangulation
+    either, since glue_report does that first."""
     assert _validate_callers("picard.py") == ["__post_init__"]
-    assert _validate_callers("cli.py") == ["cmd_glue"]
+    assert _validate_callers("cli.py") == []
 
 
 def test_validate_pairs_o_of_m_classes(monkeypatch):
