@@ -77,6 +77,11 @@ counts and the balance walk of `snc.canonical_order`, `dual_boundaries`
 builds both ±1 boundary matrices and `dual_cohomology` ranks them by
 elimination.
 
+For the simplicial oracle, which the library reduces along a spanning
+forest of the 1-skeleton and ranks on the cotree columns of d2 alone,
+`simplicial_boundaries` builds both full boundaries over the sorted edges
+and `simplicial_homology` takes the invariant factors of each.
+
 Seven helpers left the library for here, since only tests read them:
 
 - `parse_poly` reads `3*x1^2*t - x2` syntax into a `MultiPoly`; `test_poly`
@@ -111,7 +116,8 @@ from math import comb, lcm
 from operator import index
 
 from sncgeom.fano import h0_P, sym_split
-from sncgeom.lattice import det_int, echelon_mod_p, sparse_rank
+from sncgeom.lattice import (det_int, echelon_mod_p, invariant_factors,
+                             sparse_rank)
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, blowup_corner, blowup_on_curve, dot,
                             triangle_surface)
@@ -120,6 +126,7 @@ from sncgeom.poly import (SQUARE, DomainMismatch, MultiPoly, PolyMatrix,
 from sncgeom.resolution import (CONIC_BUNDLE_BLOWN, END_COMPONENT,
                                 P1_BUNDLE_BLOWN_ALONG_C, P1_BUNDLE_OVER_S,
                                 Z2_BLOWN_ALONG_C, ChainMember)
+from sncgeom.snc import AbelianInvariants
 
 
 def _integerize_rows(rows):
@@ -1270,6 +1277,39 @@ def dual_cohomology(d):
     r1, r2 = sparse_rank(d1), sparse_rank(d2)
     return (d.triangle_count - r1, len(edges) - r1 - r2,
             len(d.polygons) - r2)
+
+
+# -- the full-complex route of snc.simplicial_homology ---------------------
+
+def simplicial_boundaries(t):
+    """Boundary matrices (d1, d2, edges) of the simplicial chain complex
+    over Z, with the canonical orientation given by sorted vertex tuples.
+    Each row is a sparse {column index: ±1} dict over the edges sorted as
+    vertex pairs: d1 has one row per vertex, d2 one row per triangle (the
+    transpose of the boundary map, which has the same rank and Smith
+    invariants)."""
+    tris = [sorted(tri) for tri in t.triangles]
+    edges = sorted({e for a, b, c in tris for e in ((a, b), (a, c), (b, c))})
+    eidx = {e: i for i, e in enumerate(edges)}
+    d1 = [{} for _ in range(t.vertex_count)]
+    for (a, b), i in eidx.items():
+        d1[b][i] = 1
+        d1[a][i] = -1
+    d2 = [{eidx[b, c]: 1, eidx[a, c]: -1, eidx[a, b]: 1} for a, b, c in tris]
+    return d1, d2, edges
+
+
+def simplicial_homology(t):
+    """((h0, h1, h2), H_1 invariants) of the triangulation from the
+    invariant factors of both full boundaries, with no spanning forest."""
+    d1, d2, edges = simplicial_boundaries(t)
+    r1 = len(invariant_factors(d1))
+    nonzero = invariant_factors(d2)
+    r2 = len(nonzero)
+    h1 = len(edges) - r1 - r2
+    return ((t.vertex_count - r1, h1, len(t.triangles) - r2),
+            AbelianInvariants(free_rank=h1,
+                              torsion=tuple(x for x in nonzero if x > 1)))
 
 
 def validate_presentation(g):

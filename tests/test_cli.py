@@ -125,6 +125,63 @@ def test_glue_rejects_unreadable_path(tmp_path, capsys, path):
     assert err.startswith("bad triangulation: ") and len(err.splitlines()) == 1
 
 
+def _suspension(n):
+    """The suspension of an n-gon: two apexes of degree n, 2n triangles."""
+    return snc.Triangulation(n + 2, tuple(
+        (i, (i + 1) % n, apex) for apex in (n, n + 1) for i in range(n)))
+
+
+@pytest.mark.parametrize("t, message", [
+    # from_json accepts any three distinct ids; the count comes first
+    (snc.Triangulation(3, ((0, 1, 2),) * (cli.GLUE_MAX_TRIANGLES + 1)),
+     f"at most {cli.GLUE_MAX_TRIANGLES} triangles, got "
+     f"{cli.GLUE_MAX_TRIANGLES + 1}"),
+    # a closed sphere whose two apexes would each build a component of
+    # cycle length 3 (GLUE_MAX_DEGREE + 1)
+    (_suspension(cli.GLUE_MAX_DEGREE + 1),
+     f"at most {cli.GLUE_MAX_DEGREE} triangles, got "
+     f"{cli.GLUE_MAX_DEGREE + 1}"),
+], ids=["triangles", "degree"])
+def test_glue_file_one_above_each_limit_fails_in_one_line(
+        tmp_path, capsys, monkeypatch, t, message):
+    def refuse(t):
+        raise AssertionError("glue_report reached")
+
+    monkeypatch.setattr(snc, "glue_report", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(t.to_json())
+    assert cli.main(["glue", "--triangulation", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("t", [
+    # disjoint tetrahedra, each vertex in three triangles
+    snc.Triangulation(cli.GLUE_MAX_TRIANGLES, tuple(
+        tuple(v + 4 * k for v in tri)
+        for k in range(cli.GLUE_MAX_TRIANGLES // 4)
+        for tri in snc.tetrahedron().triangles)),
+    _suspension(cli.GLUE_MAX_DEGREE),
+], ids=["triangles", "degree"])
+def test_glue_file_at_each_limit_reaches_the_report(
+        tmp_path, capsys, monkeypatch, t):
+    def stop(t):
+        raise ValueError("reached")
+
+    monkeypatch.setattr(snc, "glue_report", stop)
+    path = tmp_path / "edge.json"
+    path.write_text(t.to_json())
+    assert cli.main(["glue", "--triangulation", str(path)]) == 1
+    assert capsys.readouterr().err == "bad triangulation: reached\n"
+
+
+def test_glue_help_states_its_limits(capsys):
+    assert cli.main(["glue", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"at most {cli.GLUE_MAX_TRIANGLES} triangles" in help_text
+    assert f"at most {cli.GLUE_MAX_DEGREE} at any vertex" in help_text
+
+
 @pytest.mark.parametrize("argv", [
     ["resolve", "--m", "0", "--h2", "1,2,1,2"],
     ["resolve", "--m", "3", "--h2", "-1,2,1,2"],

@@ -254,7 +254,7 @@ def test_edge_keys_are_sorted_vertex_pairs():
         keys = t.edges()
         assert all(type(e) is tuple and e[0] < e[1] for e in keys)
         assert set(snc.dual_complex(t).curves) == keys
-        assert snc.simplicial_boundaries(t)[2] == sorted(keys)
+        assert oracles.simplicial_boundaries(t)[2] == sorted(keys)
 
 
 def test_simplicial_route_calls_no_sparse_rank(monkeypatch):
@@ -270,6 +270,68 @@ def test_simplicial_route_calls_no_sparse_rank(monkeypatch):
         assert ab == snc.abelianization(
             snc.fundamental_group(snc.dual_complex(t)))
         assert snc.glue_report(t)["cohomology_crosscheck"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(SURFACES)), splits=st.integers(0, 12),
+       seed=st.integers(0, 2**16),
+       other=st.none() | st.sampled_from(sorted(SURFACES)),
+       gaps=st.lists(st.integers(0, 60), max_size=3),
+       turn=st.integers(0, 2))
+def test_forest_reduction_matches_full_boundaries(name, splits, seed, other,
+                                                  gaps, turn):
+    """The spanning-forest route gives the full route's (h0, h1, h2) and
+    H_1 invariants on refined surfaces, on disjoint unions of two surfaces
+    and with unused vertex ids anywhere, whatever order each triangle
+    lists its vertices in."""
+    t = snc.refine_random(SURFACES[name][0](), splits, seed)
+    tris, n = list(t.triangles), t.vertex_count
+    if other is not None:
+        tris += [tuple(v + n for v in tri)
+                 for tri in SURFACES[other][0]().triangles]
+        n += SURFACES[other][0]().vertex_count
+    for gap in sorted(gaps, reverse=True):  # leave id `gap` unused
+        tris = [tuple(v + (v >= gap) for v in tri) for tri in tris]
+        n += 1
+    t = snc.Triangulation(n, tuple(tri[turn:] + tri[:turn] for tri in tris))
+    assert snc.simplicial_homology(t) == oracles.simplicial_homology(t)
+
+
+def test_forest_reduction_matches_full_boundaries_at_scale():
+    t = snc.refine_random(snc.klein_bottle(6), 6400, seed=2)
+    assert len(t.triangles) == 12_872
+    klein = ((1, 1, 0), snc.AbelianInvariants(free_rank=1, torsion=(2,)))
+    assert snc.simplicial_homology(t) == klein
+    assert oracles.simplicial_homology(t) == klein
+
+
+def test_simplicial_homology_calls_invariant_factors_once(monkeypatch):
+    calls = []
+    real = lattice.invariant_factors
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(lattice, "invariant_factors", counted)
+    for factory, expected, _ in SURFACES.values():
+        calls.clear()
+        assert snc.simplicial_homology(factory())[0] == expected
+        assert len(calls) == 1
+
+
+def test_simplicial_homology_sizes_nothing_by_the_declared_vertex_count():
+    """Unused vertices count as components, and none of them is stored."""
+    t = snc.Triangulation(10**12, snc.tetrahedron().triangles)
+    tracemalloc.start()
+    try:
+        h, ab = snc.simplicial_homology(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h == (10**12 - 3, 0, 1)
+    assert ab == snc.AbelianInvariants(free_rank=0, torsion=())
+    assert peak < 2**20
 
 
 def test_glue_report_crosschecks():
@@ -297,7 +359,7 @@ def _boundary_pairs(t):
     """(sparse rows, column count) of both simplicial boundaries and of
     both dual-complex boundaries of a triangulation."""
     d = snc.dual_complex(t)
-    s1, s2, s_edges = snc.simplicial_boundaries(t)
+    s1, s2, s_edges = oracles.simplicial_boundaries(t)
     b1, b2, edges = oracles.dual_boundaries(d)
     return [(s1, len(s_edges)), (s2, len(s_edges)),
             (b1, len(edges)), (b2, len(edges))]
