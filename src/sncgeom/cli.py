@@ -85,11 +85,16 @@ def cmd_surface(args):
 # the largest glue file accepted, checked after parsing and before any
 # construction: a vertex of degree d becomes a component with an
 # anticanonical cycle of length 3d, whose cold seed and polarization take
-# 0.18 s at d = 200 and 1.0 s at 400. The suspension of a 400-gon (two
-# vertices of degree 400) takes about 0.8 s, and a 20,000-triangle
-# refinement of the Klein bottle (largest degree 218) about 2.5 s and 75 MB
+# 0.04 s at d = 100, 0.19 s at 200, 0.46 s at 300 and 0.93 s at 400, about
+# 6e-6 d^2 s; one component is built per distinct degree, so the squares of
+# the distinct degrees are summed too. The suspension of a 400-gon (two
+# vertices of degree 400, sum 160,016) takes about 0.8 s, and a
+# 20,000-triangle refinement of the Klein bottle (largest degree 218, sum
+# 536,760) about 2.5 s and 75 MB. At the sum limit the costliest degrees,
+# 400, 399, 398, 349 and 4, build in about 2.8 s
 GLUE_MAX_TRIANGLES = 20_000
 GLUE_MAX_DEGREE = 400
+GLUE_MAX_DEGREE_SQUARES = 600_000
 
 
 def cmd_glue(args):
@@ -101,11 +106,15 @@ def cmd_glue(args):
     if len(tri.triangles) > GLUE_MAX_TRIANGLES:
         return _fail(f"a triangulation may have at most {GLUE_MAX_TRIANGLES} "
                      f"triangles, got {len(tri.triangles)}")
-    degree = max(Counter(v for t in tri.triangles for v in t).values(),
-                 default=0)
+    degrees = set(Counter(v for t in tri.triangles for v in t).values())
+    degree = max(degrees, default=0)
     if degree > GLUE_MAX_DEGREE:
         return _fail(f"a vertex may lie in at most {GLUE_MAX_DEGREE} "
                      f"triangles, got {degree}")
+    squares = sum(d * d for d in degrees)
+    if squares > GLUE_MAX_DEGREE_SQUARES:
+        return _fail(f"the squares of the distinct vertex degrees may sum to "
+                     f"at most {GLUE_MAX_DEGREE_SQUARES}, got {squares}")
     try:
         # glue_report validates first, through dual_complex
         report = snc.glue_report(tri)
@@ -286,8 +295,10 @@ def build_parser():
     gp = sub.add_parser("glue", help="normal-crossing gluing report")
     gp.add_argument("--triangulation", required=True,
                     help=f"triangulation JSON file, at most "
-                         f"{GLUE_MAX_TRIANGLES} triangles and at most "
-                         f"{GLUE_MAX_DEGREE} at any vertex")
+                         f"{GLUE_MAX_TRIANGLES} triangles, at most "
+                         f"{GLUE_MAX_DEGREE} at any vertex, and at most "
+                         f"{GLUE_MAX_DEGREE_SQUARES} summed over the "
+                         f"squares of the distinct vertex degrees")
     gp.set_defaults(func=cmd_glue)
 
     fp = sub.add_parser("fano", help="glued Fano section report")

@@ -22,9 +22,12 @@ total degree m, so no product up to degree m carries. A basis comes split
 the way `_product_rank` reads it: the single-term sections (monomials
 vanishing on S) of each side as bare ints, then the other sections as
 (left terms, right terms). At degree 1 each other section has one term a
-side, so `_product_rank` writes each product as a shift: a single-term
+side, so `_product_rank` reads each product as a shift: a single-term
 section times a one-term part on its side is a unit column, counted in
-per-side sumsets, and every other product is two +-1 terms, eliminated.
+per-side sumsets, and every other product is at most two +-1 terms off
+them, an edge of a signed graph on the columns. Its rank is the unit
+count plus the columns the edges touch minus their balanced components,
+read off one union-find with no elimination.
 """
 
 from __future__ import annotations
@@ -33,31 +36,20 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from . import lattice
-
 LC = "lc"
 CANONICAL = "canonical"
 TERMINAL = "terminal"
 
 
-def sym_split(a, r):
-    """P^1-degrees (with multiplicity) of the rank-side splitting of the
-    a-th symmetric power of O + O + O(r)."""
-    if a < 0:
-        raise ValueError("symmetric power degree must be nonnegative")
-    if r < 0:
-        raise ValueError("twist must be nonnegative")
-    out = {}
-    for k in range(a + 1):
-        out[k * r] = out.get(k * r, 0) + (a - k + 1)
-    return out
-
-
 def h0_P(r, a, b):
-    """dim H^0(P(r), O(a, b)); zero for a < 0."""
+    """dim H^0(P(r), O(a, b)); zero for a < 0. The a-th symmetric power of
+    O + O + O(r) splits as O(k r) with multiplicity a - k + 1, k = 0..a,
+    and each O(k r + b) on P^1 has max(0, k r + b + 1) sections."""
     if a < 0:
         return 0
-    return sum(mult * max(0, d + b + 1) for d, mult in sym_split(a, r).items())
+    if r < 0:
+        raise ValueError("twist must be nonnegative")
+    return sum([(a - k + 1) * max(0, k * r + b + 1) for k in range(a + 1)])
 
 
 @dataclass(frozen=True)
@@ -177,56 +169,100 @@ def _product_rank(first, second, bound):
     products left the glued section space.
 
     `first` must be a degree-1 basis, as every caller's is: each of its
-    other sections has at most one term a side, and `second` has no part of
-    several terms on a side where `first` has a single-term section (a
-    single). Other input raises ValueError. At degree 1, i + j = 1 and
-    al + be = 1, so the P^3 run of `glued_basis`, e0 from max(0, i - be)
-    to min(i, al), is one value, like the one P(s) column of ZRS: b1's
-    other sections are (head, right column). Parts of several terms are
-    ZR's right differences, and ZR has no right single, since no P^3
+    other sections has at most one term a side. Every coefficient must be
+    +-1, each other section of `second` have at most two terms when
+    `first` has any, and `second` no part of several terms on a side where
+    `first` has a single-term section (a single). Other input raises
+    ValueError. At degree 1, i + j = 1 and al + be = 1, so the P^3 run of
+    `glued_basis`, e0 from max(0, i - be) to min(i, al), is one value, like
+    the one P(s) column of ZRS: b1's other sections are (head, right
+    column), and those of every glued basis are (head, right column) or
+    ZR's right differences (-1, +1); ZR has no right single, since no P^3
     monomial vanishes on the quadric.
 
     Left terms multiply left terms and right terms right terms, one int add
     each; the width keeps fields from carrying and the tag keeps the sides
     apart, and across sides a product is zero. A single times a single or a
     one-term part on its side is a unit column: these are per-side sumsets
-    of packed ints, one rank each. A section (a, b) of `first` times g
-    shifts g's parts by a and by b onto distinct columns, so f * g is a
-    plain {column: coefficient} dict. The rank is the unit count plus the
-    rank of these vectors off the unit columns, exact because every unit
-    column lies in the span: the unit pivots of Dumas, Heckenbach, Saunders
-    and Welker (2003), read off the structure. On glued bases no column is
-    dropped, since a unit column is a single, k >= 1, times a column of its
-    side, while heads and the right columns of ZRS's other sections have
-    k = 0. Each vector is {a + h: 1, b + c: 1} for g = (h, c), or
-    {b + c1: -1, b + c2: 1} for a difference: an edge of a signed graph on
-    the columns (Zaslavsky, "Signed graphs", 1982)."""
+    of packed ints, one rank each, and every unit column lies in the span
+    (the unit pivots of Dumas, Heckenbach, Saunders and Welker, 2003, read
+    off the structure). Off them each other product is zero, one +-1 term
+    (a half-edge) or two on distinct columns, s_u e_u + s_v e_v: an edge
+    of a signed graph on the columns (Zaslavsky, "Signed graphs", 1982). A
+    component spans its columns unless it is balanced, with signs sigma
+    such that s_u sigma_u + s_v sigma_v = 0 on every edge, which leave one
+    direction out. So the rank is the unit count plus the columns touched
+    minus the balanced components, read off one union-find: each column
+    below a root keeps 2 * its parent + the parity of sigma against it; an
+    edge joining two trees hangs one root below the other, and one closing
+    an odd cycle, or a half-edge, marks its root unbalanced. A repeated
+    product costs two finds. On glued bases no column is dropped, since a
+    unit column is a single, k >= 1, times a column of its side, while
+    heads and the right columns of ZRS's other sections have k = 0."""
     *s1, o1 = first
     if any(len(part) > 1 for f in o1 for part in f):
         raise ValueError("product rank: the first basis has a part of "
                          "several terms")
     *s2, o2 = first if second is None else second
-    pairs = (combinations_with_replacement(o1, 2) if second is None
-             else product(o1, o2))
     units = set()
     for side in (0, 1):
         parts = [g[side] for g in o2]
         if s1[side] and any(len(part) > 1 for part in parts):
             raise ValueError("product rank: a single-term section meets a "
                              "part of several terms")
-        ends = [part[0][0] for part in parts if len(part) == 1]
-        units |= {a + b for a in s1[side] for b in s2[side] + ends}
-        units |= {a + f[side][0][0] for a in s2[side] for f in o1 if f[side]}
-    vectors = []
+        ends = s2[side] + [part[0][0] for part in parts if len(part) == 1]
+        heads = [f[side][0][0] for f in o1 if f[side]]
+        units |= {a + b for a in s1[side] for b in ends}
+        units |= {a + b for a in heads for b in s2[side]}
+    if o1 and any(len(left) + len(right) > 2 for left, right in o2):
+        raise ValueError("product rank: a section of the second basis has "
+                         "more than two terms")
+    if {c for o in (o1, o2) for f in o for part in f for _, c in part} - {
+            1, -1}:
+        raise ValueError("product rank: a coefficient is not +-1")
+    parent = {}  # a column below a root -> 2 * its parent + the parity
+    unbalanced = set()  # roots
+
+    def find(v):  # (root, parity of sigma_v against it), path halving
+        parity = 0
+        while v in parent:
+            x = parent[v]
+            p = x >> 1
+            if p not in parent:
+                return p, parity ^ x & 1
+            parent[v] = x = parent[p] ^ x & 1
+            parity ^= x & 1
+            v = x >> 1
+        return v, parity
+
+    pairs = (combinations_with_replacement(o1, 2) if second is None
+             else product(o1, o2))
     for (l1, r1), (l2, r2) in pairs:
-        vec = {}
+        root = None  # of the product's first term, until its second
         for f, g in ((l1, l2), (r1, r2)):
             for a, ca in f:
-                for b, c in g:
-                    if a + b not in units:
-                        vec[a + b] = ca * c
-        vectors.append(vec)
-    rank = len(units) + lattice.sparse_rank(vectors)
+                for b, cb in g:
+                    if a + b in units:
+                        continue
+                    # the term ca cb at w = a + b, with
+                    # ca cb sigma_w = (-1)^parity sigma_r
+                    r, parity = find(a + b)
+                    parity ^= ca != cb
+                    if root is None:
+                        root, first_parity = r, parity
+                        continue
+                    if r != root:  # hang r so that the two terms cancel
+                        parent[r] = root << 1 | first_parity ^ parity ^ 1
+                        if r in unbalanced:
+                            unbalanced.remove(r)
+                            unbalanced.add(root)
+                    elif first_parity == parity:  # an odd cycle
+                        unbalanced.add(root)
+                    root = None
+        if root is not None:  # a half-edge
+            unbalanced.add(root)
+    # columns touched - components = len(parent), one per hung root
+    rank = len(units) + len(parent) + len(unbalanced)
     if rank > bound:
         raise AssertionError("products leave the glued section space")
     return rank

@@ -11,7 +11,9 @@ dense rows to them. `echelon_mod_p` is the one elimination over F_p, read
 by `rank_mod_p` and the codimension estimator. `invariant_factors` pivots
 each row, shortest first, on its first ±1 entry in repeated sparse rounds
 and leaves a small core to the diagonal-only `smith_normal_form`; it is
-the one elimination `snc` calls, and `sparse_rank` serves only `fano`.
+the one elimination `snc` calls. `sparse_rank`'s one client in the package
+is `rank`: `fano` ranks its products as a signed graph, with no
+elimination.
 `det_int` is a dense Bareiss determinant. No floating point anywhere.
 """
 

@@ -53,7 +53,7 @@ shares as one frozen `ChainMember`, `chain_members` constructs one member
 per position.
 
 For the Fano section products, which the library ranks on packed integer
-columns as shifts of the degree-1 basis, `tuple_product_rank` is the
+columns as a signed graph, by one union-find, `tuple_product_rank` is the
 general route on (side, exponent tuple) columns it replaced, with
 `mul_monomial_dicts` its product and `sparse_fraction_rank`, a Fraction
 elimination of its own, its rank. The library writes its glued bases
@@ -82,7 +82,7 @@ forest of the 1-skeleton and ranks on the cotree columns of d2 alone,
 `simplicial_boundaries` builds both full boundaries over the sorted edges
 and `simplicial_homology` takes the invariant factors of each.
 
-Seven helpers left the library for here, since only tests read them:
+Eight helpers left the library for here, since only tests read them:
 
 - `parse_poly` reads `3*x1^2*t - x2` syntax into a `MultiPoly`; `test_poly`
   builds its polynomials with it (the `P` helper and the parse tests).
@@ -92,6 +92,9 @@ Seven helpers left the library for here, since only tests read them:
 - `subs` substitutes polynomials for some variables. It sets s or t to 1 in
   `test_poly::_two_variable_chart`, the chart oracle of
   `test_blowup_chart_verify_both_charts`.
+- `sym_split` is the splitting of the symmetric powers of O + O + O(r)
+  that `fano.h0_P` sums in one pass; `h1_P` reads it, and `test_fano`
+  checks it and the Riemann-Roch count on it.
 - `h1_P` is dim H^1 of O(a, b) on P(r). `test_fano` checks h0_P - h1_P
   against the Riemann-Roch count, and that H^1 vanishes on nef twists.
 - `mult_surjective` checks monomial by monomial that products of
@@ -115,7 +118,7 @@ from itertools import permutations, product
 from math import comb, lcm
 from operator import index
 
-from sncgeom.fano import h0_P, sym_split
+from sncgeom.fano import h0_P
 from sncgeom.lattice import (det_int, echelon_mod_p, invariant_factors,
                              sparse_rank)
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
@@ -1117,6 +1120,19 @@ def pr_basis(r, a, b):
             j = a - k - i
             for al in range(base + 1):
                 out.append((i, j, k, al, base - al))
+    return out
+
+
+def sym_split(a, r):
+    """P^1-degrees (with multiplicity) of the rank-side splitting of the
+    a-th symmetric power of O + O + O(r)."""
+    if a < 0:
+        raise ValueError("symmetric power degree must be nonnegative")
+    if r < 0:
+        raise ValueError("twist must be nonnegative")
+    out = {}
+    for k in range(a + 1):
+        out[k * r] = out.get(k * r, 0) + (a - k + 1)
     return out
 
 

@@ -125,10 +125,15 @@ def test_glue_rejects_unreadable_path(tmp_path, capsys, path):
     assert err.startswith("bad triangulation: ") and len(err.splitlines()) == 1
 
 
-def _suspension(n):
-    """The suspension of an n-gon: two apexes of degree n, 2n triangles."""
-    return snc.Triangulation(n + 2, tuple(
-        (i, (i + 1) % n, apex) for apex in (n, n + 1) for i in range(n)))
+def _suspension(*ns):
+    """The suspensions of an n-gon for each n, disjoint: each has two
+    apexes of degree n, n vertices of degree 4 and 2n triangles."""
+    triangles, base = [], 0
+    for n in ns:
+        triangles += [(base + i, base + (i + 1) % n, base + apex)
+                      for apex in (n, n + 1) for i in range(n)]
+        base += n + 2
+    return snc.Triangulation(base, tuple(triangles))
 
 
 @pytest.mark.parametrize("t, message", [
@@ -141,7 +146,12 @@ def _suspension(n):
     (_suspension(cli.GLUE_MAX_DEGREE + 1),
      f"at most {cli.GLUE_MAX_DEGREE} triangles, got "
      f"{cli.GLUE_MAX_DEGREE + 1}"),
-], ids=["triangles", "degree"])
+    # distinct degrees 4, 382, 384, 386 and 397, whose squares sum to
+    # 600,001: four components of cycle length near 1,200
+    (_suspension(397, 386, 384, 382),
+     f"at most {cli.GLUE_MAX_DEGREE_SQUARES}, got "
+     f"{cli.GLUE_MAX_DEGREE_SQUARES + 1}"),
+], ids=["triangles", "degree", "squares"])
 def test_glue_file_one_above_each_limit_fails_in_one_line(
         tmp_path, capsys, monkeypatch, t, message):
     def refuse(t):
@@ -162,7 +172,10 @@ def test_glue_file_one_above_each_limit_fails_in_one_line(
         for k in range(cli.GLUE_MAX_TRIANGLES // 4)
         for tri in snc.tetrahedron().triangles)),
     _suspension(cli.GLUE_MAX_DEGREE),
-], ids=["triangles", "degree"])
+    # distinct degrees 3, 4, 381, 383, 390 and 395, whose squares sum to
+    # 600,000
+    _suspension(3, 395, 390, 383, 381),
+], ids=["triangles", "degree", "squares"])
 def test_glue_file_at_each_limit_reaches_the_report(
         tmp_path, capsys, monkeypatch, t):
     def stop(t):
@@ -180,6 +193,8 @@ def test_glue_help_states_its_limits(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"at most {cli.GLUE_MAX_TRIANGLES} triangles" in help_text
     assert f"at most {cli.GLUE_MAX_DEGREE} at any vertex" in help_text
+    assert (f"at most {cli.GLUE_MAX_DEGREE_SQUARES} summed over the squares "
+            f"of the distinct vertex degrees") in help_text
 
 
 @pytest.mark.parametrize("argv", [

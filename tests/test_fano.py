@@ -9,9 +9,9 @@ from sncgeom import fano, lattice
 
 
 def test_sym_split():
-    assert fano.sym_split(1, 2) == {0: 2, 2: 1}
-    assert fano.sym_split(2, 1) == {0: 3, 1: 2, 2: 1}
-    assert sum(fano.sym_split(3, 5).values()) == 4 + 3 + 2 + 1
+    assert oracles.sym_split(1, 2) == {0: 2, 2: 1}
+    assert oracles.sym_split(2, 1) == {0: 3, 1: 2, 2: 1}
+    assert sum(oracles.sym_split(3, 5).values()) == 4 + 3 + 2 + 1
 
 
 def test_h0_P_matches_basis_size():
@@ -19,6 +19,8 @@ def test_h0_P_matches_basis_size():
         for a in range(-1, 4):
             for b in range(-2, 4):
                 assert fano.h0_P(r, a, b) == len(oracles.pr_basis(r, a, b))
+    with pytest.raises(ValueError, match="twist must be nonnegative"):
+        fano.h0_P(-1, 2, 2)
 
 
 def test_packed_columns_unpack_to_the_tuple_enumeration():
@@ -44,7 +46,7 @@ def test_euler_characteristic_on_p1_factor():
         for a in range(3):
             for b in range(-6, 4):
                 chi = sum(mult * (d + b + 1)
-                          for d, mult in fano.sym_split(a, r).items())
+                          for d, mult in oracles.sym_split(a, r).items())
                 assert fano.h0_P(r, a, b) - oracles.h1_P(r, a, b) == chi
 
 
@@ -475,37 +477,118 @@ def test_product_rank_counts_a_repeated_product_once():
     assert oracles.tuple_product_rank([(s1, s1), (s1, s2), (s1, s1)], 2) == 2
 
 
+# one section with a term a side on the exponent 0: its products with
+# right-only sections are those sections, so each is an edge of the
+# signed graph that `fano._product_rank` ranks
+ONE = ({(0, 0): 1}, {(0, 0): 1})
+
+
+def cycle(signs):
+    """Right-only sections {m_i: 1, m_(i+1): s_i} around a cycle of
+    len(signs) monomials: e_u + e_v for s_i = 1, e_u - e_v for -1."""
+    n = len(signs)
+    monos = [(i, n - i) for i in range(n)]
+    return [({}, {monos[i]: 1, monos[(i + 1) % n]: s})
+            for i, s in enumerate(signs)]
+
+
+def signed_rank(second):
+    pairs = [(ONE, g) for g in second]
+    rank = packed_rank([ONE], second, len(pairs))
+    assert rank == oracles.tuple_product_rank(pairs, len(pairs))
+    return rank
+
+
+@pytest.mark.parametrize("signs, rank", [
+    # e_u + e_v edges: balanced exactly when the cycle is even
+    ((1, 1, 1, 1), 3),
+    ((1,) * 6, 5),
+    ((1, 1, 1), 3),
+    ((1,) * 5, 5),
+    # balance counts the e_u + e_v edges, not the length
+    ((-1, -1, -1), 2),
+    ((1, 1, -1), 2),
+    ((1, -1, -1, -1), 4),
+])
+def test_product_rank_of_a_signed_cycle(signs, rank):
+    # a balanced cycle on n columns leaves one direction out, rank n - 1;
+    # an unbalanced one spans its columns, rank n
+    assert signed_rank(cycle(signs)) == rank
+
+
+def test_product_rank_counts_a_half_edge_once():
+    # f * (Y, m_0) is a half-edge at Y + m_0: its left term X + Y is the
+    # unit column X * Y; hung on a balanced path of differences it adds 1,
+    # and a second half-edge on the same component adds nothing
+    f = ({X: 1}, {Y: 1})
+    monos = [(0, 0, i, 0) for i in range(4)]
+    path = [({}, {a: -1, b: 1}) for a, b in zip(monos, monos[1:])]
+    first, unit = [({X: 1}, {}), f], ({Y: 1}, {})
+    for second, rank in (([unit] + path, 1 + 3),
+                         ([unit, ({Y: 1}, {monos[0]: 1})] + path, 1 + 4),
+                         ([unit, ({Y: 1}, {monos[0]: 1}),
+                           ({Y: 1}, {monos[3]: -1})] + path, 1 + 4)):
+        pairs = [(s1, s2) for s1 in first for s2 in second]
+        assert packed_rank(first, second, len(pairs)) == rank
+        assert oracles.tuple_product_rank(pairs, len(pairs)) == rank
+
+
+def test_product_rank_counts_a_repeated_edge_once():
+    # a repeated edge closes an even cycle of length 2: balanced, so it adds
+    # nothing, on a balanced and on an unbalanced component
+    for signs, rank in (((1, 1, 1, 1), 3), ((1, 1, 1), 3)):
+        edges = cycle(signs)
+        assert signed_rank(edges + edges[:2]) == rank
+        assert signed_rank(edges[:2] + edges[:2]) == 2
+
+
+def test_product_rank_calls_no_elimination(monkeypatch):
+    """The products are ranked as a signed graph, by union-find alone."""
+    def refuse(vectors):
+        raise AssertionError("elimination called")
+
+    monkeypatch.setattr(lattice, "sparse_rank", refuse)
+    monkeypatch.setattr(lattice, "_echelon", refuse)
+    for z in (fano.ZR(0), fano.ZR(3, swap=True), fano.ZRS(1, 2)):
+        d = fano.glued_h0(z, 1) - 2
+        assert fano.degree_one_generation(z, 4)
+        assert fano.quadric_kernel_dim(z) == d * (d - 3) // 2
+
+
 # exponents near 0, across 2^8 and across 2^12, so that sums cross field
 # widths a fixed packing would pick
 EXPONENT = st.one_of(st.integers(0, 3), st.integers(250, 260),
                      st.integers(4090, 4100))
-COEFFICIENT = st.sampled_from([-3, -2, -1, 1, 2, 3])
+SIGN = st.sampled_from([-1, 1])
 
 
 @st.composite
 def product_bases(draw):
     """Bases in the contract of `fano._product_rank`: a list of 1-5 glued
     sections with at most one term a side, and either None (the unordered
-    pairs of the list) or a list of 1-5 sections with at most two terms a
-    side, one on a side where the first list has a single-term section.
-    Each side draws its terms from one small pool of 4- or 5-tuple
-    exponents, so that products meet."""
+    pairs of the list) or a list of 1-5 sections of at most two terms, one
+    on a side where the first list has a single-term section; every
+    coefficient +-1. Each side draws its terms from one small pool of 4- or
+    5-tuple exponents, so that products meet."""
     pools = []
     for _ in range(2):
         n = draw(st.sampled_from([4, 5]))
         pools.append(draw(st.lists(st.tuples(*[EXPONENT] * n), min_size=1,
                                    max_size=4)))
 
-    def sections(sizes):
-        return st.lists(st.tuples(*[
-            st.dictionaries(st.sampled_from(pool), COEFFICIENT,
-                            max_size=size)
-            for pool, size in zip(pools, sizes)]), min_size=1, max_size=5)
+    @st.composite
+    def section(draw, sizes):
+        left = draw(st.dictionaries(st.sampled_from(pools[0]), SIGN,
+                                    max_size=sizes[0]))
+        right = draw(st.dictionaries(st.sampled_from(pools[1]), SIGN,
+                                     max_size=min(sizes[1], 2 - len(left))))
+        return left, right
 
-    first = draw(sections((1, 1)))
+    first = draw(st.lists(section((1, 1)), min_size=1, max_size=5))
     singles = {0 if left else 1 for left, right in first
                if len(left) + len(right) == 1}
-    second = sections([1 if side in singles else 2 for side in (0, 1)])
+    second = st.lists(section([1 if side in singles else 2
+                               for side in (0, 1)]), min_size=1, max_size=5)
     return first, draw(st.none() | second)
 
 
@@ -520,11 +603,12 @@ X, Y = (1, 0, 0, 0), (0, 1, 0, 0)
 @example(([({X: 1}, {}), ({Y: 1}, {}), ({}, {X: 1})], None))
 # the unit column XY also lies in (X, Y) * (Y, X)
 @example(([({X: 1}, {}), ({X: 1}, {Y: 1})], [({Y: 1}, {}), ({Y: 1}, {X: 1})]))
-# single-term sections with coefficients other than 1
+# single-term sections with coefficients other than 1, which the packing
+# drops, and a product with a -1 term
 @example(([({X: 2}, {}), ({}, {Y: -3})],
-          [({Y: -2}, {}), ({}, {X: 3}), ({X: 3}, {Y: 2})]))
+          [({Y: -2}, {}), ({}, {X: 3}), ({X: 1}, {Y: -1})]))
 # a one-term section times a part of two terms on the side with no single
-@example(([({X: 1}, {}), ({X: 1}, {Y: 1})], [({}, {X: 2, Y: 3})]))
+@example(([({X: 1}, {}), ({X: 1}, {Y: 1})], [({}, {X: 1, Y: -1})]))
 def test_product_rank_matches_tuple_route(bases):
     first, second = bases
     if second is None:
@@ -537,6 +621,9 @@ def test_product_rank_matches_tuple_route(bases):
 
 MEETS = "a single-term section meets a part of several terms"
 FIRST = "the first basis has a part of several terms"
+TERMS = "a section of the second basis has more than two terms"
+SIGNS = "a coefficient is not [+]-1"
+Z, W = (0, 0, 1, 0), (0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("first, second, message", [
@@ -552,12 +639,25 @@ FIRST = "the first basis has a part of several terms"
     ([({X: 1, Y: -1}, {}), ({}, {X: 2, Y: 3})], None, FIRST),
     ([({X: 1}, {X: 1, Y: 1})], [({}, {X: 1})], FIRST),
     ([({}, {X: 1, Y: -1})], [({}, {X: 1, Y: 1})], FIRST),
+    # coefficients other than +-1 in a section of several terms, of the
+    # second basis and of the first; products then leave the signed graph
+    ([({X: 2}, {}), ({}, {Y: -3})],
+     [({Y: -2}, {}), ({}, {X: 3}), ({X: 3}, {Y: 2})], SIGNS),
+    ([({X: 1}, {}), ({X: 1}, {Y: 1})], [({}, {X: 2, Y: 3})], SIGNS),
+    ([({X: -2}, {Y: 1}), ({Y: 1}, {X: 1})], None, SIGNS),
+    # sections of the second basis with three and four terms, whose
+    # products with (X, Y) have as many
+    ([({X: 1}, {Y: 1})], [({X: 1, Y: 1}, {Z: 1})], TERMS),
+    ([({X: 1}, {Y: 1})], [({X: 1, Y: -1}, {Z: 1, W: -1})], TERMS),
+    ([({X: 1}, {Y: 1})], [({}, {X: 1, Y: 1, Z: -1})], TERMS),
 ])
 def test_product_rank_rejects_input_outside_its_contract(first, second,
                                                          message):
     # the contract every caller meets with b1 first: at most one term a
-    # side in the first basis, and no single-term section of the first
-    # basis on a side where the second has a part of several terms
+    # side in the first basis, no single-term section of the first basis
+    # on a side where the second has a part of several terms, at most two
+    # terms in each section of the second basis that is not single-term,
+    # and +-1 coefficients in every such section
     with pytest.raises(ValueError, match=message):
         packed_rank(first, second, 10)
 
