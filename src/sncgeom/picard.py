@@ -9,13 +9,14 @@ is made. A basis index meets at most three cycle curves on a blow-up
 schedule, so blow-ups, validation, the seed's degree conditions and the
 polarization cost O(nonzeros); `cycle_surface` and `standard_schedule`
 each blow up one list of supports, and `corner_surface` writes its
-supports down in closed form. The degree-one
-polarization is one integer solve on the cycle's cyclic tridiagonal Gram
-matrix, O(m) operations: its diagonal minors from a rolled transfer
-product, adj(G) by shooting two unknowns around the cycle, and a closed
-form where G is singular (every C^2 = -2). Rational vectors are integer
-numerators over a positive denominator, in `lattice`'s form and reduced
-by its `lowest_terms`; Fractions are built only for the returned class.
+supports down in closed form. The degree-one polarization is one
+integer solve on the cycle's cyclic tridiagonal Gram matrix G, O(m)
+operations: its diagonal minors from a rolled transfer product, adj(G) 1
+by shooting two unknowns around the cycle, and where every C^2 = -2 the
+closed form seed / delta - ((m^2 - 1) / 12) K, delta the seed's one
+degree. Rational vectors are integer numerators over a positive
+denominator, in `lattice`'s form and reduced by its `lowest_terms`;
+Fractions are built only for the returned class.
 """
 
 from __future__ import annotations
@@ -252,36 +253,30 @@ def _diagonal_minors(sq):
     return minors
 
 
-def _cyclic_adjugate(sq, rhs):
-    """(det G, [adj(G) b for b in rhs]) for G the Gram matrix of a
-    validated cycle: diagonal sq, 1 between neighbours (a 2-cycle's two
-    meetings give its 2). Rows 1..m-2 of G x = b shoot each x_i as
-    p_i + x_0 q_i + x_1 r_i; rows 0 and m-1 close in a 2x2 system N in
-    (x_0, x_1), solved by Cramer's rule in integers. The shooting rows
-    have unit pivots, so det G = (-1)^m det N and adj(G) b = det G x."""
-    m = len(sq)
-    q, r, ps = [1, 0], [0, 1], [[0, 0] for _ in rhs]
-    for i in range(1, m - 1):
+def _cyclic_adjugate(sq):
+    """(det G, adj(G) 1) for G the Gram matrix of a validated cycle:
+    diagonal sq, 1 between neighbours (a 2-cycle's two meetings give its
+    2). Rows 1..m-2 of G x = 1 shoot each x_i as p_i + x_0 q_i + x_1 r_i;
+    rows 0 and m-1 close in a 2x2 system N in (x_0, x_1), solved by
+    Cramer's rule in integers. The shooting rows have unit pivots, so
+    det G = (-1)^m det N and adj(G) 1 = det G x."""
+    p, q, r = [0, 0], [1, 0], [0, 1]
+    for i in range(1, len(sq) - 1):
         d = sq[i]
+        p.append(1 - d * p[i] - p[i - 1])
         q.append(-d * q[i] - q[i - 1])
         r.append(-d * r[i] - r[i - 1])
-        for p, b in zip(ps, rhs):
-            p.append(b[i] - d * p[i] - p[i - 1])
 
     def close(v):  # rows 0 and m - 1 of G v
         return (v[-1] + sq[0] * v[0] + v[1],
                 v[-2] + sq[-1] * v[-1] + v[0])
 
-    (n00, n10), (n01, n11) = close(q), close(r)
-    det_n, sign = n00 * n11 - n01 * n10, (-1) ** m
-    out = []
-    for p, b in zip(ps, rhs):
-        g0, g1 = close(p)
-        f0, f1 = b[0] - g0, b[-1] - g1
-        x0, x1 = f0 * n11 - n01 * f1, n00 * f1 - n10 * f0  # times det N
-        out.append([sign * (pi * det_n + qi * x0 + ri * x1)
-                    for pi, qi, ri in zip(p, q, r)])
-    return sign * det_n, out
+    (n00, n10), (n01, n11), (g0, g1) = close(q), close(r), close(p)
+    det_n, sign = n00 * n11 - n01 * n10, (-1) ** len(sq)
+    f0, f1 = 1 - g0, 1 - g1
+    x0, x1 = f0 * n11 - n01 * f1, n00 * f1 - n10 * f0  # times det N
+    return sign * det_n, [sign * (pi * det_n + qi * x0 + ri * x1)
+                          for pi, qi, ri in zip(p, q, r)]
 
 
 def _positive_direction(vectors, target):
@@ -327,8 +322,9 @@ def _positive_direction(vectors, target):
 
 
 def uniform_degree_seed(s):
-    """An integral class with degree 1 on every cycle curve and positive
-    self-intersection; the default ample seed for the polarization solve.
+    """A class of degree 1 on every cycle curve and positive square,
+    scaled to coprime integers: so one positive degree delta on every
+    cycle curve. The seed every caller of the polarization solve passes.
 
     The solver's particular solution sol is corrected, if needed, inside
     the subspace of degree-0 classes by t x, where x has positive square or
@@ -362,25 +358,26 @@ def uniform_degree_seed(s):
 
 
 def degree_one_polarization(s, seed_ample):
-    """Rational class H with (H.C_j) = 1 for every j.
+    """Rational class H with (H.C_j) = 1 for every j, from a seed of one
+    positive degree delta on every C_j (ValueError for unequal degrees).
 
     Per cycle position j, correcting the seed by A^(j) / theta_j inside the
     negative-definite span of the other curves leaves a class that meets
     only C_j, with degree D_j / theta_j; H is the average of these with
-    weights theta_j / D_j. With G the cycle's Gram matrix and d the seed's
-    degrees, theta_j = adj(G)_jj (the path's continuant) and
-    G A^(j) = D_j e_j - theta_j d, so D = adj(G) d. Summed with the
-    weights, H = lambda seed + sum c_i C_i with lambda = sum_j theta_j / D_j
-    and G c = 1 - lambda d, all in integer numerators over lcm(D_j). Once
-    every C^2 <= -2, each path's negated Gram matrix is a nonsingular
+    weights theta_j / D_j. With G the cycle's Gram matrix, theta_j =
+    adj(G)_jj (the path's continuant) and G A^(j) = D_j e_j - delta
+    theta_j 1, so D = delta a with a = adj(G) 1. Summed with the weights,
+    H = (mu / delta) seed + (1 - mu) sum (a_i / det G) C_i with
+    mu = sum_j theta_j / a_j, all in integer numerators over delta lcm(a).
+    Once every C^2 <= -2, each path's negated Gram matrix is a nonsingular
     M-matrix (Berman-Plemmons, ch. 6): every path is negative definite and
     every D_j / theta_j > 0, so no position needs a check of its own.
 
     G is singular exactly when every C^2 = -2 (it is irreducibly
     diagonally dominant otherwise; Taussky 1949): the affine A_{m-1}
-    Cartan matrix, adj(G) = (-1)^(m-1) m 11^T. Then lambda = m / sum d, and
-    summing the path inverses min(p, q)(m - max(p, q)) / m over j gives
-    c_i = sum_t f(t) d_{i+t} / sum d with 6 f(t) = m^2 - 1 - 3t(m - t).
+    Cartan matrix, adj(G) = (-1)^(m-1) m 11^T, so mu = 1, and summing the
+    path inverses min(p, q)(m - max(p, q)) / m over j gives every
+    coefficient (m^2 - 1) / 12: H = seed / delta - ((m^2 - 1) / 12) K.
     """
     m, sup, sq = s.length, s.supports, s.self_intersections()
     if any(c2 > -2 for c2 in sq):
@@ -388,21 +385,22 @@ def degree_one_polarization(s, seed_ample):
             "all cycle self-intersections must be <= -2")
     if len(seed_ample) != s.dim:
         raise ValueError("classes live on different surfaces")
-    degs = [_degree(seed_ample, c) for c in sup]
-    if any(d <= 0 for d in degs) or dot(seed_ample, seed_ample) <= 0:
+    delta, *others = {_degree(seed_ample, c) for c in sup}
+    if others:
+        raise ValueError("seed must have one degree on every C_j")
+    if delta <= 0 or dot(seed_ample, seed_ample) <= 0:
         raise NoAmpleSeed("seed must have positive degree on every C_j "
                           "and positive self-intersection")
     # numerators over den of the weight of the seed and of each C_i
     if all(c2 == -2 for c2 in sq):
-        den, weight = 6 * sum(degs), 6 * m
-        coef = [sum([(m * m - 1 - 3 * t * (m - t)) * degs[(i + t) % m]
-                     for t in range(m)]) for i in range(m)]
+        den, weight, coef = 12 * delta, 12, [(m * m - 1) * delta] * m
     else:
-        det, (adj_d, adj_1) = _cyclic_adjugate(sq, [degs, [1] * m])
-        den = lcm(*adj_d)
-        weight = sum([tn * (den // d)
-                      for tn, d in zip(_diagonal_minors(sq), adj_d)])
-        coef = [(den * e - weight * d) // det for e, d in zip(adj_1, adj_d)]
+        det, adj_1 = _cyclic_adjugate(sq)
+        den = lcm(*adj_1)
+        weight = sum([tn * (den // a)
+                      for tn, a in zip(_diagonal_minors(sq), adj_1)])
+        coef = [delta * a * (den - weight) // det for a in adj_1]
+        den *= delta
     num = [weight * x for x in seed_ample]
     for ci, c in zip(coef, sup):
         for t, x in c.items():

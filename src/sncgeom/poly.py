@@ -417,37 +417,33 @@ def _one(m):
     return MultiPoly._wrap(m.entries[0][0].ring, {0: 1})
 
 
-def _minor(rows, cols, one, sign=1, below=None):
+def _minor(rows, cols, one, sign=1):
     """`sign` times the minor of the row lists `rows` on the column indices
     `cols`, expanded along its first row down to the entries (the 1x1
-    minors) and `one` (the 0x0 minor). `below`, when given, holds the first
-    row's cofactors, signed and already built."""
+    minors) and `one` (the 0x0 minor)."""
     if len(cols) < 2:
         e = rows[0][cols[0]] if cols else one
         return -e if sign < 0 else e
-    row = rows[0]
-    if below is None:
-        rest = rows[1:]
-        triples = [(-sign if s % 2 else sign, row[j],
-                    _minor(rest, cols[:s] + cols[s + 1:], one))
-                   for s, j in enumerate(cols) if row[j]._terms]
-    else:
-        triples = [(sign, row[j], c) for j, c in zip(cols, below)
-                   if row[j]._terms]
-    return _sum_of_products(one.ring, triples)
+    row, rest = rows[0], rows[1:]
+    return _sum_of_products(one.ring, [
+        (-sign if s % 2 else sign, row[j],
+         _minor(rest, cols[:s] + cols[s + 1:], one))
+        for s, j in enumerate(cols) if row[j]._terms])
 
 
 def _det_adj(m):
     """(det(M), adjugate(M)) of a square PolyMatrix by cofactor expansion,
     with nothing memoized: the adjugate's (j, i) entry is the signed minor
     without row i and column j, and the determinant is row 0 times its
-    cofactors, already built as the adjugate's column 0."""
+    cofactors, already built as the adjugate's column 0 (a 1x1 M is its
+    own determinant)."""
     one, entries = _one(m), m.entries
     idx = tuple(range(m.rows))
     rows = [entries[:i] + entries[i + 1:] for i in idx]
     adj = [[_minor(rows[i], idx[:j] + idx[j + 1:], one,
                    -1 if (i + j) % 2 else 1) for i in idx] for j in idx]
-    det = _minor(entries, idx, one, below=[col[0] for col in adj])
+    det = entries[0][0] if m.rows == 1 else _sum_of_products(one.ring, [
+        (1, e, a[0]) for e, a in zip(entries[0], adj) if e._terms])
     return det, PolyMatrix._wrap(adj, m.rows)
 
 

@@ -234,7 +234,39 @@ def test_polarization_matches_dense_oracle_on_a_two_cycle():
     # removing one curve leaves a single curve that meets the other at
     # both path ends
     assert TWO_CYCLE.validate()
-    _assert_matches_oracle(TWO_CYCLE, (10, -1, -1, -1, -1) + (-2,) * 6)
+    _assert_matches_oracle(TWO_CYCLE, picard.uniform_degree_seed(TWO_CYCLE))
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda m=m: picard.cycle_surface(m) for m in range(8, 41)],
+    lambda: TWO_CYCLE],
+    ids=[*[f"cycle_surface_{m}" for m in range(8, 41)], "two_cycle"])
+def test_cyclic_adjugate_matches_dense_routes(build):
+    """det G against the dense Bareiss determinant, and adj(G) 1 against
+    det G times the dense Fraction solve of G x = 1."""
+    s = build()
+    gram = [[picard.dot(a, b) for b in s.cycle] for a in s.cycle]
+    det, adj_1 = picard._cyclic_adjugate(s.self_intersections())
+    assert det == lattice.det_int(gram) != 0
+    assert adj_1 == [det * x for x in oracles.solve(gram, [1] * s.length)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: picard.cycle_surface(8), picard.standard_schedule,
+    lambda: TWO_CYCLE], ids=["cycle_surface_8", "standard", "two_cycle"])
+def test_polarization_refuses_a_seed_of_unequal_degrees(build):
+    """A seed of positive square and positive, unequal degrees is refused
+    before the seed gate, on a nonsingular and a singular Gram matrix."""
+    s = build()
+    seed = picard.uniform_degree_seed(s)
+    n = 1 - min(s.self_intersections())  # n delta + (C_0.C_j) > 0
+    uneven = tuple([n * x + y for x, y in zip(seed, s.cycle[0])])
+    degrees = {picard.dot(uneven, c) for c in s.cycle}
+    assert len(degrees) > 1 and min(degrees) > 0
+    assert picard.dot(uneven, uneven) > 0
+    with pytest.raises(ValueError, match="one degree on every C_j") as info:
+        picard.degree_one_polarization(s, uneven)
+    assert type(info.value) is ValueError
 
 
 def _random_surface(rng, steps):
@@ -448,6 +480,20 @@ def test_uniform_degree_seed_matches_dense_oracle_on_random_schedules(
     assert _seed_or_error(s) == _oracle_seed(s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 14), st.booleans())
+def test_uniform_degree_seed_has_one_positive_degree(seed, steps, lower):
+    """Whenever a seed exists, it has one positive degree on every cycle
+    curve, the only seed the polarization solve takes."""
+    s = _random_surface(random.Random(seed), steps)
+    if lower:
+        s = _lowered(s)
+    ample = _seed_or_error(s)
+    assume(ample is not picard.NoAmpleSeed)
+    (delta,) = {picard.dot(ample, c) for c in s.cycle}
+    assert delta > 0
+
+
 def _outcome(route, *args):
     """The returned value, or the class and message of the exception
     raised."""
@@ -524,17 +570,16 @@ AFFINE_TWO_CYCLE = picard.CycleSurface(
     ids=["cycle_surface_6", "cycle_surface_7", "standard", "two_cycle"])
 def test_closed_form_matches_sweep_routes_when_every_curve_is_minus_two(
         build):
-    """G is singular here, and the closed form replaces the solve: the
-    uniform seed and perturbed seeds give the sweeps' class."""
+    """G is singular here, and the closed form replaces the solve: every
+    multiple k seed of the uniform seed gives the sweeps' class, the same
+    H for every k."""
     s = build()
     assert s.validate() and set(s.self_intersections()) == {-2}
     ample = picard.uniform_degree_seed(s)
-    rng, solved = random.Random(s.length), 0
-    for trial in [ample] + [tuple([3 * x + rng.randint(-1, 1) for x in ample])
-                            for _ in range(8)]:
-        found = _assert_matches_sweep_routes(s, trial)
-        solved += isinstance(found[0], Fraction)
-    assert solved > 4  # most perturbed seeds pass the seed gate
+    found = {_assert_matches_sweep_routes(s, tuple([k * x for x in ample]))
+             for k in range(1, 9)}
+    (h,) = found
+    assert isinstance(h[0], Fraction)
 
 
 @pytest.mark.parametrize("m", [60, 120, 240])

@@ -198,9 +198,9 @@ def test_degree_guard_fires_through_glue(monkeypatch):
     monkeypatch.delitem(snc._FACTORY_CACHE, 9, raising=False)
     good = picard._cyclic_adjugate
 
-    def off_by_one(sq, rhs):
-        det, (adj_d, adj_1) = good(sq, rhs)
-        return det, (adj_d, [adj_1[0] + det] + adj_1[1:])
+    def off_by_one(sq):
+        det, adj_1 = good(sq)
+        return det, [adj_1[0] + det] + adj_1[1:]
 
     monkeypatch.setattr(picard, "_cyclic_adjugate", off_by_one)
     with pytest.raises(picard.InvariantError, match="degree is not 1"):
