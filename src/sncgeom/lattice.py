@@ -8,12 +8,13 @@ entries; sparse vectors are {column: int} dicts. A rational vector is
 `sparse_solve_and_kernel` read its pivot rows, the latter through one
 back-substitution reader, and `rank`, `solve` and `kernel_basis` adapt
 dense rows to them. `echelon_mod_p` is the one elimination over F_p, read
-by `rank_mod_p` and the codimension estimator. `invariant_factors` pivots
-each row, shortest first, on its first ±1 entry in repeated sparse rounds
-and leaves a small core to the diagonal-only `smith_normal_form`; it is
-the one elimination `snc` calls. `sparse_rank`'s one client in the package
-is `rank`: `fano` ranks its products as a signed graph, with no
-elimination.
+by `rank_mod_p` and the codimension estimator. `invariant_factors` is the
+one Smith elimination: it pivots each row, shortest first, on its first
+±1 entry in repeated sparse rounds and finishes the small core left
+without units by least-|x| pivots; it is the one elimination `snc` calls,
+and `smith_normal_form` pads its invariants with zeros. `sparse_rank`'s
+one client in the package is `rank`: `fano` ranks its products as a
+signed graph, with no elimination.
 `det_int` is a dense Bareiss determinant. No floating point anywhere.
 """
 
@@ -178,63 +179,6 @@ def det_int(rows):
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(rows):
-    """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix,
-    min(rows, cols) entries with the zeros last, by elementary row and
-    column reduction.
-
-    Pivot choice: minimal nonzero absolute value, tie-break by (row, col).
-    """
-    a = [list(map(int, row)) for row in rows]
-    n = len(a)
-    m = len(a[0]) if n else 0
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-    def pick(t):  # minimal |x| in the submatrix from (t, t), moved to (t, t)
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is not None:
-            i, j = best
-            a[t], a[i] = a[i], a[t]
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-        return best is not None
-
-    # Each round reduces row and column t once by the pivot. A nonzero
-    # remainder is smaller than the pivot and becomes the next pivot, so
-    # |a[t][t]| falls strictly until it divides its row, its column and
-    # (after adding a row it fails to divide to row t) the whole submatrix.
-    t = 0
-    while t < min(n, m) and pick(t):
-        while True:
-            p = a[t][t]
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // p)
-            for j in range(t + 1, m):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    for row in a:  # column j -= q * column t
-                        row[j] -= q * row[t]
-            if (any(a[i][t] for i in range(t + 1, n))
-                    or any(a[t][j] for j in range(t + 1, m))):
-                pick(t)
-                continue
-            bad = next((i for i in range(t + 1, n)
-                        if any(x % p for x in a[i][t + 1:])), None)
-            if bad is None:
-                break
-            row_op(t, bad, -1)  # row t += row bad
-        t += 1
-    return [abs(a[i][i]) for i in range(min(n, m))]
-
-
 def invariant_factors(vectors):
     """Nonzero Smith invariants d1 | d2 | ... of sparse integer rows,
     {column: int} dicts.
@@ -246,10 +190,9 @@ def invariant_factors(vectors):
     again, until a round pivots nothing. The Smith invariants do not depend
     on the pivot order. Each column keeps an append-only list of the rows
     that ever held it; a row no longer holding the column is skipped. The
-    core without units left over is diagonalized by the dense
-    `smith_normal_form` (Dumas, Heckenbach, Saunders and Welker, "Computing
-    simplicial homology based on efficient Smith normal form algorithms",
-    2003).
+    core without units left over goes to `_core_invariants` (Dumas,
+    Heckenbach, Saunders and Welker, "Computing simplicial homology based
+    on efficient Smith normal form algorithms", 2003).
     """
     rows = [row for row in ({c: x for c, x in vec.items() if x}
                             for vec in vectors) if row]
@@ -287,9 +230,62 @@ def invariant_factors(vectors):
                         del other[k]
             units += 1
         todo = left if len(left) < len(todo) else ()
-    core_cols = list(dict.fromkeys(c for row in rows for c in row))
-    core = [[row.get(c, 0) for c in core_cols] for row in rows if row]
-    return [1] * units + [d for d in smith_normal_form(core) if d]
+    return [1] * units + _core_invariants([row for row in rows if row])
+
+
+def _core_invariants(rows):
+    """Nonzero Smith invariants d1 | d2 | ... of sparse integer rows,
+    {column: int} dicts, which it reduces in place.
+
+    Each pass pivots on an entry p of least absolute value in all of the
+    rows and clears its column by floor-quotient row operations; once the
+    column is clear, clearing the pivot row by column operations touches
+    that row alone. A nonzero remainder is smaller than |p|, so the least
+    absolute value falls until the pivot is alone in its row and column,
+    one diagonal entry. The choice is global because an in-place Euclid on
+    one row and column lets the entries grow past 10**300. gcd and lcm
+    over each pair then order the diagonal by divisibility.
+    """
+    diagonal = []
+    while any(rows):
+        i, c = min(((i, c) for i, row in enumerate(rows) for c in row),
+                   key=lambda e: abs(rows[e[0]][e[1]]))
+        top = rows[i]
+        p = top[c]
+        left = False
+        for other in rows:
+            if other is top or c not in other:
+                continue
+            q = other[c] // p
+            for k, y in top.items():
+                x = other.get(k, 0) - q * y
+                if x:
+                    other[k] = x
+                else:  # |p| is least, so q * y != 0 and k was in other
+                    del other[k]
+            left = left or c in other
+        if left:
+            continue
+        rest = {k: x % p for k, x in top.items() if k != c and x % p}
+        if rest:
+            rows[i] = {c: p, **rest}
+        else:
+            diagonal.append(abs(p))
+            del rows[i]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[j]
+            diagonal[i], diagonal[j] = gcd(a, b), lcm(a, b)
+    return diagonal
+
+
+def smith_normal_form(rows):
+    """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix,
+    min(rows, cols) entries with the zeros last: its `invariant_factors`
+    padded with zeros."""
+    d = invariant_factors([{c: int(x) for c, x in enumerate(row)}
+                           for row in rows])
+    return d + [0] * (min(len(rows), len(rows[0]) if rows else 0) - len(d))
 
 
 def echelon_mod_p(rows, p, ncols):

@@ -50,7 +50,7 @@ class Triangulation:
                 at.setdefault(v, []).append(t)
         for e, ts in edge_tris.items():
             if len(ts) != 2:
-                raise Boundary(
+                raise (NonManifold if len(ts) > 2 else Boundary)(
                     f"edge {list(e)} lies in {len(ts)} triangles, not 2")
         if len(at) != self.vertex_count:
             # the ids in use are all below vertex_count: find the first gap

@@ -39,16 +39,18 @@ def test_validate_rejects_empty_and_disconnected(t):
         t.validate()
 
 
-def test_validate_rejects_nonmanifold():
-    # two spheres sharing one edge: edge {0,1} lies in four triangles
-    t = snc.Triangulation(6, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
-                              (0, 1, 4), (0, 1, 5), (0, 4, 5), (1, 4, 5)))
-    with pytest.raises((snc.NonManifold, ValueError)):
-        t.validate()
-        snc.dual_complex(t)
-
-
 _TETRA = snc.tetrahedron().triangles
+
+
+def test_validate_rejects_nonmanifold():
+    # two spheres sharing one edge: edge {0,1} lies in four triangles; a
+    # sphere with a fin: edge {0,1} lies in three triangles
+    for t in (snc.Triangulation(6, ((0, 1, 2), (0, 1, 3), (0, 2, 3),
+                                    (1, 2, 3), (0, 1, 4), (0, 1, 5),
+                                    (0, 4, 5), (1, 4, 5))),
+              snc.Triangulation(5, _TETRA + ((0, 1, 4),))):
+        with pytest.raises(snc.NonManifold, match=r"^edge \[0, 1\] lies in"):
+            t.validate()
 
 
 @pytest.mark.parametrize("t, message", [
