@@ -21,13 +21,8 @@ width serves a whole report: `_field_width(z, m)` holds every exponent of
 total degree m, so no product up to degree m carries. A basis comes split
 the way `_product_rank` reads it: the single-term sections (monomials
 vanishing on S) of each side as bare ints, then the other sections as
-(left terms, right terms). At degree 1 each other section has one term a
-side, so `_product_rank` reads each product as a shift: a single-term
-section times a one-term part on its side is a unit column, counted in
-per-side sumsets, and every other product is at most two +-1 terms off
-them, an edge of a signed graph on the columns. Its rank is the unit
-count plus the columns the edges touch minus their balanced components,
-read off one union-find with no elimination.
+(left terms, right terms). A product's unit columns are read off their k
+field, and the rest is ranked as a signed graph by one union-find.
 """
 
 from __future__ import annotations
@@ -45,10 +40,10 @@ def h0_P(r, a, b):
     """dim H^0(P(r), O(a, b)); zero for a < 0. The a-th symmetric power of
     O + O + O(r) splits as O(k r) with multiplicity a - k + 1, k = 0..a,
     and each O(k r + b) on P^1 has max(0, k r + b + 1) sections."""
-    if a < 0:
-        return 0
     if r < 0:
         raise ValueError("twist must be nonnegative")
+    if a < 0:
+        return 0
     return sum([(a - k + 1) * max(0, k * r + b + 1) for k in range(a + 1)])
 
 
@@ -161,65 +156,69 @@ def glued_h0(z, m):
     return sum(map(len, glued_basis(z, m, _field_width(z, m))))
 
 
-def _product_rank(first, second, bound):
+def _single_count(z, m):
+    """The single-term sections of degree m, the k >= 1 monomials."""
+    twists = (z.r,) if z.kind == "zr" else (z.r, z.s)
+    return sum([h0_P(t, m, m) - (m + 1) ** 2 for t in twists])
+
+
+def _product_rank(first, second, bound, width, units):
     """Exact rank of the products f * g, f from `first` and g from
-    `second`, or each unordered pair of `first` once when `second` is
-    None, of bases split as `glued_basis` returns them, on one field width.
-    A rank above `bound`, the glued h0 of the target degree, means the
-    products left the glued section space.
+    `second`, or each unordered pair of `first` once when `second` is None,
+    of glued bases on fields of `width` bits whose target degree has
+    `units` single-term sections. A rank above `bound`, its glued h0,
+    means the products left the glued section space.
 
     `first` must be a degree-1 basis, as every caller's is: each of its
     other sections has at most one term a side. Every coefficient must be
     +-1, each other section of `second` have at most two terms when
     `first` has any, and `second` no part of several terms on a side where
     `first` has a single-term section (a single). Other input raises
-    ValueError. At degree 1, i + j = 1 and al + be = 1, so the P^3 run of
-    `glued_basis`, e0 from max(0, i - be) to min(i, al), is one value, like
-    the one P(s) column of ZRS: b1's other sections are (head, right
-    column), and those of every glued basis are (head, right column) or
-    ZR's right differences (-1, +1); ZR has no right single, since no P^3
-    monomial vanishes on the quadric.
+    ValueError. At degree 1 (i + j = al + be = 1) a P^3 run of
+    `glued_basis` is one column, like ZRS's one P(s) column: b1's other
+    sections are (head, right column), and those of every glued basis are
+    that or ZR's right differences (-1, +1).
 
     Left terms multiply left terms and right terms right terms, one int add
     each; the width keeps fields from carrying and the tag keeps the sides
     apart, and across sides a product is zero. A single times a single or a
-    one-term part on its side is a unit column: these are per-side sumsets
-    of packed ints, one rank each, and every unit column lies in the span
-    (the unit pivots of Dumas, Heckenbach, Saunders and Welker, 2003, read
-    off the structure). Off them each other product is zero, one +-1 term
-    (a half-edge) or two on distinct columns, s_u e_u + s_v e_v: an edge
-    of a signed graph on the columns (Zaslavsky, "Signed graphs", 1982). A
+    one-term part on its side is a unit column, in the span (the unit
+    pivots of Dumas, Heckenbach, Saunders and Welker, 2003). They are the
+    k >= 1 monomials of the target degree m + 1 on a side with singles,
+    `units` in all: such a monomial has al + be = m + 1 + k r >= r + 1, so
+    it is a degree-1 single w s^al' t^be' (al' + be' = r + 1) times a
+    degree-m monomial, a lone term of `second` (a single, a head, or ZRS's
+    right column); and a single has k >= 1. So a term is a unit exactly
+    when its k field, bits [2 width, 3 width), is nonzero on a side with
+    singles; the tag, twice in a sum of right columns, lies above it. ZR's
+    right side has no single, and its P^3 columns hold e1 there: mask 0.
+
+    Off the unit columns each other product is zero, one +-1 term (a
+    half-edge) or two on distinct columns, s_u e_u + s_v e_v: an edge of a
+    signed graph on the columns (Zaslavsky, "Signed graphs", 1982). A
     component spans its columns unless it is balanced, with signs sigma
     such that s_u sigma_u + s_v sigma_v = 0 on every edge, which leave one
     direction out. So the rank is the unit count plus the columns touched
     minus the balanced components, read off one union-find: each column
     below a root keeps 2 * its parent + the parity of sigma against it; an
     edge joining two trees hangs one root below the other, and one closing
-    an odd cycle, or a half-edge, marks its root unbalanced. A repeated
-    product costs two finds. On glued bases no column is dropped, since a
-    unit column is a single, k >= 1, times a column of its side, while
-    heads and the right columns of ZRS's other sections have k = 0."""
+    an odd cycle, or a half-edge, marks its root unbalanced. The sumset
+    route this replaced is `oracles.sumset_product_rank`."""
     *s1, o1 = first
     if any(len(part) > 1 for f in o1 for part in f):
         raise ValueError("product rank: the first basis has a part of "
                          "several terms")
     *s2, o2 = first if second is None else second
-    units = set()
-    for side in (0, 1):
-        parts = [g[side] for g in o2]
-        if s1[side] and any(len(part) > 1 for part in parts):
-            raise ValueError("product rank: a single-term section meets a "
-                             "part of several terms")
-        ends = s2[side] + [part[0][0] for part in parts if len(part) == 1]
-        heads = [f[side][0][0] for f in o1 if f[side]]
-        units |= {a + b for a in s1[side] for b in ends}
-        units |= {a + b for a in heads for b in s2[side]}
+    if any(s1[side] and len(g[side]) > 1 for side in (0, 1) for g in o2):
+        raise ValueError("product rank: a single-term section meets a "
+                         "part of several terms")
     if o1 and any(len(left) + len(right) > 2 for left, right in o2):
         raise ValueError("product rank: a section of the second basis has "
                          "more than two terms")
     if {c for o in (o1, o2) for f in o for part in f for _, c in part} - {
             1, -1}:
         raise ValueError("product rank: a coefficient is not +-1")
+    masks = [((1 << width) - 1) << 2 * width if s else 0 for s in s1]
     parent = {}  # a column below a root -> 2 * its parent + the parity
     unbalanced = set()  # roots
 
@@ -239,10 +238,10 @@ def _product_rank(first, second, bound):
              else product(o1, o2))
     for (l1, r1), (l2, r2) in pairs:
         root = None  # of the product's first term, until its second
-        for f, g in ((l1, l2), (r1, r2)):
+        for f, g, mask in ((l1, l2, masks[0]), (r1, r2, masks[1])):
             for a, ca in f:
                 for b, cb in g:
-                    if a + b in units:
+                    if (a + b) & mask:  # a unit column
                         continue
                     # the term ca cb at w = a + b, with
                     # ca cb sigma_w = (-1)^parity sigma_r
@@ -262,7 +261,7 @@ def _product_rank(first, second, bound):
         if root is not None:  # a half-edge
             unbalanced.add(root)
     # columns touched - components = len(parent), one per hung root
-    rank = len(units) + len(parent) + len(unbalanced)
+    rank = units + len(parent) + len(unbalanced)
     if rank > bound:
         raise AssertionError("products leave the glued section space")
     return rank
@@ -280,7 +279,7 @@ def degree_one_generation(z, m_max):
     for m in range(2, m_max + 1):
         target = glued_basis(z, m, width)
         n = sum(map(len, target))
-        if _product_rank(b1, bm, n) != n:
+        if _product_rank(b1, bm, n, width, _single_count(z, m)) != n:
             return False
         bm = target
     return True
@@ -289,10 +288,11 @@ def degree_one_generation(z, m_max):
 def quadric_kernel_dim(z):
     """dim ker(Sym^2 H^0(L) -> H^0(L^2)): the number of independent
     quadrics through the image of the degree-1 embedding."""
-    b1 = glued_basis(z, 1, _field_width(z, 2))
+    width = _field_width(z, 2)
+    b1 = glued_basis(z, 1, width)
     n = sum(map(len, b1))
-    return n * (n + 1) // 2 - _product_rank(b1, None,
-                                            fiber_product_h0(z, 2))
+    return n * (n + 1) // 2 - _product_rank(
+        b1, None, fiber_product_h0(z, 2), width, _single_count(z, 2))
 
 
 def cover_degree(r_omega, m):

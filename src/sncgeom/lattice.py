@@ -4,17 +4,16 @@ Dense matrices are plain lists of rows with int or fractions.Fraction
 entries; sparse vectors are {column: int} dicts. A rational vector is
 (integer numerators, denominator > 0), and this module owns that form:
 `clear_denominators` makes it from a row, `lowest_terms` reduces it.
-`_echelon` is the one elimination over Q; `sparse_rank` and
-`sparse_solve_and_kernel` read its pivot rows, the latter through one
-back-substitution reader, and `rank`, `solve` and `kernel_basis` adapt
-dense rows to them. `echelon_mod_p` is the one elimination over F_p, read
-by `rank_mod_p` and the codimension estimator. `invariant_factors` is the
-one Smith elimination: it pivots each row, shortest first, on its first
-±1 entry in repeated sparse rounds and finishes the small core left
-without units by least-|x| pivots; it is the one elimination `snc` calls,
-and `smith_normal_form` pads its invariants with zeros. `sparse_rank`'s
-one client in the package is `rank`: `fano` ranks its products as a
-signed graph, with no elimination.
+`_echelon` is the one elimination over Q: `rank` counts its pivot rows,
+and `sparse_solve_and_kernel` reads them through one back-substitution
+reader, to which `solve` and `kernel_basis` adapt dense rows.
+`echelon_mod_p` is the one elimination over F_p, read by `rank_mod_p` and
+the codimension estimator. `invariant_factors` is the one Smith
+elimination: it pivots each row, shortest first, on its first ±1 entry in
+repeated sparse rounds and finishes the small core left without units by
+least-|x| pivots; it is the one elimination `snc` calls, and
+`smith_normal_form` pads its invariants with zeros. `fano` ranks its
+products as a signed graph, with no elimination.
 `det_int` is a dense Bareiss determinant. No floating point anywhere.
 """
 
@@ -104,12 +103,6 @@ def _read(pivots, x, m):
     return lowest_terms([x.get(c, 0) for c in range(m)], den)
 
 
-def sparse_rank(vectors):
-    """Rank over the rationals of sparse integer vectors, {column: int}
-    dicts."""
-    return len(_echelon(vectors))
-
-
 def sparse_solve_and_kernel(vectors, m):
     """(solution, kernel basis) of M x = b from one echelon of the rows of
     M augmented by b in column m, sparse integer {column: int} dicts, each
@@ -133,7 +126,7 @@ def _fractions(vector):
 
 def rank(rows):
     """Rank over the rationals of a dense matrix."""
-    return sparse_rank(map(_sparse, rows))
+    return len(_echelon(map(_sparse, rows)))
 
 
 def solve(rows, b):

@@ -60,7 +60,12 @@ elimination of its own, its rank. The library writes its glued bases
 packed; `unpack_basis` (over `unpack_column`) reads one back into (left
 dict, right dict) sections, and `pack_sections` packs such sections by the
 rule `fano._product_rank` applied before, so that hand-made sections still
-drive the library's rank. For the glued bases,
+drive the library's rank. The library reads its unit columns (a
+single-term section times a lone term on its side) off their k field and
+counts them in closed form, which holds on glued bases;
+`sumset_product_rank` is the route it replaced, which collects them as
+per-side sumsets of packed ints and so takes any hand-made sections in
+the contract. For the glued bases,
 which `fano.glued_basis` writes down from the known structure of the
 restriction to S, `bucketed_glued_basis` is the route it replaced:
 restrict every monomial (`pr_restrict`, `p3_restrict`, `swap_factors`,
@@ -114,13 +119,14 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import (combinations_with_replacement, permutations,
+                       product)
 from math import comb, lcm
 from operator import index
 
 from sncgeom.fano import h0_P
-from sncgeom.lattice import (det_int, echelon_mod_p, invariant_factors,
-                             sparse_rank)
+from sncgeom.lattice import (_echelon, det_int, echelon_mod_p,
+                             invariant_factors)
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
                             NoAmpleSeed, blowup_corner, blowup_on_curve, dot,
                             triangle_surface)
@@ -910,7 +916,8 @@ def pack_sections(first, second=None):
     largest exponent, the first exponent highest, and the right tag bit
     above the most fields of any monomial. A single-term section becomes a
     bare int, its coefficient dropped (a unit vector over Q either way);
-    the others become (left terms, right terms) lists of (column, int)."""
+    the others become (left terms, right terms) lists of (column, int).
+    Returns (first, second, width)."""
     bases = [basis for basis in (first, second) if basis is not None]
     monos = [mono for basis in bases for section in basis
              for poly in section for mono in poly]
@@ -936,7 +943,7 @@ def pack_sections(first, second=None):
             else:
                 others.append((left, right))
         packed.append((*singles, others))
-    return packed[0], None if second is None else packed[1]
+    return packed[0], None if second is None else packed[1], width
 
 
 def unpack_column(col, width, right_fields):
@@ -970,6 +977,113 @@ def unpack_basis(z, basis, width):
     return ([(poly([(col, 1)], 0), {}) for col in left]
             + [({}, poly([(col, 1)], 1)) for col in right]
             + [(poly(lt, 0), poly(rt, 1)) for lt, rt in others])
+
+
+def sumset_product_rank(first, second, bound):
+    """Exact rank of the products f * g, f from `first` and g from
+    `second`, or each unordered pair of `first` once when `second` is
+    None, of bases split as `glued_basis` returns them, on one field width.
+    A rank above `bound`, the glued h0 of the target degree, means the
+    products left the glued section space.
+
+    `first` must be a degree-1 basis, as every caller's is: each of its
+    other sections has at most one term a side. Every coefficient must be
+    +-1, each other section of `second` have at most two terms when
+    `first` has any, and `second` no part of several terms on a side where
+    `first` has a single-term section (a single). Other input raises
+    ValueError. At degree 1, i + j = 1 and al + be = 1, so the P^3 run of
+    `glued_basis`, e0 from max(0, i - be) to min(i, al), is one value, like
+    the one P(s) column of ZRS: b1's other sections are (head, right
+    column), and those of every glued basis are (head, right column) or
+    ZR's right differences (-1, +1); ZR has no right single, since no P^3
+    monomial vanishes on the quadric.
+
+    Left terms multiply left terms and right terms right terms, one int add
+    each; the width keeps fields from carrying and the tag keeps the sides
+    apart, and across sides a product is zero. A single times a single or a
+    one-term part on its side is a unit column: these are per-side sumsets
+    of packed ints, one rank each, and every unit column lies in the span
+    (the unit pivots of Dumas, Heckenbach, Saunders and Welker, 2003, read
+    off the structure). Off them each other product is zero, one +-1 term
+    (a half-edge) or two on distinct columns, s_u e_u + s_v e_v: an edge
+    of a signed graph on the columns (Zaslavsky, "Signed graphs", 1982). A
+    component spans its columns unless it is balanced, with signs sigma
+    such that s_u sigma_u + s_v sigma_v = 0 on every edge, which leave one
+    direction out. So the rank is the unit count plus the columns touched
+    minus the balanced components, read off one union-find: each column
+    below a root keeps 2 * its parent + the parity of sigma against it; an
+    edge joining two trees hangs one root below the other, and one closing
+    an odd cycle, or a half-edge, marks its root unbalanced. A repeated
+    product costs two finds. On glued bases no column is dropped, since a
+    unit column is a single, k >= 1, times a column of its side, while
+    heads and the right columns of ZRS's other sections have k = 0."""
+    *s1, o1 = first
+    if any(len(part) > 1 for f in o1 for part in f):
+        raise ValueError("product rank: the first basis has a part of "
+                         "several terms")
+    *s2, o2 = first if second is None else second
+    units = set()
+    for side in (0, 1):
+        parts = [g[side] for g in o2]
+        if s1[side] and any(len(part) > 1 for part in parts):
+            raise ValueError("product rank: a single-term section meets a "
+                             "part of several terms")
+        ends = s2[side] + [part[0][0] for part in parts if len(part) == 1]
+        heads = [f[side][0][0] for f in o1 if f[side]]
+        units |= {a + b for a in s1[side] for b in ends}
+        units |= {a + b for a in heads for b in s2[side]}
+    if o1 and any(len(left) + len(right) > 2 for left, right in o2):
+        raise ValueError("product rank: a section of the second basis has "
+                         "more than two terms")
+    if {c for o in (o1, o2) for f in o for part in f for _, c in part} - {
+            1, -1}:
+        raise ValueError("product rank: a coefficient is not +-1")
+    parent = {}  # a column below a root -> 2 * its parent + the parity
+    unbalanced = set()  # roots
+
+    def find(v):  # (root, parity of sigma_v against it), path halving
+        parity = 0
+        while v in parent:
+            x = parent[v]
+            p = x >> 1
+            if p not in parent:
+                return p, parity ^ x & 1
+            parent[v] = x = parent[p] ^ x & 1
+            parity ^= x & 1
+            v = x >> 1
+        return v, parity
+
+    pairs = (combinations_with_replacement(o1, 2) if second is None
+             else product(o1, o2))
+    for (l1, r1), (l2, r2) in pairs:
+        root = None  # of the product's first term, until its second
+        for f, g in ((l1, l2), (r1, r2)):
+            for a, ca in f:
+                for b, cb in g:
+                    if a + b in units:
+                        continue
+                    # the term ca cb at w = a + b, with
+                    # ca cb sigma_w = (-1)^parity sigma_r
+                    r, parity = find(a + b)
+                    parity ^= ca != cb
+                    if root is None:
+                        root, first_parity = r, parity
+                        continue
+                    if r != root:  # hang r so that the two terms cancel
+                        parent[r] = root << 1 | first_parity ^ parity ^ 1
+                        if r in unbalanced:
+                            unbalanced.remove(r)
+                            unbalanced.add(root)
+                    elif first_parity == parity:  # an odd cycle
+                        unbalanced.add(root)
+                    root = None
+        if root is not None:  # a half-edge
+            unbalanced.add(root)
+    # columns touched - components = len(parent), one per hung root
+    rank = len(units) + len(parent) + len(unbalanced)
+    if rank > bound:
+        raise AssertionError("products leave the glued section space")
+    return rank
 
 
 def tuple_product_rank(pairs, bound):
@@ -1290,7 +1404,7 @@ def dual_cohomology(d):
     """(h0, h1, h2) of the dual cell complex from the ranks of both
     boundaries, by elimination."""
     d1, d2, edges = dual_boundaries(d)
-    r1, r2 = sparse_rank(d1), sparse_rank(d2)
+    r1, r2 = len(_echelon(d1)), len(_echelon(d2))
     return (d.triangle_count - r1, len(edges) - r1 - r2,
             len(d.polygons) - r2)
 

@@ -19,8 +19,10 @@ def test_h0_P_matches_basis_size():
         for a in range(-1, 4):
             for b in range(-2, 4):
                 assert fano.h0_P(r, a, b) == len(oracles.pr_basis(r, a, b))
-    with pytest.raises(ValueError, match="twist must be nonnegative"):
-        fano.h0_P(-1, 2, 2)
+    # the twist is checked before the degree: a < 0 does not hide r < 0
+    for a in (-1, 0, 2):
+        with pytest.raises(ValueError, match="twist must be nonnegative"):
+            fano.h0_P(-1, a, 2 - a)
 
 
 def test_packed_columns_unpack_to_the_tuple_enumeration():
@@ -324,7 +326,7 @@ def test_glued_h0_and_basis_match_dense_route():
             # independent, hence a basis of the dense kernel
             sparse = [{i: x for i, x in enumerate(vec) if x}
                       for vec in vectors]
-            assert lattice.sparse_rank(sparse) == h0
+            assert len(lattice._echelon(sparse)) == h0
 
 
 def test_glued_basis_matches_bucketing_route():
@@ -369,10 +371,21 @@ def test_generation_and_quadrics_match_dense_route():
         assert fano.degree_one_generation(z, 3) == generated
 
 
-def packed_rank(first, second, bound):
+def packed_rank(first, second, bound, units=0):
     """`fano._product_rank` on (left dict, right dict) sections, packed by
-    the rule it applied before the bases came packed."""
-    return fano._product_rank(*oracles.pack_sections(first, second), bound)
+    the rule it applied before the bases came packed, with `units` unit
+    columns: the terms whose k field (the third of five fields, the second
+    of four) is nonzero on a side where `first` has a single-term section,
+    and no other column."""
+    first, second, width = oracles.pack_sections(first, second)
+    return fano._product_rank(first, second, bound, width, units)
+
+
+def sumset_rank(first, second, bound):
+    """`oracles.sumset_product_rank` on (left dict, right dict) sections:
+    the unit columns of any sections in the contract, as sumsets."""
+    return oracles.sumset_product_rank(
+        *oracles.pack_sections(first, second)[:2], bound)
 
 
 def triangle_pairs(sections):
@@ -387,12 +400,51 @@ def test_product_rank_matches_tuple_route_on_glued_bases():
                  for m, b in packed.items()}
         b1 = bases[1]
         n = comb(len(b1) + 1, 2)
-        assert (fano._product_rank(packed[1], None, n)
+        assert (fano._product_rank(packed[1], None, n, width,
+                                   fano._single_count(z, 2))
                 == oracles.tuple_product_rank(triangle_pairs(b1), n))
         for m in (1, 2, 3):
             pairs = [(f, g) for f in b1 for g in bases[m]]
-            assert (fano._product_rank(packed[1], packed[m], len(pairs))
+            assert (fano._product_rank(packed[1], packed[m], len(pairs), width,
+                                       fano._single_count(z, m + 1))
                     == oracles.tuple_product_rank(pairs, len(pairs)))
+
+
+def test_product_rank_matches_sumset_route_past_the_tier_1_range():
+    # every rank call of the CI's fano sweep, ZR(r <= 20) and
+    # ZRS(r, s <= 10) with both swaps at --mmax 4 and 8, and each
+    # quadric call: 3,124 calls. The closed single count is the target's
+    # number of single-term sections, and the k field finds exactly the
+    # unit columns the sumsets collect.
+    configs = [fano.ZR(r, swap=swap) for swap in (False, True)
+               for r in range(21)]
+    configs += [fano.ZRS(r, s, swap=swap) for swap in (False, True)
+                for r in range(11) for s in range(11)]
+    calls = 0
+    for z in configs:
+        for m_max in (4, 8):
+            width = fano._field_width(z, m_max)
+            b1 = fano.glued_basis(z, 1, width)
+            bm = None
+            for m in range(2, m_max + 1):
+                target = fano.glued_basis(z, m, width)
+                n = sum(map(len, target))
+                units = fano._single_count(z, m)
+                assert units == len(target[0]) + len(target[1])
+                assert (fano._product_rank(b1, bm, n, width, units)
+                        == oracles.sumset_product_rank(b1, bm, n))
+                bm = target
+                calls += 1
+        width = fano._field_width(z, 2)
+        b1 = fano.glued_basis(z, 1, width)
+        n = fano.fiber_product_h0(z, 2)
+        rank = fano._product_rank(b1, None, n, width,
+                                  fano._single_count(z, 2))
+        assert rank == oracles.sumset_product_rank(b1, None, n)
+        assert rank == oracles.tuple_product_rank(
+            triangle_pairs(oracles.unpack_basis(z, b1, width)), n)
+        calls += 1
+    assert calls == 3124
 
 
 def wide(mono):
@@ -449,20 +501,20 @@ def test_field_width_keeps_every_product_column():
 def test_single_term_sections_meet_only_their_own_side():
     # a single-term section times a section whose part on the other side has
     # two terms meets only the part on its own side: one unit column, or
-    # zero when that part is empty
+    # zero when that part is empty (the sumset route)
     x, y = (1, 0), (0, 1)
     cases = [(({x: 1}, {}), ({x: 1}, {x: 1, y: 1}), ({}, {x: 1, y: 1})),
              (({}, {x: 1}), ({x: 1, y: 1}, {x: 1}), ({x: 1, y: 1}, {}))]
     for single, other, off_side in cases:
-        assert packed_rank([single], [other], 1) == 1
+        assert sumset_rank([single], [other], 1) == 1
         assert oracles.tuple_product_rank([(single, other)], 1) == 1
-        assert packed_rank([single], [off_side], 0) == 0
+        assert sumset_rank([single], [off_side], 0) == 0
         assert oracles.tuple_product_rank([(single, off_side)], 0) == 0
     # the unit columns y^2 and xy, single * single and single * f, and
     # f * f = (x^2, x^2) off them
     single, f = ({(0, 1): 1}, {}), ({(1, 0): 1}, {(1, 0): 1})
     pairs = triangle_pairs([single, f])
-    assert (packed_rank([single, f], None, 3)
+    assert (sumset_rank([single, f], None, 3)
             == oracles.tuple_product_rank(pairs, 3) == 3)
 
 
@@ -518,8 +570,9 @@ def test_product_rank_of_a_signed_cycle(signs, rank):
 
 def test_product_rank_counts_a_half_edge_once():
     # f * (Y, m_0) is a half-edge at Y + m_0: its left term X + Y is the
-    # unit column X * Y; hung on a balanced path of differences it adds 1,
-    # and a second half-edge on the same component adds nothing
+    # unit column X * Y, the one left column with a nonzero k field (Y's
+    # second field); hung on a balanced path of differences it adds 1, and
+    # a second half-edge on the same component adds nothing
     f = ({X: 1}, {Y: 1})
     monos = [(0, 0, i, 0) for i in range(4)]
     path = [({}, {a: -1, b: 1}) for a, b in zip(monos, monos[1:])]
@@ -529,7 +582,8 @@ def test_product_rank_counts_a_half_edge_once():
                          ([unit, ({Y: 1}, {monos[0]: 1}),
                            ({Y: 1}, {monos[3]: -1})] + path, 1 + 4)):
         pairs = [(s1, s2) for s1 in first for s2 in second]
-        assert packed_rank(first, second, len(pairs)) == rank
+        assert packed_rank(first, second, len(pairs), 1) == rank
+        assert sumset_rank(first, second, len(pairs)) == rank
         assert oracles.tuple_product_rank(pairs, len(pairs)) == rank
 
 
@@ -547,7 +601,6 @@ def test_product_rank_calls_no_elimination(monkeypatch):
     def refuse(vectors):
         raise AssertionError("elimination called")
 
-    monkeypatch.setattr(lattice, "sparse_rank", refuse)
     monkeypatch.setattr(lattice, "_echelon", refuse)
     for z in (fano.ZR(0), fano.ZR(3, swap=True), fano.ZRS(1, 2)):
         d = fano.glued_h0(z, 1) - 2
@@ -609,14 +662,24 @@ X, Y = (1, 0, 0, 0), (0, 1, 0, 0)
           [({Y: -2}, {}), ({}, {X: 3}), ({X: 1}, {Y: -1})]))
 # a one-term section times a part of two terms on the side with no single
 @example(([({X: 1}, {}), ({X: 1}, {Y: 1})], [({}, {X: 1, Y: -1})]))
+# no single-term section, so no unit column: the library's union-find alone
+@example(([({X: 1}, {Y: 1}), ({Y: 1}, {X: -1})],
+          [({X: 1}, {Y: -1}), ({}, {X: 1, Y: 1}), ({Y: 1, X: -1}, {})]))
+@example(([({X: 1}, {Y: 1}), ({X: 1}, {X: 1}), ({Y: 1}, {Y: -1})], None))
 def test_product_rank_matches_tuple_route(bases):
+    # the sumset route on any sections in the contract; the library, which
+    # counts its unit columns in closed form on glued bases, where neither
+    # basis has a single-term section and so no product has a unit column
     first, second = bases
     if second is None:
         pairs = triangle_pairs(first)
     else:
         pairs = [(f, g) for f in first for g in second]
-    assert (packed_rank(first, second, len(pairs))
-            == oracles.tuple_product_rank(pairs, len(pairs)))
+    rank = oracles.tuple_product_rank(pairs, len(pairs))
+    assert sumset_rank(first, second, len(pairs)) == rank
+    if all(len(left) + len(right) != 1 for left, right in first
+           + (second or [])):
+        assert packed_rank(first, second, len(pairs)) == rank
 
 
 MEETS = "a single-term section meets a part of several terms"
@@ -674,8 +737,9 @@ def test_product_exponents_past_8_bits_keep_their_columns():
     second = [unit_section(side, b) for side in (0, 1)
               for b in ((100, 0), (0, 100), (0, 0))]
     pairs = [(f, g) for f in first for g in second]
-    # 12 distinct columns a side; a left times a right section is zero
-    assert packed_rank(first, second, 24) == 24
+    # 12 distinct columns a side, all unit columns (the sumset route); a
+    # left times a right section is zero
+    assert sumset_rank(first, second, 24) == 24
     assert oracles.tuple_product_rank(pairs, 24) == 24
 
 
@@ -689,8 +753,9 @@ def test_side_tag_keeps_left_and_right_columns_apart():
         assert packed_rank([f, g], None, 3) == 2
         assert oracles.tuple_product_rank(triangle_pairs([f, g]), 3) == 2
         assert packed_rank([f], [g], 1) == 1
-    # a left-only section times a right-only one is zero
-    assert packed_rank([unit_section(0, (1, 0))],
+    # single-term sections only, so every product is a unit column (the
+    # sumset route): a left-only section times a right-only one is zero
+    assert sumset_rank([unit_section(0, (1, 0))],
                        [unit_section(1, (1, 0))], 0) == 0
     # 2 * 127 = 254 sets 8-bit fields; a right x right product fills them up
     # to 254 right below its two tag bits, which add to one bit above them
@@ -699,7 +764,7 @@ def test_side_tag_keeps_left_and_right_columns_apart():
     columns = {(side, (a1 + a2, b1 + b2)) for side in (0, 1)
                for a1, b1 in monos for a2, b2 in monos}
     n = len(columns)
-    assert packed_rank(sections, None, n) == n == 18
+    assert sumset_rank(sections, None, n) == n == 18
     assert oracles.tuple_product_rank(triangle_pairs(sections), n) == n
 
 

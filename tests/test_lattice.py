@@ -307,13 +307,15 @@ def test_rank_mod_p_detects_char_drop():
 
 
 def test_sparse_rank_simple():
-    assert lattice.sparse_rank([]) == 0
-    assert lattice.sparse_rank([{}, {3: 0}]) == 0
-    assert lattice.sparse_rank([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 5}]) == 2
+    # the rank over Q of sparse vectors is the echelon's pivot count
+    assert len(lattice._echelon([])) == 0
+    assert len(lattice._echelon([{}, {3: 0}])) == 0
+    assert len(lattice._echelon([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 5}])) == 2
     # any comparable column keys; the order of the vectors does not matter
     vecs = [{(1, "b"): 2, (0, "a"): -1}, {(0, "a"): 3, (2, "c"): 1},
             {(1, "b"): 6, (2, "c"): 1}]
-    assert lattice.sparse_rank(vecs) == lattice.sparse_rank(vecs[::-1]) == 2
+    assert (len(lattice._echelon(vecs)) == len(lattice._echelon(vecs[::-1]))
+            == 2)
 
 
 SPARSE_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 7, 46337])
@@ -331,7 +333,7 @@ def test_sparse_rank_matches_dense_rank(rows, combos):
             a, b = rows[i % len(rows)], rows[j % len(rows)]
             rows.append([x + k * y for x, y in zip(a, b)])
     sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    assert lattice.sparse_rank(sparse) == oracles.rank(rows)
+    assert len(lattice._echelon(sparse)) == oracles.rank(rows)
     # the product oracle's own elimination, on the same vectors
     assert oracles.sparse_fraction_rank(sparse) == oracles.rank(rows)
 

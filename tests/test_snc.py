@@ -260,11 +260,12 @@ def test_edge_keys_are_sorted_vertex_pairs():
 
 
 def test_simplicial_route_calls_no_sparse_rank(monkeypatch):
-    """Both simplicial ranks come from unit-pivot invariant factors."""
-    def refuse(vectors):
-        raise AssertionError("sparse_rank called")
+    """Both simplicial ranks come from unit-pivot invariant factors, with
+    no rank over Q (the components' polarization solves still eliminate)."""
+    def refuse(rows):
+        raise AssertionError("rank over Q called")
 
-    monkeypatch.setattr(lattice, "sparse_rank", refuse)
+    monkeypatch.setattr(lattice, "rank", refuse)
     for factory, expected, _ in SURFACES.values():
         t = factory()
         h, ab = snc.simplicial_homology(t)
@@ -393,5 +394,5 @@ def test_sparse_boundary_ranks_match_dense_rank(name):
     base = SURFACES[name][0]()
     for t in [base] + [snc.refine_random(base, 12, seed=s) for s in range(2)]:
         for rows, width in _boundary_pairs(t):
-            assert lattice.sparse_rank(rows) == oracles.rank(
+            assert len(lattice._echelon(rows)) == oracles.rank(
                 _dense(rows, width))
