@@ -3,15 +3,13 @@
 Every command prints a human-readable report (or JSON with --json) and
 exits 0 exactly when all embedded assertions passed; rejected input ends in
 one line on stderr and exit 1.  `main` returns the exit status.  `verify`,
-the one randomized command, takes --seed (default 0); the environment
-variable SNC_SEED overrides it.
+the one randomized command, takes --seed (default 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -136,12 +134,14 @@ H2_S = 2  # h^2 of the quadric S = P^1 x P^1
 H2_C = 1  # h^2 of the curve C along which Z_2 is blown up
 
 
-# the most glued sections fano builds in one degree, read from the
-# fiber-product count at degree max(2, --mmax) before any basis is built:
-# ZR(4995) at --mmax 2, ZR(1995) at 3 and ZR(0) at 30, each at this limit,
-# take about 1 s; the cost grows up to the square of the count. ZR(0) has the
-# fewest sections in every degree, so no --mmax above 30 can pass, and that
-# cap comes first, since the count loops over the degree.
+# the most glued sections fano counts in one degree, read from the
+# fiber-product count at degree max(2, --mmax) before any basis is built.
+# Each degree builds only its sections that are not single-term and ranks
+# their products with the four of degree 1, so the cost grows with those
+# sections summed over the degrees: ZR(4995) at --mmax 2 and ZR(1995) at 3,
+# each at this limit, take about 1 ms, and ZR(0) at 30 about 0.3 s. ZR(0) has
+# the fewest sections in every degree, so no --mmax above 30 can pass, and
+# that cap comes first, since the count loops over the degree.
 FANO_MAX_H0 = 20_000
 FANO_MAX_MMAX = 30
 
@@ -237,10 +237,7 @@ VERIFY_EXPECTED = {"adjugate_failures": 0, "adjoint_relation_failures": 0,
 
 
 def cmd_verify(args):
-    try:
-        seed = int(os.environ.get("SNC_SEED", args.seed))
-    except ValueError:
-        return _fail("SNC_SEED must be an integer")
+    seed = args.seed
     results = {}
     if args.suite in ("adjugate", "all"):
         results["adjugate_failures"] = poly.fuzz_adjugate(seed=seed)

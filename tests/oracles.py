@@ -57,23 +57,22 @@ columns as a signed graph, by one union-find, `tuple_product_rank` is the
 general route on (side, exponent tuple) columns it replaced, with
 `mul_monomial_dicts` its product and `sparse_fraction_rank`, a Fraction
 elimination of its own, its rank. The library writes its glued bases
-packed; `unpack_basis` (over `unpack_column`) reads one back into (left
-dict, right dict) sections, and `pack_sections` packs such sections by the
-rule `fano._product_rank` applied before, so that hand-made sections still
-drive the library's rank. The library reads its unit columns (a
-single-term section times a lone term on its side) off their k field and
-counts them in closed form, which holds on glued bases;
-`sumset_product_rank` is the route it replaced, which collects them as
+packed and without their single-term sections; `unpack_basis` (over
+`unpack_column`) reads one back into (left dict, right dict) sections, and
+`pack_sections` packs such sections, so that hand-made ones still drive
+the library's rank. The library counts its unit columns (a single-term
+section times a lone term on its side) in closed form, which holds on
+glued bases; `sumset_product_rank` is the route it replaced, which takes
+the single-term sections as they come, collects the unit columns as
 per-side sumsets of packed ints and so takes any hand-made sections in
-the contract. For the glued bases,
-which `fano.glued_basis` writes down from the known structure of the
-restriction to S, `bucketed_glued_basis` is the route it replaced:
-restrict every monomial (`pr_restrict`, `p3_restrict`, `swap_factors`,
-over `left_basis` and `right_basis`, with `p3_basis` the P^3 monomials and
-`pr_basis` the tuple enumeration that the packed `fano._columns`
-replaced) and bucket it by its restriction. The surjectivity of
-restriction to S, on which the fiber-product count in `fano.glued_basis`
-rests, is a fact the library no longer tests;
+the contract. For the glued bases, which `fano.glued_basis` writes down
+from the known structure of the restriction to S, `bucketed_glued_basis`
+is the route it replaced: restrict every monomial (`pr_restrict`,
+`p3_restrict`, `swap_factors`, over `left_basis` and `right_basis`, with
+`p3_basis` the P^3 monomials and `pr_basis` the tuple enumeration that
+the packed one replaced) and bucket it by its restriction. The
+surjectivity of restriction to S, on which the fiber-product count in
+`fano.glued_basis` rests, is a fact the library no longer tests;
 `enumerated_restriction_surjective` checks it by restricting all of
 `pr_basis`.
 
@@ -910,14 +909,11 @@ def mul_monomial_dicts(f, g):
 
 def pack_sections(first, second=None):
     """Two lists of (left dict, right dict) glued sections, `second`
-    possibly None, split and packed the way `fano._product_rank` reads a
-    basis, by the rule it applied before `fano.glued_basis` returned packed
-    bases: one field width for both lists, wide enough for twice their
-    largest exponent, the first exponent highest, and the right tag bit
-    above the most fields of any monomial. A single-term section becomes a
-    bare int, its coefficient dropped (a unit vector over Q either way);
-    the others become (left terms, right terms) lists of (column, int).
-    Returns (first, second, width)."""
+    possibly None, packed the way `fano._product_rank` reads a basis: one
+    field width for both lists, wide enough for twice their largest
+    exponent, the first exponent highest, and the right tag bit above the
+    most fields of any monomial. Each section becomes (left terms, right
+    terms), lists of (column, int). Returns (first, second, width)."""
     bases = [basis for basis in (first, second) if basis is not None]
     monos = [mono for basis in bases for section in basis
              for poly in section for mono in poly]
@@ -931,72 +927,59 @@ def pack_sections(first, second=None):
             col = (col << width) | e
         return col | tag if side else col
 
-    packed = []
-    for basis in bases:
-        singles, others = ([], []), []
-        for section in basis:
-            left, right = [[(column(mono, side), c)
-                            for mono, c in poly.items()]
-                           for side, poly in enumerate(section)]
-            if len(left) + len(right) == 1:
-                singles[0 if left else 1].append((left or right)[0][0])
-            else:
-                others.append((left, right))
-        packed.append((*singles, others))
+    packed = [[tuple([[(column(mono, side), c) for mono, c in poly.items()]
+                      for side, poly in enumerate(section)])
+               for section in basis] for basis in bases]
     return packed[0], None if second is None else packed[1], width
 
 
-def unpack_column(col, width, right_fields):
+def unpack_column(col, width):
     """(side, exponent tuple) of a packed column of `fano.glued_basis`, or
-    of a sum of two such columns: fields of `width` bits, the first
-    exponent highest, five on the left and `right_fields` on the right,
-    which carries the tag above five fields."""
-    side = 1 if col >> 5 * width else 0
-    n = right_fields if side else 5
+    of a sum of two such columns: four fields of `width` bits, the first
+    exponent highest, and on the right the tag above them."""
+    side = 1 if col >> 4 * width else 0
     mask = (1 << width) - 1
-    return side, tuple([col >> width * (n - 1 - f) & mask for f in range(n)])
+    return side, tuple([col >> width * (3 - f) & mask for f in range(4)])
 
 
 def unpack_basis(z, basis, width):
     """The (left dict, right dict) sections of a packed
-    `fano.glued_basis(z, m, width)`, in its order: the left single-term
-    sections, the right ones, then the others. A column read on the wrong
-    side raises AssertionError."""
-    fields = 4 if z.kind == "zr" else 5
-
+    `fano.glued_basis(z, m, width)`, in its order, a monomial of P(r) or
+    P(s) back as (i, j, 0, al, be). A column read on the wrong side raises
+    AssertionError."""
     def poly(terms, side):
         out = {}
         for col, c in terms:
-            got, mono = unpack_column(col, width, fields)
+            got, mono = unpack_column(col, width)
             if got != side:
                 raise AssertionError("packed column on the wrong side")
+            if side == 0 or z.kind == "zrs":
+                mono = mono[:2] + (0,) + mono[2:]
             out[mono] = c
         return out
 
-    left, right, others = basis
-    return ([(poly([(col, 1)], 0), {}) for col in left]
-            + [({}, poly([(col, 1)], 1)) for col in right]
-            + [(poly(lt, 0), poly(rt, 1)) for lt, rt in others])
+    return [(poly(left, 0), poly(right, 1)) for left, right in basis]
 
 
 def sumset_product_rank(first, second, bound):
     """Exact rank of the products f * g, f from `first` and g from
     `second`, or each unordered pair of `first` once when `second` is
-    None, of bases split as `glued_basis` returns them, on one field width.
-    A rank above `bound`, the glued h0 of the target degree, means the
-    products left the glued section space.
+    None, of bases packed as `pack_sections` returns them, single-term
+    sections included, on one field width. A rank above `bound`, the glued
+    h0 of the target degree, means the products left the glued section
+    space.
 
-    `first` must be a degree-1 basis, as every caller's is: each of its
-    other sections has at most one term a side. Every coefficient must be
-    +-1, each other section of `second` have at most two terms when
-    `first` has any, and `second` no part of several terms on a side where
-    `first` has a single-term section (a single). Other input raises
-    ValueError. At degree 1, i + j = 1 and al + be = 1, so the P^3 run of
-    `glued_basis`, e0 from max(0, i - be) to min(i, al), is one value, like
-    the one P(s) column of ZRS: b1's other sections are (head, right
-    column), and those of every glued basis are (head, right column) or
-    ZR's right differences (-1, +1); ZR has no right single, since no P^3
-    monomial vanishes on the quadric.
+    `first` must be a degree-1 basis: each of its sections that is not
+    single-term has at most one term a side. Every coefficient of such a
+    section must be +-1, each such section of `second` have at most two
+    terms when `first` has any, and `second` no part of several terms on
+    a side where `first` has a single-term section (a single). Other input
+    raises ValueError. At degree 1, i + j = 1 and al + be = 1, so the P^3
+    run of `fano.glued_basis`, e0 from max(0, i - be) to min(i, al), is
+    one value, like the one P(s) column of ZRS: b1's other sections are
+    (head, right column), and those of every glued basis are (head, right
+    column) or ZR's right differences (-1, +1); ZR has no right single,
+    since no P^3 monomial vanishes on the quadric.
 
     Left terms multiply left terms and right terms right terms, one int add
     each; the width keeps fields from carrying and the tag keeps the sides
@@ -1017,11 +1000,19 @@ def sumset_product_rank(first, second, bound):
     product costs two finds. On glued bases no column is dropped, since a
     unit column is a single, k >= 1, times a column of its side, while
     heads and the right columns of ZRS's other sections have k = 0."""
-    *s1, o1 = first
+    split = []
+    for basis in (first, first if second is None else second):
+        singles, others = ([], []), []
+        for left, right in basis:
+            if len(left) + len(right) == 1:  # its coefficient dropped
+                singles[0 if left else 1].append((left or right)[0][0])
+            else:
+                others.append((left, right))
+        split.append((*singles, others))
+    (*s1, o1), (*s2, o2) = split
     if any(len(part) > 1 for f in o1 for part in f):
         raise ValueError("product rank: the first basis has a part of "
                          "several terms")
-    *s2, o2 = first if second is None else second
     units = set()
     for side in (0, 1):
         parts = [g[side] for g in o2]
@@ -1222,7 +1213,8 @@ def subs(f, mapping):
 
 def pr_basis(r, a, b):
     """Monomial basis (i, j, k, al, be) of O(a, b) on P(r), k rising and
-    the w-free monomials first: the order of `fano._columns`."""
+    the w-free monomials first, in the order of their S-monomials in
+    `fano._columns`."""
     if a < 0:
         return []
     out = []

@@ -453,19 +453,6 @@ def test_verify_deterministic(capsys):
     assert strip(out1) == strip(out2)
 
 
-def test_verify_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("SNC_SEED", "12")
-    code, out = run(capsys, "--json", "verify", "--suite", "charts")
-    assert code == 0
-    assert "seed=12" in out
-
-
-def test_verify_rejects_non_integer_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("SNC_SEED", "twelve")
-    assert cli.main(["verify", "--suite", "charts"]) == 1
-    assert capsys.readouterr().err == "SNC_SEED must be an integer\n"
-
-
 @pytest.mark.parametrize("name, suite, value", [
     ("fuzz_adjugate", "adjugate", 1),
     ("fuzz_blowup_charts", "charts", 1),
@@ -483,11 +470,11 @@ def test_verify_fails_when_one_result_is_off_its_expected_value(
 @pytest.mark.parametrize("suite, seed", [("detvar", "68"), ("detvar", "150"),
                                          ("all", "80")])
 def test_verify_seed_without_locus_points_fails_in_one_line(
-        capsys, monkeypatch, suite, seed):
+        capsys, suite, seed):
     """A seed whose random forms leave the rank locus without an F_p point
     ends in one line naming the seed, not in a traceback."""
-    monkeypatch.setenv("SNC_SEED", seed)
-    assert cli.main(["--json", "verify", "--suite", suite]) == 1
+    assert cli.main(["--json", "verify", "--suite", suite,
+                     "--seed", seed]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"verify seed={seed}: no point of the rank locus over F_p\n"

@@ -26,13 +26,12 @@ def test_h0_P_matches_basis_size():
 
 
 def test_packed_columns_unpack_to_the_tuple_enumeration():
-    for r in range(6):
-        for m in range(1, 5):
-            for width in (fano._field_width(fano.ZR(r), m), 16):
-                cols = fano._columns(r, m, width)
-                assert [oracles.unpack_column(col, width, 5)
-                        for col in cols] == [
-                    (0, mono) for mono in oracles.pr_basis(r, m, m)]
+    # the heads, one per S-monomial of bidegree (m, m), in its order
+    for m in range(1, 9):
+        for width in (m.bit_length(), 16):
+            assert [oracles.unpack_column(col, width)
+                    for col in fano._columns(m, width)] == [
+                (0, mono) for mono in oracles.s_basis(m, m)]
 
 
 def test_h1_vanishes_for_nef_twists():
@@ -79,11 +78,24 @@ def test_glued_h0_swap_invariant():
                 == fano.glued_h0(fano.ZR(r), 1))
 
 
+def single_term_sections(z, m):
+    """The single-term glued sections of degree m, which `fano.glued_basis`
+    leaves out: the monomials with k >= 1 of each P(r) side, from the tuple
+    enumeration, the left side first."""
+    out = [({mono: 1}, {}) for mono in oracles.pr_basis(z.r, m, m)
+           if mono[2]]
+    if z.kind == "zrs":
+        out += [({}, {mono: 1}) for mono in oracles.pr_basis(z.s, m, m)
+                if mono[2]]
+    return out
+
+
 def sections(z, m):
-    """The glued basis of degree m, unpacked into (left dict, right dict)
-    sections."""
-    width = fano._field_width(z, m)
-    return oracles.unpack_basis(z, fano.glued_basis(z, m, width), width)
+    """The glued basis of degree m as (left dict, right dict) sections: the
+    single-term ones, then those of `fano.glued_basis`, unpacked."""
+    width = m.bit_length()
+    return single_term_sections(z, m) + oracles.unpack_basis(
+        z, fano.glued_basis(z, m, width), width)
 
 
 def test_glued_basis_sections_agree_on_s():
@@ -133,13 +145,9 @@ def test_degree_one_generation_builds_each_degree_once(monkeypatch):
 
 
 def test_h0_table_is_the_size_of_each_built_basis():
-    for swap in (False, True):
-        configs = [fano.ZR(r, swap=swap) for r in range(21)]
-        configs += [fano.ZRS(r, s, swap=swap)
-                    for r in range(11) for s in range(11)]
-        for z in configs:
-            assert fano.h0_table(z, 5) == {m: fano.glued_h0(z, m)
-                                           for m in range(1, 6)}
+    for z in sweep_configs():
+        assert fano.h0_table(z, 5) == {m: fano.glued_h0(z, m)
+                                       for m in range(1, 6)}
 
 
 def test_h0_table_builds_no_basis(monkeypatch):
@@ -330,10 +338,15 @@ def test_glued_h0_and_basis_match_dense_route():
 
 
 def test_glued_basis_matches_bucketing_route():
-    # the structural basis is the bucketed one, list for list and in order
+    # the structural basis, with the single-term sections in front, is the
+    # bucketed one, list for list and in order; the closed single count is
+    # the number of the bucketed route's single-term sections
     for z in oracle_configs(10):
         for m in range(1, 6):
-            assert sections(z, m) == oracles.bucketed_glued_basis(z, m)
+            bucketed = oracles.bucketed_glued_basis(z, m)
+            assert sections(z, m) == bucketed
+            assert fano._single_count(z, m) == sum(
+                len(left) + len(right) == 1 for left, right in bucketed)
 
 
 def test_glued_basis_spans_dense_kernel():
@@ -371,14 +384,15 @@ def test_generation_and_quadrics_match_dense_route():
         assert fano.degree_one_generation(z, 3) == generated
 
 
-def packed_rank(first, second, bound, units=0):
-    """`fano._product_rank` on (left dict, right dict) sections, packed by
-    the rule it applied before the bases came packed, with `units` unit
-    columns: the terms whose k field (the third of five fields, the second
-    of four) is nonzero on a side where `first` has a single-term section,
-    and no other column."""
-    first, second, width = oracles.pack_sections(first, second)
-    return fano._product_rank(first, second, bound, width, units)
+def library_rank(first, second, z=fano.ZR(0), m=4):
+    """`fano._product_rank` on (left dict, right dict) sections with no
+    single-term section, packed by `oracles.pack_sections`, less the unit
+    count of z's target degree m: the rank of the products alone. ZR has
+    single-term sections on the left side only, and ZR(0) at degree 4
+    leaves C(7, 3) = 35 below its bound, more than any hand-made case here
+    reaches (at most 25 products)."""
+    first, second, _ = oracles.pack_sections(first, second)
+    return fano._product_rank(z, first, second, m) - fano._single_count(z, m)
 
 
 def sumset_rank(first, second, bound):
@@ -393,64 +407,63 @@ def triangle_pairs(sections):
 
 
 def test_product_rank_matches_tuple_route_on_glued_bases():
+    # the library on the bases without their single-term sections, the
+    # tuple route on the whole bases
     for z in small_configs():
-        width = fano._field_width(z, 4)
+        width = (4).bit_length()
         packed = {m: fano.glued_basis(z, m, width) for m in (1, 2, 3)}
-        bases = {m: oracles.unpack_basis(z, b, width)
-                 for m, b in packed.items()}
+        bases = {m: sections(z, m) for m in (1, 2, 3)}
         b1 = bases[1]
-        n = comb(len(b1) + 1, 2)
-        assert (fano._product_rank(packed[1], None, n, width,
-                                   fano._single_count(z, 2))
+        n = fano.fiber_product_h0(z, 2)
+        assert (fano._product_rank(z, packed[1], None, 2)
                 == oracles.tuple_product_rank(triangle_pairs(b1), n))
         for m in (1, 2, 3):
             pairs = [(f, g) for f in b1 for g in bases[m]]
-            assert (fano._product_rank(packed[1], packed[m], len(pairs), width,
-                                       fano._single_count(z, m + 1))
-                    == oracles.tuple_product_rank(pairs, len(pairs)))
+            n = fano.fiber_product_h0(z, m + 1)
+            assert (fano._product_rank(z, packed[1], packed[m], m + 1)
+                    == oracles.tuple_product_rank(pairs, n))
 
 
-def test_product_rank_matches_sumset_route_past_the_tier_1_range():
-    # every rank call of the CI's fano sweep, ZR(r <= 20) and
-    # ZRS(r, s <= 10) with both swaps at --mmax 4 and 8, and each
-    # quadric call: 3,124 calls. The closed single count is the target's
-    # number of single-term sections, and the k field finds exactly the
-    # unit columns the sumsets collect.
+def sweep_configs():
+    """The configurations of the CI's fano sweep: ZR(r <= 20) and
+    ZRS(r, s <= 10), with both swaps."""
     configs = [fano.ZR(r, swap=swap) for swap in (False, True)
                for r in range(21)]
     configs += [fano.ZRS(r, s, swap=swap) for swap in (False, True)
                 for r in range(11) for s in range(11)]
+    return configs
+
+
+def test_product_rank_matches_sumset_route_past_the_tier_1_range():
+    # the generation calls through degree 4 and the quadric call of every
+    # configuration of the CI's fano sweep, 1,136 calls: the library on its
+    # own bases, the sumset route on the bucketed ones, single-term
+    # sections included (the CI step runs the same through degree 8)
     calls = 0
-    for z in configs:
-        for m_max in (4, 8):
-            width = fano._field_width(z, m_max)
-            b1 = fano.glued_basis(z, 1, width)
-            bm = None
-            for m in range(2, m_max + 1):
-                target = fano.glued_basis(z, m, width)
-                n = sum(map(len, target))
-                units = fano._single_count(z, m)
-                assert units == len(target[0]) + len(target[1])
-                assert (fano._product_rank(b1, bm, n, width, units)
-                        == oracles.sumset_product_rank(b1, bm, n))
-                bm = target
-                calls += 1
-        width = fano._field_width(z, 2)
-        b1 = fano.glued_basis(z, 1, width)
+    for z in sweep_configs():
+        width = (4).bit_length()
+        b1, ours = fano.glued_basis(z, 1, width), None
+        theirs = [oracles.bucketed_glued_basis(z, 1), None]
+        for m in range(2, 5):
+            n = fano.fiber_product_h0(z, m)
+            packed = oracles.pack_sections(*theirs)
+            assert (fano._product_rank(z, b1, ours, m)
+                    == oracles.sumset_product_rank(*packed[:2], n) == n)
+            ours = fano.glued_basis(z, m, width)
+            theirs[1] = oracles.bucketed_glued_basis(z, m)
+            calls += 1
         n = fano.fiber_product_h0(z, 2)
-        rank = fano._product_rank(b1, None, n, width,
-                                  fano._single_count(z, 2))
-        assert rank == oracles.sumset_product_rank(b1, None, n)
-        assert rank == oracles.tuple_product_rank(
-            triangle_pairs(oracles.unpack_basis(z, b1, width)), n)
+        packed = oracles.pack_sections(theirs[0])
+        rank = fano._product_rank(z, fano.glued_basis(z, 1, 2), None, 2)
+        assert rank == oracles.sumset_product_rank(*packed[:2], n)
         calls += 1
-    assert calls == 3124
+    assert calls == 1136
 
 
 def wide(mono):
     """An exponent tuple packed into 16-bit fields, where no sum of two
-    exponents below carries (each is at most 5 * 21), so that
-    wide(ta) + wide(tb) is wide(ta + tb)."""
+    exponents below carries (each is at most 5), so that wide(ta) +
+    wide(tb) is wide(ta + tb)."""
     col = 0
     for e in mono:
         col = col << 16 | e
@@ -459,43 +472,34 @@ def wide(mono):
 
 def basis_columns(z, m, width):
     """Per side, {packed column: wide(its exponent tuple)} over every term
-    of the glued basis of degree m on `width`-bit fields."""
-    fields = 4 if z.kind == "zr" else 5
-    left, right, others = fano.glued_basis(z, m, width)
-    cols = [{col: 1 for col in left}, {col: 1 for col in right}]
-    for section in others:
-        for side, part in enumerate(section):
-            cols[side].update(part)
+    of `fano.glued_basis(z, m, width)`."""
     out = ({}, {})
-    for side, part in enumerate(cols):
-        for col in part:
-            got, mono = oracles.unpack_column(col, width, fields)
-            assert got == side
-            out[side][col] = wide(mono)
+    for section in fano.glued_basis(z, m, width):
+        for side, part in enumerate(section):
+            for col, _ in part:
+                got, mono = oracles.unpack_column(col, width)
+                assert got == side
+                out[side][col] = wide(mono)
     return out
 
 
 def test_field_width_keeps_every_product_column():
-    # a report through m_max packs every basis on _field_width(z, m_max),
+    # a report through m_max packs every basis on m_max.bit_length() bits,
     # and its widest products are b1 * b_(m_max - 1): their largest
-    # exponent m_max (1 + r) (al at k = m_max; m_max (1 + s) on the right of
-    # ZRS) needs every bit. Each product column unpacks to the tuple sum of
-    # its factors, on its own side.
-    configs = [fano.ZR(r) for r in range(21)]
-    configs += [fano.ZRS(r, s) for r in range(11) for s in range(11)]
+    # exponent, m_max, sets the top bit of a field. Each product column
+    # unpacks to the tuple sum of its factors, on its own side.
+    configs = [fano.ZR(r, swap=swap) for r in range(4) for swap in (0, 1)]
+    configs += [fano.ZRS(r, s, swap=swap) for r in range(3)
+                for s in range(3) for swap in (0, 1)]
     for z in configs:
-        fields = 4 if z.kind == "zr" else 5
         for m_max in range(2, 6):
-            width = fano._field_width(z, m_max)
+            width = m_max.bit_length()
             b1, bm = (basis_columns(z, m, width) for m in (1, m_max - 1))
             for side in (0, 1):
-                got = {}
-                for col in {a + b for a in b1[side] for b in bm[side]}:
-                    got_side, mono = oracles.unpack_column(col, width, fields)
-                    got[col] = got_side, wide(mono)
                 for a, ta in b1[side].items():
-                    assert all(got[a + b] == (side, ta + tb)
-                               for b, tb in bm[side].items())
+                    for b, tb in bm[side].items():
+                        got, mono = oracles.unpack_column(a + b, width)
+                        assert (got, wide(mono)) == (side, ta + tb)
 
 
 def test_single_term_sections_meet_only_their_own_side():
@@ -523,9 +527,9 @@ def test_product_rank_counts_a_repeated_product_once():
     # s1 * s1 exactly, s1 * s2 differs from it in one coefficient; a
     # repeated product reduces to zero in the elimination
     s1, s2 = ({(1, 0): 1}, {(0, 1): 1}), ({(1, 0): 1}, {(0, 1): -1})
-    assert packed_rank([s1, s2], None, 2) == 2
+    assert library_rank([s1, s2], None) == 2
     assert oracles.tuple_product_rank(triangle_pairs([s1, s2]), 2) == 2
-    assert packed_rank([s1], [s1, s2, s1], 2) == 2
+    assert library_rank([s1], [s1, s2, s1]) == 2
     assert oracles.tuple_product_rank([(s1, s1), (s1, s2), (s1, s1)], 2) == 2
 
 
@@ -546,7 +550,7 @@ def cycle(signs):
 
 def signed_rank(second):
     pairs = [(ONE, g) for g in second]
-    rank = packed_rank([ONE], second, len(pairs))
+    rank = library_rank([ONE], second)
     assert rank == oracles.tuple_product_rank(pairs, len(pairs))
     return rank
 
@@ -570,9 +574,10 @@ def test_product_rank_of_a_signed_cycle(signs, rank):
 
 def test_product_rank_counts_a_half_edge_once():
     # f * (Y, m_0) is a half-edge at Y + m_0: its left term X + Y is the
-    # unit column X * Y, the one left column with a nonzero k field (Y's
-    # second field); hung on a balanced path of differences it adds 1, and
-    # a second half-edge on the same component adds nothing
+    # unit column X * Y; hung on a balanced path of differences it adds 1,
+    # and a second half-edge on the same component adds nothing (the
+    # sumset route: the library's first basis has no single-term section,
+    # so its products have no half-edge)
     f = ({X: 1}, {Y: 1})
     monos = [(0, 0, i, 0) for i in range(4)]
     path = [({}, {a: -1, b: 1}) for a, b in zip(monos, monos[1:])]
@@ -582,7 +587,6 @@ def test_product_rank_counts_a_half_edge_once():
                          ([unit, ({Y: 1}, {monos[0]: 1}),
                            ({Y: 1}, {monos[3]: -1})] + path, 1 + 4)):
         pairs = [(s1, s2) for s1 in first for s2 in second]
-        assert packed_rank(first, second, len(pairs), 1) == rank
         assert sumset_rank(first, second, len(pairs)) == rank
         assert oracles.tuple_product_rank(pairs, len(pairs)) == rank
 
@@ -667,9 +671,10 @@ X, Y = (1, 0, 0, 0), (0, 1, 0, 0)
           [({X: 1}, {Y: -1}), ({}, {X: 1, Y: 1}), ({Y: 1, X: -1}, {})]))
 @example(([({X: 1}, {Y: 1}), ({X: 1}, {X: 1}), ({Y: 1}, {Y: -1})], None))
 def test_product_rank_matches_tuple_route(bases):
-    # the sumset route on any sections in the contract; the library, which
-    # counts its unit columns in closed form on glued bases, where neither
-    # basis has a single-term section and so no product has a unit column
+    # the sumset route on any sections in the contract; the library on those
+    # of the shape of glued bases on ZR, where the first basis has one term
+    # a side and each section of the second two terms, at most one of them
+    # on the left, and so no product has a unit column
     first, second = bases
     if second is None:
         pairs = triangle_pairs(first)
@@ -677,52 +682,95 @@ def test_product_rank_matches_tuple_route(bases):
         pairs = [(f, g) for f in first for g in second]
     rank = oracles.tuple_product_rank(pairs, len(pairs))
     assert sumset_rank(first, second, len(pairs)) == rank
-    if all(len(left) + len(right) != 1 for left, right in first
-           + (second or [])):
-        assert packed_rank(first, second, len(pairs)) == rank
+    if (all(len(left) == len(right) == 1 for left, right in first)
+            and all(len(left) + len(right) == 2 and len(left) < 2
+                    for left, right in second or [])):
+        assert library_rank(first, second) == rank
+
+
+@st.composite
+def glued_shaped_bases(draw):
+    """Bases of the shape `fano._product_rank` takes on ZR: a list of 1-5
+    sections of one term a side, and either None or a list of 1-5 sections
+    of two terms, at most one of them on the left; every coefficient
+    +-1. Each side draws its terms from one small pool of 4-tuple
+    exponents, so that products meet."""
+    pools = [draw(st.lists(st.tuples(*[EXPONENT] * 4), min_size=2,
+                           max_size=4, unique=True)) for _ in range(2)]
+
+    def terms(side, n):
+        return st.dictionaries(st.sampled_from(pools[side]), SIGN,
+                               min_size=n, max_size=n)
+
+    one = st.tuples(terms(0, 1), terms(1, 1))
+    two = st.sampled_from([0, 1]).flatmap(
+        lambda n: st.tuples(terms(0, n), terms(1, 2 - n)))
+    first = draw(st.lists(one, min_size=1, max_size=5))
+    return first, draw(st.none() | st.lists(two, min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(glued_shaped_bases())
+def test_product_rank_matches_tuple_route_on_glued_shapes(bases):
+    first, second = bases
+    if second is None:
+        pairs = triangle_pairs(first)
+    else:
+        pairs = [(f, g) for f in first for g in second]
+    assert library_rank(first, second) == oracles.tuple_product_rank(
+        pairs, len(pairs))
 
 
 MEETS = "a single-term section meets a part of several terms"
-FIRST = "the first basis has a part of several terms"
-TERMS = "a section of the second basis has more than two terms"
+FIRST = "the first basis has a section not of one term a side"
+TERMS = "a section of the second basis has other than two terms"
 SIGNS = "a coefficient is not [+]-1"
 Z, W = (0, 0, 1, 0), (0, 0, 0, 1)
+ZR, ZRS = fano.ZR(0), fano.ZRS(0, 0)
 
 
-@pytest.mark.parametrize("first, second, message", [
-    # the unit column XY also lies in X * (X + Y): a single-term section
-    # meets a part of two terms on its side
-    ([({X: 1}, {})], [({Y: 1}, {}), ({X: 1, Y: 1}, {})], MEETS),
-    ([({X: 2}, {}), ({}, {Y: -3})],
-     [({Y: -2}, {}), ({}, {X: 3}), ({X: 3, Y: -2}, {Y: 2})], MEETS),
+@pytest.mark.parametrize("first, second, message, z", [
+    # a part of two terms in the second basis on a side with single-term
+    # sections, the left and, on ZRS alone, the right: the unit column XY
+    # also lies in X * (X + Y), a single times it
+    ([({X: 1}, {Y: 1})], [({X: 1, Y: 1}, {})], MEETS, ZR),
+    ([({X: 1}, {Y: 1})], [({}, {X: 1, Y: -1})], MEETS, ZRS),
     # a part of two terms in the first basis, against a right-only section,
-    # against itself, against a single-term section, and (x - y)(x + y)
-    # with its xy terms cancelling
-    ([({X: 1, Y: -1}, {})], [({}, {X: 2, Y: 3})], FIRST),
-    ([({X: 1, Y: -1}, {}), ({}, {X: 2, Y: 3})], None, FIRST),
-    ([({X: 1}, {X: 1, Y: 1})], [({}, {X: 1})], FIRST),
-    ([({}, {X: 1, Y: -1})], [({}, {X: 1, Y: 1})], FIRST),
-    # coefficients other than +-1 in a section of several terms, of the
-    # second basis and of the first; products then leave the signed graph
-    ([({X: 2}, {}), ({}, {Y: -3})],
-     [({Y: -2}, {}), ({}, {X: 3}), ({X: 3}, {Y: 2})], SIGNS),
-    ([({X: 1}, {}), ({X: 1}, {Y: 1})], [({}, {X: 2, Y: 3})], SIGNS),
-    ([({X: -2}, {Y: 1}), ({Y: 1}, {X: 1})], None, SIGNS),
+    # against itself, against a right difference, and (x - y)(x + y) with
+    # its xy terms cancelling
+    ([({X: 1, Y: -1}, {})], [({}, {X: 2, Y: 3})], FIRST, ZR),
+    ([({X: 1, Y: -1}, {}), ({}, {X: 2, Y: 3})], None, FIRST, ZR),
+    ([({X: 1}, {X: 1, Y: 1})], [({}, {X: 1, Y: -1})], FIRST, ZR),
+    ([({}, {X: 1, Y: -1})], [({}, {X: 1, Y: 1})], FIRST, ZR),
+    # coefficients other than +-1, in the second basis and in the first;
+    # products then leave the signed graph
+    ([({X: 1}, {Y: 1})], [({X: 3}, {Y: 2})], SIGNS, ZR),
+    ([({X: 1}, {Y: 1})], [({}, {X: 2, Y: 3})], SIGNS, ZR),
+    ([({X: -2}, {Y: 1}), ({Y: 1}, {X: 1})], None, SIGNS, ZR),
     # sections of the second basis with three and four terms, whose
     # products with (X, Y) have as many
-    ([({X: 1}, {Y: 1})], [({X: 1, Y: 1}, {Z: 1})], TERMS),
-    ([({X: 1}, {Y: 1})], [({X: 1, Y: -1}, {Z: 1, W: -1})], TERMS),
-    ([({X: 1}, {Y: 1})], [({}, {X: 1, Y: 1, Z: -1})], TERMS),
+    ([({X: 1}, {Y: 1})], [({X: 1}, {Z: 1, W: -1})], TERMS, ZR),
+    ([({X: 1}, {Y: 1})], [({}, {X: 1, Y: 1, Z: -1})], TERMS, ZR),
+    ([({X: 1}, {Y: 1})], [({}, {X: 1, Y: -1, Z: 1, W: -1})], TERMS, ZR),
+    # a first-basis section with an empty part, a single-term section: its
+    # product with a right difference would be a half-edge
+    ([({X: 1}, {})], [({}, {X: 1, Y: -1})], FIRST, ZR),
+    ([({X: 1}, {Y: 1}), ({}, {Y: 1})], None, FIRST, ZR),
+    # second-basis sections of one term, whose product would be a
+    # half-edge, and of none
+    ([({X: 1}, {Y: 1})], [({X: 1}, {})], TERMS, ZR),
+    ([({X: 1}, {Y: 1})], [({}, {Y: 1})], TERMS, ZR),
+    ([({X: 1}, {Y: 1})], [({}, {})], TERMS, ZR),
 ])
 def test_product_rank_rejects_input_outside_its_contract(first, second,
-                                                         message):
-    # the contract every caller meets with b1 first: at most one term a
-    # side in the first basis, no single-term section of the first basis
-    # on a side where the second has a part of several terms, at most two
-    # terms in each section of the second basis that is not single-term,
-    # and +-1 coefficients in every such section
+                                                         message, z):
+    # the contract every caller meets with b1 first: one term a side in
+    # each section of the first basis, no part of several terms in the
+    # second on a side with single-term sections (the left, and the right
+    # on ZRS), two terms in each section of the second basis, and +-1
+    # coefficients
     with pytest.raises(ValueError, match=message):
-        packed_rank(first, second, 10)
+        library_rank(first, second, z)
 
 
 def unit_section(side, mono):
@@ -747,12 +795,13 @@ def test_side_tag_keeps_left_and_right_columns_apart():
     # the 4-field right monomial packs to the int of the first 5-field left
     # one untagged, and to that of the second with a tag bit below the top
     # field; either way f * f and f * g would land on one column, as 2 and 0
+    # (the sumset route, on the packing of `oracles.pack_sections`)
     for left in ((0, 1, 0, 0, 1), (1, 1, 0, 0, 1)):
         f = ({left: 1}, {(1, 0, 0, 1): 1})
         g = ({left: 1}, {(1, 0, 0, 1): -1})
-        assert packed_rank([f, g], None, 3) == 2
+        assert sumset_rank([f, g], None, 3) == 2
         assert oracles.tuple_product_rank(triangle_pairs([f, g]), 3) == 2
-        assert packed_rank([f], [g], 1) == 1
+        assert sumset_rank([f], [g], 1) == 1
     # single-term sections only, so every product is a unit column (the
     # sumset route): a left-only section times a right-only one is zero
     assert sumset_rank([unit_section(0, (1, 0))],
@@ -785,8 +834,8 @@ def test_glued_h0_guard_fires(monkeypatch):
     with pytest.raises(AssertionError, match="fiber-product"):
         fano.glued_h0(fano.ZR(0), 1)
     monkeypatch.undo()
-    # the last monomial of each P(r) basis lost from the enumeration; it
-    # vanishes on S, so only the dimension count can see it
+    # the last head lost from the enumeration, and with it the sections over
+    # its S-monomial: only the dimension count can see it
     columns = fano._columns
     monkeypatch.setattr(fano, "_columns",
                         lambda *args: columns(*args)[:-1])
@@ -795,16 +844,23 @@ def test_glued_h0_guard_fires(monkeypatch):
 
 
 def test_product_rank_guard_fires(monkeypatch):
-    # one section short in every degree past 1 lowers each target rank
+    # a section outside the glued space in every degree past 1, the right
+    # columns of the first and the last section summed, which restricts to
+    # two distinct S-monomials: its products with b1 leave the glued space
+    # of degree 3, which b1 * b2 already spans
     glued_basis = fano.glued_basis
 
-    def short(z, m, width):
-        left, right, others = glued_basis(z, m, width)
-        return left, right, others[:-1] if m >= 2 else others
+    def extra(z, m, width):
+        sections = glued_basis(z, m, width)
+        if m >= 2:
+            ends = [sections[i][1][0][0] for i in (0, -1)]
+            sections.append(([], [(col, 1) for col in ends]))
+        return sections
 
-    monkeypatch.setattr(fano, "glued_basis", short)
+    monkeypatch.setattr(fano, "glued_basis", extra)
+    assert fano.degree_one_generation(fano.ZR(0), 2)
     with pytest.raises(AssertionError, match="leave the glued section"):
-        fano.degree_one_generation(fano.ZR(0), 2)
+        fano.degree_one_generation(fano.ZR(0), 3)
     monkeypatch.undo()
     # the quadric check reads its target rank from the degree-2 count
     count = fano.fiber_product_h0

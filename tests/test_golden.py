@@ -12,7 +12,6 @@ rewrite the stored reports with
 import contextlib
 import io
 import json
-import os
 import tempfile
 from pathlib import Path
 
@@ -68,14 +67,12 @@ def report(argv, workdir):
 
 @pytest.mark.parametrize("command,name", [
     (command, name) for command, cases in CASES.items() for name in cases])
-def test_report_matches_golden(command, name, tmp_path, monkeypatch):
-    monkeypatch.delenv("SNC_SEED", raising=False)
+def test_report_matches_golden(command, name, tmp_path):
     golden = json.loads((GOLDEN / f"{command}.json").read_text())
     assert report(CASES[command][name], tmp_path) == golden[name]
 
 
 def write_golden():
-    os.environ.pop("SNC_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
         for command, cases in CASES.items():
