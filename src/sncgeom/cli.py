@@ -139,9 +139,9 @@ H2_C = 1  # h^2 of the curve C along which Z_2 is blown up
 # Each degree builds only its sections that are not single-term and ranks
 # their products with the four of degree 1, so the cost grows with those
 # sections summed over the degrees: ZR(4995) at --mmax 2 and ZR(1995) at 3,
-# each at this limit, take about 1 ms, and ZR(0) at 30 about 0.3 s. ZR(0) has
-# the fewest sections in every degree, so no --mmax above 30 can pass, and
-# that cap comes first, since the count loops over the degree.
+# each at this limit, take about 1 ms, and ZR(0) at 30 about 0.2 s. ZR(0) has
+# the fewest sections in every degree, so no --mmax above 30 can pass; that
+# cap is checked first, though the count is now a closed form in the degree.
 FANO_MAX_H0 = 20_000
 FANO_MAX_MMAX = 30
 

@@ -25,7 +25,10 @@ most m, so a report through m_max packs every basis on m_max.bit_length()
 bits a field and no product up to degree m_max carries. The single-term
 sections (the monomials vanishing on S) are only counted, by
 `_single_count`, and `_product_rank` ranks the products of the others as
-a signed graph by one union-find.
+a signed graph by one union-find, unpacking each edge's two terms and
+looking up a root only for a column already hung. Every count reads
+`h0_P`, one closed form with no loop over the splitting (the clipped sum
+it replaced is `oracles.h0_P`).
 """
 
 from __future__ import annotations
@@ -42,12 +45,22 @@ TERMINAL = "terminal"
 def h0_P(r, a, b):
     """dim H^0(P(r), O(a, b)); zero for a < 0. The a-th symmetric power of
     O + O + O(r) splits as O(k r) with multiplicity a - k + 1, k = 0..a,
-    and each O(k r + b) on P^1 has max(0, k r + b + 1) sections."""
+    and each O(k r + b) on P^1 has max(0, k r + b + 1) sections. When
+    every twist has k r + b + 1 >= 0, the sum of (a - k + 1)(k r + b + 1)
+    is (b + 1) C(a + 2, 2) + r C(a + 2, 3). Otherwise the terms below
+    k0 = ceil(-(b + 1) / r), the first twist with sections, are zero
+    (all of them when r = 0), and the rest is h0_P(r, a - k0, b + k0 r),
+    whose twists all have sections."""
     if r < 0:
         raise ValueError("twist must be nonnegative")
+    if b < -1:
+        if r == 0:
+            return 0
+        k0 = -((b + 1) // r)
+        a, b = a - k0, b + k0 * r
     if a < 0:
         return 0
-    return sum([(a - k + 1) * max(0, k * r + b + 1) for k in range(a + 1)])
+    return (b + 1) * comb(a + 2, 2) + r * comb(a + 2, 3)
 
 
 @dataclass(frozen=True)
@@ -227,11 +240,18 @@ def _product_rank(z, first, second, m):
              else product(first, second))
     for ([(a, ca)], [(b, cb)]), (left, right) in pairs:
         # the edge's terms s_w e_w, each as (root, parity) with
-        # s_w sigma_w = (-1)^parity sigma_root
-        (ru, pu), (rv, pv) = [find(x + y, cx != cy)
-                              for x, cx, part in ((a, ca, left),
-                                                  (b, cb, right))
-                              for y, cy in part]
+        # s_w sigma_w = (-1)^parity sigma_root: g has one term a side, or,
+        # on ZR's right differences, two right terms, both times f's right
+        if left:
+            [(x, cx)], [(y, cy)] = left, right
+        else:
+            (x, cx), (y, cy) = right
+            a, ca = b, cb
+        ru, pu, rv, pv = a + x, ca != cx, b + y, cb != cy
+        if ru in parent:  # a column never hung is its own root
+            ru, pu = find(ru, pu)
+        if rv in parent:
+            rv, pv = find(rv, pv)
         if ru != rv:  # hang rv so that the two terms cancel
             parent[rv] = ru << 1 | pu ^ pv ^ 1
             if rv in unbalanced:

@@ -74,7 +74,9 @@ the packed one replaced) and bucket it by its restriction. The
 surjectivity of restriction to S, on which the fiber-product count in
 `fano.glued_basis` rests, is a fact the library no longer tests;
 `enumerated_restriction_surjective` checks it by restricting all of
-`pr_basis`.
+`pr_basis`. For the section counts, which `fano.h0_P` takes in closed
+form, `h0_P` is the clipped sum over k of (a - k + 1) max(0, k r + b + 1)
+it replaced; `bucketed_glued_basis` checks its size with it.
 
 For the cohomology of the dual complex, which the library reads off cell
 counts and the balance walk of `snc.canonical_order`, `dual_boundaries`
@@ -97,8 +99,8 @@ Eight helpers left the library for here, since only tests read them:
   `test_poly::_two_variable_chart`, the chart oracle of
   `test_blowup_chart_verify_both_charts`.
 - `sym_split` is the splitting of the symmetric powers of O + O + O(r)
-  that `fano.h0_P` sums in one pass; `h1_P` reads it, and `test_fano`
-  checks it and the Riemann-Roch count on it.
+  that `h0_P` sums over; `h1_P` reads it, and `test_fano` checks it and
+  the Riemann-Roch count on it.
 - `h1_P` is dim H^1 of O(a, b) on P(r). `test_fano` checks h0_P - h1_P
   against the Riemann-Roch count, and that H^1 vanishes on nef twists.
 - `mult_surjective` checks monomial by monomial that products of
@@ -123,7 +125,6 @@ from itertools import (combinations_with_replacement, permutations,
 from math import comb, lcm
 from operator import index
 
-from sncgeom.fano import h0_P
 from sncgeom.lattice import (_echelon, det_int, echelon_mod_p,
                              invariant_factors)
 from sncgeom.picard import (InvariantError, NegativeDefiniteViolation,
@@ -1227,6 +1228,17 @@ def pr_basis(r, a, b):
             for al in range(base + 1):
                 out.append((i, j, k, al, base - al))
     return out
+
+
+def h0_P(r, a, b):
+    """dim H^0(P(r), O(a, b)); zero for a < 0. The a-th symmetric power of
+    O + O + O(r) splits as O(k r) with multiplicity a - k + 1, k = 0..a,
+    and each O(k r + b) on P^1 has max(0, k r + b + 1) sections."""
+    if r < 0:
+        raise ValueError("twist must be nonnegative")
+    if a < 0:
+        return 0
+    return sum([(a - k + 1) * max(0, k * r + b + 1) for k in range(a + 1)])
 
 
 def sym_split(a, r):

@@ -25,6 +25,15 @@ def test_h0_P_matches_basis_size():
             fano.h0_P(-1, a, 2 - a)
 
 
+def test_h0_P_closed_form_matches_the_clipped_sum():
+    # twists below -1 (the shift to the first twist with sections, and
+    # its overshoot to a < 0), r = 0 and a < 0 included
+    for r in range(13):
+        for a in range(-3, 19):
+            for b in range(-80, 25):
+                assert fano.h0_P(r, a, b) == oracles.h0_P(r, a, b), (r, a, b)
+
+
 def test_packed_columns_unpack_to_the_tuple_enumeration():
     # the heads, one per S-monomial of bidegree (m, m), in its order
     for m in range(1, 9):
